@@ -14,17 +14,12 @@ asserts the two properties the pipeline promises:
 
 import time
 
-import pytest
 from conftest import run_once
 
 from repro.lang.compile import compile_sources
-from repro.pipeline import BatchCompiler, CompilationCache, StageCache
+from repro.pipeline import CompilationCache, StageCache, run_jobs
 from repro.queries import ALL_QUERIES
 from repro.testing import build_chain_design
-
-# Drives the deprecated BatchCompiler facade on purpose: the shim's
-# throughput must match the engine's.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def suite_jobs():
@@ -41,19 +36,21 @@ def test_pipeline_throughput_cold_vs_warm(benchmark):
     jobs = suite_jobs()
     assert len(jobs) >= 10
     cache = CompilationCache(max_entries=64)
-    compiler = BatchCompiler(cache=cache, executor="thread", max_workers=4)
+
+    def batch():
+        return run_jobs(jobs, cache=cache, executor="thread", max_workers=4)
 
     def cold_batch():
         cache.clear()
         cache.stats.reset()
-        return compiler.compile_batch(jobs)
+        return batch()
 
     cold = run_once(benchmark, cold_batch)
     assert cold.ok, [f.error for f in cold.failures]
     assert all(not entry.from_cache for entry in cold.results)
 
     warm_start = time.perf_counter()
-    warm = compiler.compile_batch(jobs)
+    warm = batch()
     warm_time = time.perf_counter() - warm_start
     assert warm.ok
     assert all(entry.from_cache for entry in warm.results)
@@ -152,13 +149,13 @@ def test_pipeline_parallel_matches_serial(benchmark):
     jobs = suite_jobs()
 
     def parallel_batch():
-        return BatchCompiler(executor="thread", max_workers=4).compile_batch(jobs)
+        return run_jobs(jobs, executor="thread", max_workers=4)
 
     parallel = run_once(benchmark, parallel_batch)
     assert parallel.ok
 
     serial_start = time.perf_counter()
-    serial = BatchCompiler(executor="serial").compile_batch(jobs)
+    serial = run_jobs(jobs, executor="serial")
     serial_time = time.perf_counter() - serial_start
     assert serial.ok
 

@@ -20,8 +20,8 @@ that boundary pluggable:
 The compile pipeline threads targets through every layer: ``compile_sources
 (..., targets=("vhdl", "dot"))`` runs a backend stage whose
 per-implementation outputs the :class:`~repro.pipeline.stages.StageCache`
-memoises, ``CompileJob.targets`` carries them through the batch and
-incremental drivers, and the CLI exposes ``--target`` / ``--list-backends``.
+memoises, ``CompileJob.targets`` carries them through the job engine and the
+workspace, and the CLI exposes ``--target`` / ``--list-backends``.
 See ``docs/backends.md``.
 """
 

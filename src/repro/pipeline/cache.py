@@ -14,11 +14,12 @@ inputs is a complete identity for the output artefact.
   stdlib edits across revisions invalidate persistent caches), and
 * every ``(filename, source_text)`` pair in order.
 
-:class:`CompilationCache` stores pickled results under those keys in a
-bounded in-memory LRU, optionally backed by an on-disk store (conventionally
-``.tydi-cache/``) that survives across processes -- which is what lets the
-process-pool executor of :mod:`repro.pipeline.batch` share warm artefacts
-with its workers.
+:class:`CompilationCache` stores results under those keys in one
+:class:`~repro.pipeline.store.TieredStore`: a bounded in-memory LRU,
+optionally backed by an on-disk store (conventionally ``.tydi-cache/``) that
+survives across processes -- which is what lets the process-pool executor
+of :mod:`repro.pipeline.batch` share warm artefacts with its workers -- and
+by the remote L2.
 
 Cached results are returned *as-is* (no defensive copy): treat a
 :class:`~repro.lang.compile.CompilationResult` obtained through the cache as
@@ -29,18 +30,16 @@ never aliased with a result some other compilation already holds.
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import tempfile
-import threading
-import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.lang.compile import CompilationResult
+from repro.pipeline.store import (
+    RESULT_NAMESPACE,
+    SHARED,
+    CacheStats,
+    TieredStore,
+    evict_lru_files,
+)
 
 #: Bump when the pickle layout or fingerprint recipe changes; old on-disk
 #: entries then simply miss instead of deserialising stale artefacts.
@@ -83,7 +82,11 @@ DEFAULT_CACHE_DIR = ".tydi-cache"
 
 # The one normalisation shared with compile_sources, so fingerprints agree
 # no matter which layer computed them (the lang layer owns the definition).
-from repro.lang.compile import CompileOptions, normalize_sources  # noqa: E402
+from repro.lang.compile import (  # noqa: E402
+    CompilationResult,
+    CompileOptions,
+    normalize_sources,
+)
 
 
 def canonical_option_repr(value: object) -> str:
@@ -155,135 +158,15 @@ def fingerprint_sources(
     return hasher.hexdigest()
 
 
-def atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via write-to-temp-then-rename.
-
-    Concurrent readers either see the old complete file or the new complete
-    file, never a torn write.  Shared by the whole-result cache and the
-    per-stage cache (:mod:`repro.pipeline.stages`).  Raises ``OSError`` for
-    the caller to account.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-
-
-def atomic_pickle_dump(path: Path, obj: object) -> None:
-    """Pickle ``obj`` to ``path`` atomically (see :func:`atomic_write_bytes`)."""
-    atomic_write_bytes(path, pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-
-#: A ``*.tmp`` file older than this is a leak from a crashed writer
-#: (``atomic_write_bytes`` holds its temp file for milliseconds, not
-#: minutes) and is reclaimed during budget enforcement.
-TMP_SWEEP_AGE_S = 300.0
-
-
-def evict_lru_files(
-    root: Path, max_bytes: int, *, tmp_sweep_age_s: float = TMP_SWEEP_AGE_S
-) -> int:
-    """Delete the least-recently-used ``*.pkl`` artefacts under ``root``.
-
-    Scans recursively (the per-stage tier lives in a ``stages/``
-    subdirectory of the whole-result store), sums artefact sizes, and
-    unlinks oldest-mtime-first until the total is within ``max_bytes``.
-    Loads refresh mtimes, so mtime order *is* recency order.  Returns the
-    number of files deleted; unreadable or already-gone files are skipped.
-
-    ``*.tmp`` files are the write-in-progress side of
-    :func:`atomic_write_bytes`; a writer SIGKILLed between ``mkstemp`` and
-    ``os.replace`` leaks one forever.  Every enforcement pass therefore
-    sweeps tmp files older than ``tmp_sweep_age_s`` (uncounted -- garbage
-    collection, not eviction) and charges the *fresh* ones, which are
-    about to become artefacts, against the byte budget.
-    """
-    entries: list[tuple[float, int, Path]] = []
-    total = 0
-    now = time.time()
-    for path in root.rglob("*.tmp"):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        if now - stat.st_mtime >= tmp_sweep_age_s:
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            continue
-        total += stat.st_size
-    for path in root.rglob("*.pkl"):
-        try:
-            stat = path.stat()
-        except OSError:
-            continue
-        entries.append((stat.st_mtime, stat.st_size, path))
-        total += stat.st_size
-    if total <= max_bytes:
-        return 0
-    evicted = 0
-    for _, size, path in sorted(entries):
-        try:
-            path.unlink()
-        except OSError:
-            continue
-        total -= size
-        evicted += 1
-        if total <= max_bytes:
-            break
-    return evicted
-
-
-@dataclass
-class CacheStats:
-    """Counters describing how a :class:`CompilationCache` has been used."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    evictions: int = 0
-    disk_hits: int = 0
-    disk_stores: int = 0
-    disk_errors: int = 0
-    disk_evictions: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "disk_hits": self.disk_hits,
-            "disk_stores": self.disk_stores,
-            "disk_errors": self.disk_errors,
-            "disk_evictions": self.disk_evictions,
-        }
-
-    def reset(self) -> None:
-        self.hits = self.misses = self.stores = self.evictions = 0
-        self.disk_hits = self.disk_stores = self.disk_errors = 0
-        self.disk_evictions = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclass
 class CompilationCache:
-    """Bounded in-memory LRU of compilation results, with optional disk tier.
+    """Bounded in-memory LRU of compilation results, with disk and remote tiers.
+
+    One :class:`~repro.pipeline.store.TieredStore` (namespace ``result``,
+    shared codec) holds the results; a :class:`~repro.pipeline.stages.
+    StageCache` over the same directory, budget and remote, exposed as
+    ``.stages``, holds the per-stage artefacts.  ``compile_sources``
+    compiles whole-result misses through it, so a one-file edit of an
+    N-file design re-parses only the edited file.
 
     Parameters
     ----------
@@ -299,13 +182,6 @@ class CompilationCache:
         per-stage tier under ``<cache_dir>/stages/``) is bounded: after every
         disk store, least-recently-used artefacts are deleted until the total
         is within budget (``stats.disk_evictions`` counts them).
-    stage_caching:
-        Construct a per-stage sub-cache (:class:`repro.pipeline.stages.
-        StageCache`, exposed as ``.stages``) sharing this cache's disk
-        directory and byte budget.  ``compile_sources`` compiles whole-result
-        misses through it, so a one-file edit of an N-file design re-parses
-        only the edited file.  Set to ``False`` for a PR-1-style
-        whole-result-only cache.
     remote:
         The shared remote L2 tier: a ``host:port`` endpoint string (a
         :class:`~repro.pipeline.remote.RemoteCacheClient` is built from
@@ -319,41 +195,37 @@ class CompilationCache:
     instance across all workers.
     """
 
-    max_entries: int = 128
-    cache_dir: Optional[str | Path] = None
-    max_disk_bytes: Optional[int] = None
-    stage_caching: bool = True
-    remote: Optional[object] = None
-    stats: CacheStats = field(default_factory=CacheStats)
-
-    def __post_init__(self) -> None:
-        if self.max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
-        if self.max_disk_bytes is not None and self.max_disk_bytes < 0:
+    def __init__(
+        self,
+        max_entries: int = 128,
+        cache_dir: Optional[str | Path] = None,
+        max_disk_bytes: Optional[int] = None,
+        remote: Optional[object] = None,
+    ) -> None:
+        if max_disk_bytes is not None and max_disk_bytes < 0:
             raise ValueError("max_disk_bytes must be >= 0")
-        if self.cache_dir is not None:
-            self.cache_dir = Path(self.cache_dir)
-        if isinstance(self.remote, str):
+        if isinstance(remote, str):
             from repro.pipeline.remote import RemoteCacheClient
 
-            self.remote = RemoteCacheClient.from_url(self.remote)
-        self._entries: OrderedDict[str, "CompilationResult"] = OrderedDict()
-        self._lock = threading.Lock()
-        self.stages = None
-        if self.stage_caching:
-            from repro.pipeline.stages import StageCache
+            remote = RemoteCacheClient.from_url(remote)
+        self.max_entries = max_entries
+        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
+        self.max_disk_bytes = max_disk_bytes
+        self.remote = remote
+        self._store = TieredStore(
+            RESULT_NAMESPACE, SHARED, max_entries, cache_dir=self.cache_dir, remote=remote
+        )
+        #: The store's counters (``hits``/``misses``/``stores``/... ).
+        self.stats: CacheStats = self._store.stats
+        from repro.pipeline.stages import StageCache
 
-            self.stages = StageCache(
-                cache_dir=self.cache_dir,
-                max_disk_bytes=self.max_disk_bytes,
-                remote=self.remote,
-            )
+        self.stages = StageCache(
+            cache_dir=self.cache_dir, max_disk_bytes=max_disk_bytes, remote=remote
+        )
         # Apply the budget to whatever is already on disk: a store that only
         # ever *hits* would otherwise never shrink after a budget decrease.
-        if self.cache_dir is not None and Path(self.cache_dir).is_dir():
+        if self.cache_dir is not None and self.cache_dir.is_dir():
             self.enforce_disk_budget()
-
-    # -- keying ---------------------------------------------------------------
 
     def key_for(
         self,
@@ -363,9 +235,7 @@ class CompilationCache:
         """Content-address of one compilation (see :func:`fingerprint_sources`)."""
         return fingerprint_sources(sources, options)
 
-    # -- lookup / store -------------------------------------------------------
-
-    def get(self, key: str) -> Optional["CompilationResult"]:
+    def get(self, key: str) -> Optional[CompilationResult]:
         """Return the cached result for ``key`` or ``None`` on a miss.
 
         Lookup order: in-memory LRU, local disk, then the remote tier
@@ -373,27 +243,9 @@ class CompilationCache:
         local tiers so the next process start over the same ``cache_dir``
         hits disk without touching the network.
         """
-        with self._lock:
-            result = self._entries.get(key)
-            if result is not None:
-                self._entries.move_to_end(key)
-                self.stats.hits += 1
-                return result
-        result = self._disk_load(key)
-        disk_hit = result is not None
-        if result is None:
-            result = self._remote_load(key)
-        with self._lock:
-            if result is not None:
-                self.stats.hits += 1
-                if disk_hit:
-                    self.stats.disk_hits += 1
-                self._insert(key, result)
-            else:
-                self.stats.misses += 1
-        return result
+        return self._store.get(key, CompilationResult)
 
-    def put(self, key: str, result: "CompilationResult", *, disk: bool = True) -> None:
+    def put(self, key: str, result: CompilationResult, *, disk: bool = True) -> None:
         """Store a result under its content address (memory, disk, remote).
 
         ``disk=False`` populates only the in-memory tier -- used when the
@@ -402,75 +254,49 @@ class CompilationCache:
         upload (when a remote is configured) is write-behind: the pickled
         payload is queued and the compile path never waits on the network.
         """
-        with self._lock:
-            self.stats.stores += 1
-            self._insert(key, result)
+        self._store.put(key, result, disk=disk)
         if disk:
-            self._disk_store(key, result)
+            self.enforce_disk_budget()
 
-    def absorb_hit(self, key: str, result: "CompilationResult") -> None:
+    def absorb_hit(self, key: str, result: CompilationResult) -> None:
         """Fold in a hit observed by another process over the same disk store.
 
         Process-pool workers do their lookups in their own cache instances;
         the parent calls this per warm result so its stats reflect the batch
         ("cached" designs <=> recorded hits) and its memory tier warms up.
         """
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._insert(key, result)
+        self._store.absorb(key, result)
 
     def contains(self, key: str) -> bool:
         """Whether ``key`` would hit, without touching stats or LRU order."""
-        with self._lock:
-            if key in self._entries:
-                return True
-        return self.cache_dir is not None and self._disk_path(key).exists()
+        return self._store.contains(key)
 
     def clear(self, *, disk: bool = False) -> None:
         """Drop the in-memory tiers (and, optionally, the on-disk store).
 
         Cascades to the per-stage sub-cache: a cleared cache serves no warm
         artefacts of any kind, and ``disk=True`` reclaims the whole
-        directory including ``stages/``.
+        directory including ``stages/`` and leaked ``*.tmp`` files.
         """
-        with self._lock:
-            self._entries.clear()
-        if disk and self.cache_dir is not None and self.cache_dir.is_dir():
-            # Recursive, and independent of whether a StageCache is
-            # attached: a stage_caching=False instance pointed at a
-            # directory that *has* stage artefacts (written by an earlier
-            # configuration) must still reclaim them -- they count against
-            # max_disk_bytes either way.  Stale .tmp leaks from crashed
-            # writers go with them.
-            for pattern in ("*.pkl", "*.tmp"):
-                for path in self.cache_dir.rglob(pattern):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        with self._lock:
-                            self.stats.disk_errors += 1
-        if self.stages is not None:
-            self.stages.clear(disk=disk)
+        self._store.clear(disk=disk)
+        self.stages.clear(disk=disk)
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
+        return len(self._store)
 
     def stats_snapshot(self) -> dict[str, object]:
-        """A consistent copy of the counters, taken under the cache lock.
+        """A consistent copy of the counters, taken under the store lock.
 
-        :attr:`stats` is mutated under ``self._lock``; reading it lock-free
-        (as ``stats.as_dict()`` does) can observe a torn set of counters --
-        e.g. a ``hits`` that already includes a lookup whose ``disk_hits``
-        increment it misses.  Status endpoints (``Workspace.stats``, the
-        compile service's ``stats`` method, the CLI JSON payloads) read
-        through this snapshot instead.  With a remote tier configured the
-        snapshot carries its per-tier counters under a nested ``"remote"``
-        key (hits / misses / bytes / errors / endpoint health).
+        Reading :attr:`stats` lock-free (as ``stats.as_dict()`` does) can
+        observe a torn set of counters -- e.g. a ``hits`` that already
+        includes a lookup whose ``disk_hits`` increment it misses.  Status
+        endpoints (``Workspace.stats``, the compile service's ``stats``
+        method, the CLI JSON payloads) read through this snapshot instead.
+        With a remote tier configured the snapshot carries its per-tier
+        counters under a nested ``"remote"`` key (hits / misses / bytes /
+        errors / endpoint health).
         """
-        with self._lock:
-            snapshot: dict[str, object] = dict(self.stats.as_dict())
+        snapshot: dict[str, object] = dict(self._store.stats_snapshot())
         if self.remote is not None:
             remote_snapshot = getattr(self.remote, "stats_snapshot", None)
             snapshot["remote"] = (
@@ -478,104 +304,11 @@ class CompilationCache:
             )
         return snapshot
 
-    # -- internals ------------------------------------------------------------
-
-    def _insert(self, key: str, result: "CompilationResult") -> None:
-        """Insert under the lock, evicting the LRU entry on overflow."""
-        self._entries[key] = result
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-            self.stats.evictions += 1
-
-    def _disk_path(self, key: str) -> Path:
-        return Path(self.cache_dir) / f"{key}.pkl"
-
-    def _disk_load(self, key: str) -> Optional["CompilationResult"]:
-        if self.cache_dir is None:
-            return None
-        path = self._disk_path(key)
-        try:
-            with path.open("rb") as handle:
-                result = pickle.load(handle)
-            try:
-                os.utime(path)  # refresh mtime: LRU recency for eviction
-            except OSError:
-                pass
-            return result
-        except FileNotFoundError:
-            return None
-        except (OSError, pickle.PickleError, EOFError, AttributeError, ImportError):
-            # A corrupt or stale artefact is just a miss; drop it if we can.
-            with self._lock:
-                self.stats.disk_errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(self, key: str, result: "CompilationResult") -> None:
-        """Persist one result to the durable tiers: local disk, then remote.
-
-        One ``pickle.dumps`` serves both -- the remote tier stores exactly
-        the bytes the disk tier stores, so a remote hit round-trips through
-        the same deserialisation (and the same corruption guards) as a
-        disk hit.
-        """
-        if self.cache_dir is None and self.remote is None:
-            return
-        try:
-            payload = pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            return
-        if self.cache_dir is not None:
-            try:
-                atomic_write_bytes(self._disk_path(key), payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-                self.enforce_disk_budget()
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        if self.remote is not None:
-            self.remote.put(f"result:{key}", payload)
-
-    def _remote_load(self, key: str) -> Optional["CompilationResult"]:
-        """One remote lookup; corrupt payloads are a counted miss, never a
-        raise (mirroring the disk tier's corruption discipline)."""
-        if self.remote is None:
-            return None
-        payload = self.remote.get(f"result:{key}")
-        if payload is None:
-            return None
-        try:
-            result = pickle.loads(payload)
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            note = getattr(self.remote, "note_corrupt", None)
-            if note is not None:
-                note(f"result:{key}")
-            return None
-        if self.cache_dir is not None:
-            # Promote to the local disk tier (the bytes are already the
-            # disk format); no re-upload -- the entry came from the remote.
-            try:
-                atomic_write_bytes(self._disk_path(key), payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        return result
-
     def enforce_disk_budget(self) -> int:
         """Apply ``max_disk_bytes`` to the on-disk store (both tiers)."""
         if self.cache_dir is None or self.max_disk_bytes is None:
             return 0
-        evicted = evict_lru_files(Path(self.cache_dir), self.max_disk_bytes)
+        evicted = evict_lru_files(self.cache_dir, self.max_disk_bytes)
         if evicted:
-            with self._lock:
-                self.stats.disk_evictions += evicted
+            self._store.count("disk_evictions", evicted)
         return evicted

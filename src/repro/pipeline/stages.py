@@ -37,12 +37,13 @@ reusable.  :class:`StageCache` exploits exactly that structure:
   re-emits only the implementations it actually changed -- the remaining
   uncached stage left open by PR 2.
 
-Both tiers live in memory (bounded LRUs) and, when ``cache_dir`` is set,
-under ``<cache_dir>/stages/`` on disk (``ast-<key>.pkl`` /
-``eval-<key>.pkl``, written atomically).  A ``max_disk_bytes`` budget is
-enforced over the *whole* cache directory -- whole-result artefacts
-included -- via LRU-by-mtime eviction, so per-stage artefacts cannot grow
-``.tydi-cache/`` without bound.
+Each tier is one :class:`~repro.pipeline.store.TieredStore` (namespaces
+``ast`` / ``eval`` / ``iringest`` / ``backend`` / ``sim``): a bounded
+memory LRU and, when ``cache_dir`` is set, ``<cache_dir>/stages/<ns>-<key>.pkl``
+on disk, then the remote L2.  A ``max_disk_bytes`` budget is enforced over
+the *whole* cache directory -- whole-result artefacts included -- via
+LRU-by-mtime eviction, so per-stage artefacts cannot grow ``.tydi-cache/``
+without bound.
 
 :meth:`StageCache.compile` composes the *same* stage functions as the
 monolithic ``compile_sources`` (:func:`repro.lang.compile.parse_stage` and
@@ -55,11 +56,8 @@ edits.
 from __future__ import annotations
 
 import hashlib
-import os
 import pickle
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -82,13 +80,30 @@ from repro.lang.parser import parse_source
 from repro.pipeline.cache import (
     CACHE_VERSION,
     STAGE_SCHEMA_VERSION,
-    atomic_write_bytes,
     canonical_option_repr,
+)
+from repro.pipeline.store import (
+    PICKLED,
+    SHARED,
+    STAGE_DIR_NAME,  # noqa: F401 - part of this module's public surface
+    TieredStore,
     evict_lru_files,
 )
 
-#: Subdirectory of the cache dir holding per-stage artefacts.
-STAGE_DIR_NAME = "stages"
+#: The five stage tiers: ``StageStats`` counter prefix, store namespace and
+#: codec.  ASTs, backend units and simulation reports are read-only and
+#: shared; evaluate and ingest snapshots are mutated by sugar/DRC, so every
+#: hit unpickles a fresh copy.
+STAGE_TIERS = (
+    ("parse", "ast", SHARED),
+    ("evaluate", "eval", PICKLED),
+    ("ingest", "iringest", PICKLED),
+    ("backend", "backend", SHARED),
+    ("sim", "sim", SHARED),
+)
+
+#: In-memory LRU capacity of each stage tier, by store namespace.
+STAGE_CAPACITY = {"ast": 512, "eval": 64, "iringest": 64, "backend": 1024, "sim": 128}
 
 #: Options that change the outcome of parse+evaluate (and therefore
 #: participate in the snapshot key).  ``sugaring`` / ``run_drc`` /
@@ -137,60 +152,49 @@ def _emit_one_unit(implementation_name: str) -> dict[str, str]:
     return backend.emit_unit(project, project.implementations[implementation_name])
 
 
-@dataclass
 class StageStats:
-    """Counters describing how a :class:`StageCache` has been used."""
+    """The counters of a :class:`StageCache`, read live from its stores.
 
-    parse_hits: int = 0
-    parse_misses: int = 0
-    evaluate_hits: int = 0
-    evaluate_misses: int = 0
-    ingest_hits: int = 0
-    ingest_misses: int = 0
-    backend_hits: int = 0
-    backend_misses: int = 0
-    sim_hits: int = 0
-    sim_misses: int = 0
-    disk_hits: int = 0
-    disk_stores: int = 0
-    disk_errors: int = 0
-    disk_evictions: int = 0
+    ``<stage>_hits`` counts lookups any tier answered.  ``<stage>_misses``
+    counts recomputed artefacts as they are stored, so a stage that raises
+    (a parse error) counts nothing.  ``disk_hits`` / ``disk_stores`` /
+    ``disk_errors`` sum over the five stores; ``disk_evictions`` counts
+    the cache's budget passes.
+    """
+
+    def __init__(self, stores: Mapping[str, TieredStore]) -> None:
+        self._stores = stores
+        self.disk_evictions = 0
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "parse_hits": self.parse_hits,
-            "parse_misses": self.parse_misses,
-            "evaluate_hits": self.evaluate_hits,
-            "evaluate_misses": self.evaluate_misses,
-            "ingest_hits": self.ingest_hits,
-            "ingest_misses": self.ingest_misses,
-            "backend_hits": self.backend_hits,
-            "backend_misses": self.backend_misses,
-            "sim_hits": self.sim_hits,
-            "sim_misses": self.sim_misses,
-            "disk_hits": self.disk_hits,
-            "disk_stores": self.disk_stores,
-            "disk_errors": self.disk_errors,
-            "disk_evictions": self.disk_evictions,
-        }
+        counts: dict[str, int] = {}
+        disk = dict.fromkeys(("disk_hits", "disk_stores", "disk_errors"), 0)
+        for stage, namespace, _ in STAGE_TIERS:
+            tier = self._stores[namespace].stats_snapshot()
+            counts[f"{stage}_hits"] = tier["hits"]
+            counts[f"{stage}_misses"] = tier["stores"]
+            for name in disk:
+                disk[name] += tier[name]
+        counts.update(disk, disk_evictions=self.disk_evictions)
+        return counts
+
+    def __getattr__(self, name: str) -> int:
+        counts = {} if name.startswith("_") else self.as_dict()
+        if name not in counts:
+            raise AttributeError(name)
+        return counts[name]
 
     def reset(self) -> None:
-        self.parse_hits = self.parse_misses = 0
-        self.evaluate_hits = self.evaluate_misses = 0
-        self.ingest_hits = self.ingest_misses = 0
-        self.backend_hits = self.backend_misses = 0
-        self.sim_hits = self.sim_misses = 0
-        self.disk_hits = self.disk_stores = self.disk_errors = 0
+        for store in self._stores.values():
+            store.stats.reset()
         self.disk_evictions = 0
 
 
 class StageCache:
-    """Memoises per-file parse results and post-evaluate snapshots.
+    """Memoises every frontend and backend stage artefact in five stores.
 
     Parameters
     ----------
-    max_parse_entries / max_evaluate_entries:
-        In-memory LRU capacities of the two tiers.
     cache_dir:
         Root of the on-disk store (shared with a
         :class:`~repro.pipeline.cache.CompilationCache` when this instance
@@ -198,17 +202,21 @@ class StageCache:
         ``<cache_dir>/stages/``.
     max_disk_bytes:
         Byte budget enforced over ``cache_dir`` (recursively) after every
-        disk store; least-recently-used ``*.pkl`` artefacts are deleted
-        first.
+        compile; least-recently-used ``*.pkl`` artefacts are deleted first.
     remote:
         The shared remote L2 tier (a :class:`~repro.pipeline.remote.
         RemoteCacheClient`, usually the owning
         :class:`~repro.pipeline.cache.CompilationCache`'s).  Each tier
-        consults it after its local miss (namespaces ``ast`` / ``eval`` /
-        ``backend``), promotes remote hits into memory + disk, and uploads
-        fresh artefacts write-behind.  A dead remote degrades to
-        local-only.
+        consults it after its local miss, promotes remote hits into memory
+        + disk, and uploads fresh artefacts write-behind.  A dead remote
+        degrades to local-only.
+    emit_jobs:
+        Worker-process count for cold backend-unit emission in
+        :meth:`emit_backend` (``None`` / ``1``: serial).  An execution
+        policy, *not* part of any fingerprint: parallel and serial
+        emission produce byte-identical units.
 
+    The memory capacity of each tier comes from :data:`STAGE_CAPACITY`.
     Thread-safe; one instance may serve every worker of a thread-executor
     batch.
     """
@@ -216,31 +224,13 @@ class StageCache:
     def __init__(
         self,
         *,
-        max_parse_entries: int = 512,
-        max_evaluate_entries: int = 64,
-        max_ingest_entries: int = 64,
-        max_backend_entries: int = 1024,
-        max_sim_entries: int = 128,
         cache_dir: Optional[str | Path] = None,
         max_disk_bytes: Optional[int] = None,
         remote: Optional[object] = None,
         emit_jobs: Optional[int] = None,
     ) -> None:
-        if (
-            max_parse_entries < 1
-            or max_evaluate_entries < 1
-            or max_ingest_entries < 1
-            or max_backend_entries < 1
-            or max_sim_entries < 1
-        ):
-            raise ValueError("stage cache LRU capacities must be >= 1")
         if emit_jobs is not None and emit_jobs < 1:
             raise ValueError("emit_jobs must be >= 1")
-        self.max_parse_entries = max_parse_entries
-        self.max_evaluate_entries = max_evaluate_entries
-        self.max_ingest_entries = max_ingest_entries
-        self.max_backend_entries = max_backend_entries
-        self.max_sim_entries = max_sim_entries
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_disk_bytes = max_disk_bytes
         if isinstance(remote, str):
@@ -248,27 +238,18 @@ class StageCache:
 
             remote = RemoteCacheClient.from_url(remote)
         self.remote = remote
-        #: Worker-process count for cold backend-unit emission in
-        #: :meth:`emit_backend` (``None`` / ``1``: serial).  An execution
-        #: policy, *not* part of any fingerprint: parallel and serial
-        #: emission produce byte-identical units.
         self.emit_jobs = emit_jobs
-        self.stats = StageStats()
-        self._parse: OrderedDict[str, SourceUnit] = OrderedDict()
-        #: Snapshots are held as pickle *bytes* so cached state can never be
-        #: mutated through an aliased object; every use deserialises fresh.
-        self._evaluate: OrderedDict[str, bytes] = OrderedDict()
-        #: Post-ingest projects of Tydi-IR interchange documents, pickled
-        #: for the same aliasing reason (sugar/DRC mutate the project).
-        self._ingest: OrderedDict[str, bytes] = OrderedDict()
-        #: Per-implementation backend unit outputs ({filename: text}); plain
-        #: string payloads, safe to share across compilations.
-        self._backend: OrderedDict[str, dict[str, str]] = OrderedDict()
-        #: Simulation reports keyed on evaluate fingerprint + plan
-        #: fingerprint (:meth:`sim_key`).  Served as-is: treat a cached
-        #: :class:`repro.sim.harness.SimulationReport` as immutable, like
-        #: any result obtained through a cache.
-        self._sim: OrderedDict[str, object] = OrderedDict()
+        self._stores = {
+            namespace: TieredStore(
+                namespace,
+                codec,
+                STAGE_CAPACITY[namespace],
+                cache_dir=self.cache_dir,
+                remote=remote,
+            )
+            for _, namespace, codec in STAGE_TIERS
+        }
+        self.stats = StageStats(self._stores)
         self._lock = threading.Lock()
 
     # -- keying ---------------------------------------------------------------
@@ -362,88 +343,18 @@ class StageCache:
         errors propagate unchanged and are never cached.
         """
         key = file_fingerprint(text, filename)
-        with self._lock:
-            unit = self._parse.get(key)
-            if unit is not None:
-                self._parse.move_to_end(key)
-                self.stats.parse_hits += 1
-                return unit
-        unit = self._disk_load(self._ast_path(key), SourceUnit)
-        if unit is not None:
-            with self._lock:
-                self.stats.parse_hits += 1
-                self.stats.disk_hits += 1
-                self._insert(self._parse, key, unit, self.max_parse_entries)
-            return unit
-        unit = self._remote_load("ast", key, SourceUnit, self._ast_path(key))
-        if unit is not None:
-            with self._lock:
-                self.stats.parse_hits += 1
-                self._insert(self._parse, key, unit, self.max_parse_entries)
-            return unit
-        unit = parse_source(text, filename)
-        with self._lock:
-            self.stats.parse_misses += 1
-            self._insert(self._parse, key, unit, self.max_parse_entries)
-        self._disk_store(self._ast_path(key), unit, namespace="ast", key=key)
+        unit = self._stores["ast"].get(key, SourceUnit)
+        if unit is None:
+            unit = parse_source(text, filename)
+            self._stores["ast"].put(key, unit)
         return unit
-
-    def preload_units(
-        self,
-        sources,
-        *,
-        jobs: Optional[int] = None,
-    ) -> int:
-        """Warm the per-file parse tier by parsing cold files in parallel.
-
-        ``sources`` is anything :func:`repro.lang.compile.normalize_sources`
-        accepts.  Files whose fingerprint already sits in any tier are left
-        alone; the rest are parsed across a process pool
-        (:func:`repro.pipeline.batch.parallel_parse_stage`'s worker) and
-        inserted exactly as a :meth:`cached_parse` miss would have -- so a
-        subsequent compile's parse stage is all hits regardless of who
-        parsed.  Returns the number of freshly parsed files.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        from repro.lang.compile import normalize_sources
-        from repro.pipeline.batch import _parse_one
-
-        normalized = normalize_sources(sources)
-        cold: list[tuple[str, str]] = []
-        keys: list[str] = []
-        for text, filename in normalized:
-            key = file_fingerprint(text, filename)
-            with self._lock:
-                if key in self._parse:
-                    continue
-            if self._disk_read(self._ast_path(key)) is not None:
-                continue
-            cold.append((text, filename))
-            keys.append(key)
-        if not cold:
-            return 0
-        if jobs is None:
-            jobs = os.cpu_count() or 2
-        jobs = max(1, min(jobs, len(cold)))
-        if jobs <= 1 or len(cold) <= 1:
-            units = [_parse_one(item) for item in cold]
-        else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                units = list(pool.map(_parse_one, cold))
-        for key, unit in zip(keys, units):
-            with self._lock:
-                self.stats.parse_misses += 1
-                self._insert(self._parse, key, unit, self.max_parse_entries)
-            self._disk_store(self._ast_path(key), unit, namespace="ast", key=key)
-        return len(units)
 
     def cached_backend_unit(self, project, implementation, backend) -> dict[str, str]:
         """One implementation's backend output, through the unit cache.
 
         A hit serves the memoised ``{filename: text}`` mapping without
         touching the backend; a miss calls ``backend.emit_unit`` and stores
-        the result in both tiers.  Emission errors propagate unchanged and
+        the result in every tier.  Emission errors propagate unchanged and
         are never cached.
         """
         from repro.backends import implementation_fingerprint
@@ -451,42 +362,11 @@ class StageCache:
         key = self.backend_unit_key(
             backend, implementation_fingerprint(project, implementation)
         )
-        files = self._backend_unit_lookup(key)
-        if files is not None:
-            return files
-        files = backend.emit_unit(project, implementation)
-        self._backend_unit_store(key, files)
+        files = self._stores["backend"].get(key, dict)
+        if files is None:
+            files = backend.emit_unit(project, implementation)
+            self._stores["backend"].put(key, files)
         return files
-
-    def _backend_unit_lookup(self, key: str) -> Optional[dict[str, str]]:
-        """Probe the backend-unit tiers (memory -> disk -> remote) only."""
-        with self._lock:
-            files = self._backend.get(key)
-            if files is not None:
-                self._backend.move_to_end(key)
-                self.stats.backend_hits += 1
-                return files
-        files = self._disk_load(self._backend_path(key), dict)
-        if files is not None:
-            with self._lock:
-                self.stats.backend_hits += 1
-                self.stats.disk_hits += 1
-                self._insert(self._backend, key, files, self.max_backend_entries)
-            return files
-        files = self._remote_load("backend", key, dict, self._backend_path(key))
-        if files is not None:
-            with self._lock:
-                self.stats.backend_hits += 1
-                self._insert(self._backend, key, files, self.max_backend_entries)
-            return files
-        return None
-
-    def _backend_unit_store(self, key: str, files: dict[str, str]) -> None:
-        """Record one freshly emitted unit in every tier (a miss)."""
-        with self._lock:
-            self.stats.backend_misses += 1
-            self._insert(self._backend, key, files, self.max_backend_entries)
-        self._disk_store(self._backend_path(key), files, namespace="backend", key=key)
 
     def cached_simulation(self, key: str, compute):
         """One plan-driven simulation report, through the ``sim:`` tier.
@@ -495,36 +375,17 @@ class StageCache:
         :class:`repro.sim.harness.SimulationReport` from memory, disk or
         the remote L2 (promoting as usual) without simulating; a miss calls
         ``compute()`` (expected to return the report) and stores the result
-        in every tier.  Simulation errors propagate unchanged and are never
-        cached.  Standalone callers with a ``max_disk_bytes`` budget should
-        call :meth:`enforce_disk_budget` after a burst of stores.
+        in every tier.  Served reports are shared: treat them as immutable.
+        Simulation errors propagate unchanged and are never cached.
+        Standalone callers with a ``max_disk_bytes`` budget should call
+        :meth:`enforce_disk_budget` after a burst of stores.
         """
         from repro.sim.harness import SimulationReport
 
-        with self._lock:
-            report = self._sim.get(key)
-            if report is not None:
-                self._sim.move_to_end(key)
-                self.stats.sim_hits += 1
-                return report
-        report = self._disk_load(self._sim_path(key), SimulationReport)
-        if report is not None:
-            with self._lock:
-                self.stats.sim_hits += 1
-                self.stats.disk_hits += 1
-                self._insert(self._sim, key, report, self.max_sim_entries)
-            return report
-        report = self._remote_load("sim", key, SimulationReport, self._sim_path(key))
-        if report is not None:
-            with self._lock:
-                self.stats.sim_hits += 1
-                self._insert(self._sim, key, report, self.max_sim_entries)
-            return report
-        report = compute()
-        with self._lock:
-            self.stats.sim_misses += 1
-            self._insert(self._sim, key, report, self.max_sim_entries)
-        self._disk_store(self._sim_path(key), report, namespace="sim", key=key)
+        report = self._stores["sim"].get(key, SimulationReport)
+        if report is None:
+            report = compute()
+            self._stores["sim"].put(key, report)
         return report
 
     def emit_backend(self, project, backend) -> dict[str, str]:
@@ -552,7 +413,7 @@ class StageCache:
             key = self.backend_unit_key(
                 backend, implementation_fingerprint(project, implementation)
             )
-            files = self._backend_unit_lookup(key)
+            files = self._stores["backend"].get(key, dict)
             if files is None:
                 cold.append((name, key))
             units[name] = files
@@ -568,9 +429,8 @@ class StageCache:
                     for name in names
                 }
             for name, key in cold:
-                files = emitted[name]
-                self._backend_unit_store(key, files)
-                units[name] = files
+                units[name] = emitted[name]
+                self._stores["backend"].put(key, emitted[name])
         return backend.assemble(project, backend.emit_shared(project), units)
 
     def _emit_units_parallel(
@@ -619,7 +479,7 @@ class StageCache:
         include_stdlib = options.get("include_stdlib", True)
 
         eval_key = self.evaluate_key(normalized, options)
-        snapshot = self._load_snapshot(eval_key)
+        snapshot = self._stores["eval"].get(eval_key, tuple)
         # The unit list is served by the parse tier either way; on a
         # snapshot hit every file is a parse-cache hit (shared, immutable
         # ASTs), so only the mutable project/diagnostics ride in the pickle.
@@ -629,8 +489,6 @@ class StageCache:
         if snapshot is not None:
             project, diagnostics, evaluate_entry = snapshot
             stages = [parse_entry, evaluate_entry]
-            with self._lock:
-                self.stats.evaluate_hits += 1
         else:
             diagnostics = DiagnosticSink()
             # Values pass through verbatim (same defaults as compile_sources,
@@ -644,11 +502,9 @@ class StageCache:
                 project_name=options.get("project_name", "design"),
             )
             stages = [parse_entry, evaluate_entry]
-            with self._lock:
-                self.stats.evaluate_misses += 1
             # Snapshot *before* sugaring: sugar/DRC mutate the project, and
             # the stored bytes must stay the pristine post-evaluate state.
-            self._store_snapshot(eval_key, (project, diagnostics, evaluate_entry))
+            self._stores["eval"].put(eval_key, (project, diagnostics, evaluate_entry))
 
         sugaring_report = None
         if options.get("sugaring", True):
@@ -712,18 +568,14 @@ class StageCache:
         options = dict(options or {})
 
         key = self.ingest_key(text)
-        snapshot = self._load_ingest_snapshot(key)
+        snapshot = self._stores["iringest"].get(key, tuple)
         if snapshot is not None:
             project, ingest_entry = snapshot
-            with self._lock:
-                self.stats.ingest_hits += 1
         else:
             project, ingest_entry = ingest_stage(text, filename=filename)
-            with self._lock:
-                self.stats.ingest_misses += 1
             # Snapshot *before* sugaring: sugar/DRC mutate the project, and
             # the stored bytes must stay the pristine post-ingest state.
-            self._store_ingest_snapshot(key, (project, ingest_entry))
+            self._stores["iringest"].put(key, (project, ingest_entry))
 
         diagnostics = DiagnosticSink()
         stages: list[CompilationStage] = [ingest_entry]
@@ -764,308 +616,11 @@ class StageCache:
 
     def clear(self, *, disk: bool = False) -> None:
         """Drop the in-memory tiers (and, optionally, the on-disk artefacts)."""
-        with self._lock:
-            self._parse.clear()
-            self._evaluate.clear()
-            self._ingest.clear()
-            self._backend.clear()
-            self._sim.clear()
-        if disk and self.cache_dir is not None:
-            stage_dir = self.cache_dir / STAGE_DIR_NAME
-            if stage_dir.is_dir():
-                for path in stage_dir.glob("*.pkl"):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        with self._lock:
-                            self.stats.disk_errors += 1
+        for store in self._stores.values():
+            store.clear(disk=disk)
 
     def __len__(self) -> int:
-        with self._lock:
-            return (
-                len(self._parse)
-                + len(self._evaluate)
-                + len(self._ingest)
-                + len(self._backend)
-                + len(self._sim)
-            )
-
-    # -- internals ------------------------------------------------------------
-
-    @staticmethod
-    def _insert(table: OrderedDict, key: str, value, capacity: int) -> None:
-        table[key] = value
-        table.move_to_end(key)
-        while len(table) > capacity:
-            table.popitem(last=False)
-
-    def _ast_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"ast-{key}.pkl"
-
-    def _eval_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"eval-{key}.pkl"
-
-    def _ingest_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"iringest-{key}.pkl"
-
-    def _backend_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"backend-{key}.pkl"
-
-    def _sim_path(self, key: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / STAGE_DIR_NAME / f"sim-{key}.pkl"
-
-    def _load_snapshot(self, key: str):
-        """Load one evaluate snapshot (fresh deserialisation per use)."""
-        return self._load_pickled_snapshot(
-            key,
-            table=self._evaluate,
-            capacity=self.max_evaluate_entries,
-            path=self._eval_path(key),
-            namespace="eval",
-        )
-
-    def _store_snapshot(self, key: str, snapshot: tuple) -> None:
-        self._store_pickled_snapshot(
-            key,
-            snapshot,
-            table=self._evaluate,
-            capacity=self.max_evaluate_entries,
-            path=self._eval_path(key),
-            namespace="eval",
-        )
-
-    def _load_ingest_snapshot(self, key: str):
-        """Load one post-ingest snapshot (fresh deserialisation per use)."""
-        return self._load_pickled_snapshot(
-            key,
-            table=self._ingest,
-            capacity=self.max_ingest_entries,
-            path=self._ingest_path(key),
-            namespace="iringest",
-        )
-
-    def _store_ingest_snapshot(self, key: str, snapshot: tuple) -> None:
-        self._store_pickled_snapshot(
-            key,
-            snapshot,
-            table=self._ingest,
-            capacity=self.max_ingest_entries,
-            path=self._ingest_path(key),
-            namespace="iringest",
-        )
-
-    def _load_pickled_snapshot(
-        self,
-        key: str,
-        *,
-        table: OrderedDict,
-        capacity: int,
-        path: Optional[Path],
-        namespace: str,
-    ):
-        """The shared snapshot read path (memory -> disk -> remote).
-
-        Snapshots are held as pickle bytes in every tier, so each call
-        deserialises a fresh object graph -- cached state can never be
-        mutated through an aliased reference.
-        """
-        payload: Optional[bytes] = None
-        from_remote = False
-        with self._lock:
-            payload = table.get(key)
-            if payload is not None:
-                table.move_to_end(key)
-        if payload is None:
-            payload = self._disk_read(path)
-            if payload is not None:
-                with self._lock:
-                    self.stats.disk_hits += 1
-                    self._insert(table, key, payload, capacity)
-            else:
-                payload = self._remote_get(namespace, key)
-                if payload is None:
-                    return None
-                from_remote = True
-                with self._lock:
-                    self._insert(table, key, payload, capacity)
-        try:
-            snapshot = pickle.loads(payload)
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            # A stale or corrupt snapshot (e.g. from a crashed writer, or a
-            # bad remote blob) is a miss; drop it from every local tier so
-            # it is rebuilt.
-            with self._lock:
-                self.stats.disk_errors += 1
-                table.pop(key, None)
-            if from_remote:
-                self._note_remote_corrupt(namespace, key)
-            elif path is not None:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
-            return None
-        if from_remote:
-            self._promote_to_disk(path, payload)
-        return snapshot
-
-    def _store_pickled_snapshot(
-        self,
-        key: str,
-        snapshot: tuple,
-        *,
-        table: OrderedDict,
-        capacity: int,
-        path: Optional[Path],
-        namespace: str,
-    ) -> None:
-        try:
-            payload = pickle.dumps(snapshot, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            return
-        with self._lock:
-            self._insert(table, key, payload, capacity)
-        if path is not None:
-            try:
-                atomic_write_bytes(path, payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        self._remote_put(namespace, key, payload)
-
-    def _disk_read(self, path: Optional[Path]) -> Optional[bytes]:
-        if path is None:
-            return None
-        try:
-            payload = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            with self._lock:
-                self.stats.disk_errors += 1
-            return None
-        try:
-            os.utime(path)  # refresh mtime: LRU recency for eviction
-        except OSError:
-            pass
-        return payload
-
-    def _disk_load(self, path: Optional[Path], expected_type: type) -> Optional[object]:
-        payload = self._disk_read(path)
-        if payload is None:
-            return None
-        try:
-            value = pickle.loads(payload)
-            if not isinstance(value, expected_type):
-                raise pickle.UnpicklingError(f"expected {expected_type.__name__}")
-            return value
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-
-    def _disk_store(
-        self,
-        path: Optional[Path],
-        value: object,
-        *,
-        namespace: Optional[str] = None,
-        key: Optional[str] = None,
-    ) -> None:
-        """Store one artefact locally and enqueue its write-behind upload.
-
-        The value is pickled once and the same payload feeds both sinks;
-        budget enforcement is deferred to the caller (one pass per
-        :meth:`compile`, not one per file)."""
-        if path is None and self.remote is None:
-            return
-        try:
-            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError):
-            with self._lock:
-                self.stats.disk_errors += 1
-            return
-        if path is not None:
-            try:
-                atomic_write_bytes(path, payload)
-                with self._lock:
-                    self.stats.disk_stores += 1
-            except OSError:
-                with self._lock:
-                    self.stats.disk_errors += 1
-        if namespace is not None and key is not None:
-            self._remote_put(namespace, key, payload)
-
-    # -- the remote (L2) tier -------------------------------------------------
-
-    def _remote_get(self, namespace: str, key: str) -> Optional[bytes]:
-        if self.remote is None:
-            return None
-        return self.remote.get(f"{namespace}:{key}")
-
-    def _remote_put(self, namespace: str, key: str, payload: Optional[bytes]) -> None:
-        if self.remote is not None and payload is not None:
-            self.remote.put(f"{namespace}:{key}", payload)
-
-    def _note_remote_corrupt(self, namespace: str, key: str) -> None:
-        note = getattr(self.remote, "note_corrupt", None)
-        if note is not None:
-            note(f"{namespace}:{key}")
-
-    def _remote_load(
-        self,
-        namespace: str,
-        key: str,
-        expected_type: type,
-        promote_path: Optional[Path],
-    ) -> Optional[object]:
-        """Fetch + unpickle one artefact from the remote tier.
-
-        A corrupt payload is a miss (reported back to the client's corrupt
-        counter), never an exception; a good one is promoted to local disk
-        without being re-uploaded."""
-        payload = self._remote_get(namespace, key)
-        if payload is None:
-            return None
-        try:
-            value = pickle.loads(payload)
-            if not isinstance(value, expected_type):
-                raise pickle.UnpicklingError(f"expected {expected_type.__name__}")
-        except (pickle.PickleError, EOFError, AttributeError, ImportError, ValueError):
-            self._note_remote_corrupt(namespace, key)
-            return None
-        self._promote_to_disk(promote_path, payload)
-        return value
-
-    def _promote_to_disk(self, path: Optional[Path], payload: bytes) -> None:
-        """Write a remote hit into the local disk tier (no re-upload)."""
-        if path is None:
-            return
-        try:
-            atomic_write_bytes(path, payload)
-            with self._lock:
-                self.stats.disk_stores += 1
-        except OSError:
-            with self._lock:
-                self.stats.disk_errors += 1
+        return sum(len(store) for store in self._stores.values())
 
     def enforce_disk_budget(self) -> int:
         """Apply ``max_disk_bytes`` over the whole cache directory."""
@@ -1078,12 +633,10 @@ class StageCache:
         return evicted
 
     def stats_snapshot(self) -> dict[str, int]:
-        """A consistent copy of the counters, taken under the cache lock.
+        """A copy of the counters, each store's read under its own lock.
 
         The per-stage sibling of :meth:`repro.pipeline.cache.
-        CompilationCache.stats_snapshot`: the counters are mutated under
-        ``self._lock``, so status endpoints read them through this snapshot
-        instead of a lock-free ``stats.as_dict()`` that could tear.
+        CompilationCache.stats_snapshot`: status endpoints read the
+        counters through this snapshot, never a torn set of one tier's.
         """
-        with self._lock:
-            return self.stats.as_dict()
+        return self.stats.as_dict()

@@ -59,15 +59,6 @@ def build_arg_parser() -> argparse.ArgumentParser:
         "--jobs thread pool)",
     )
     serve.add_argument(
-        "--parse-jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="pre-warm the per-file AST cache on open_design by parsing "
-        "cold files across N worker processes (default: off; the first "
-        "compile parses serially through the cache as before)",
-    )
-    serve.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -202,7 +193,6 @@ def _run_serve(args: argparse.Namespace) -> int:
             max_cache_mb=args.max_cache_mb,
             remote_cache=args.remote_cache,
             workers=args.workers,
-            parse_jobs=args.parse_jobs,
         )
     except (TydiError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

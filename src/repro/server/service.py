@@ -110,7 +110,6 @@ class CompileService:
         max_cache_mb: Optional[float] = None,
         remote_cache: Optional[str] = None,
         options: Optional[Mapping[str, object]] = None,
-        parse_jobs: Optional[int] = None,
         drain_timeout: float = 30.0,
         backlog: int = 64,
         restart_budget: int = 3,
@@ -118,9 +117,6 @@ class CompileService:
         self.workers = int(workers) if workers else 0
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
-        self.parse_jobs = parse_jobs
-        if self.parse_jobs is not None and self.parse_jobs < 1:
-            raise ValueError(f"parse_jobs must be >= 1, got {parse_jobs}")
         self.pool: Optional[WorkerPool] = None
         if self.workers:
             if workspace is not None:
@@ -134,7 +130,6 @@ class CompileService:
                 max_cache_mb=max_cache_mb,
                 remote_cache=remote_cache,
                 options=options,
-                parse_jobs=parse_jobs,
                 backlog=backlog,
                 restart_budget=restart_budget,
             )
@@ -376,18 +371,6 @@ class CompileService:
             )
         options = protocol.coerce_options(params.get("options"), "open_design")
         replace = bool(params.get("replace", True))
-        if self.parse_jobs and self.parse_jobs > 1:
-            # --parse-jobs pre-warming on the server path: fan the opened
-            # files' cold parses across a process pool so the design's
-            # first compile finds the per-file AST tier warm.  Parse errors
-            # are deliberately not raised here -- open_design stays lazy
-            # and broken files surface through get_diagnostics as always.
-            stages = getattr(self.workspace.cache, "stages", None)
-            if stages is not None:
-                try:
-                    stages.preload_units(files, jobs=self.parse_jobs)
-                except Exception:
-                    pass
         self.workspace.add_design(name, files, options, replace=replace)
         return {
             "design": name,

@@ -233,7 +233,7 @@ class TydiServer:
             self._conn_tasks.add(task)
         self._connections.add(writer)
         try:
-            first = await reader.readline()
+            first = await self._read_or_closing(reader)
             if not first:
                 return
             if _looks_like_http(first):

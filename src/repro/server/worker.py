@@ -134,9 +134,7 @@ def worker_main(
         options=config.get("options"),
         label=f"worker-{index}",
     )
-    service = CompileService(
-        workspace=workspace, jobs=1, parse_jobs=config.get("parse_jobs")
-    )
+    service = CompileService(workspace=workspace, jobs=1)
     try:
         while True:
             message = read_frame(job_fd)

@@ -27,10 +27,7 @@ and emission are queries over):
   that file),
 * :meth:`~Workspace.compile_all` brings every design up to date through
   the concurrent job engine (serial / thread / process executors with
-  per-design error isolation), subsuming the PR-1 driver objects --
-  :class:`~repro.pipeline.batch.BatchCompiler` and
-  :class:`~repro.pipeline.incremental.IncrementalCompiler` are now thin,
-  deprecation-warned adapters over a workspace.
+  per-design error isolation).
 
 Thread-safety contract: every query takes a per-design lock, so concurrent
 queries (including against the same design) are safe; mutation methods take
@@ -65,15 +62,11 @@ _AUTO_CACHE = object()
 
 @dataclass
 class BuildReport:
-    """What one :meth:`Workspace.compile_all` round did.
-
-    Also the shape of :class:`repro.pipeline.incremental.IncrementalReport`
-    (which is an alias of this class), so incremental-driver callers keep
-    their field names.
-    """
+    """What one :meth:`Workspace.compile_all` round did."""
 
     compiled: list[str] = field(default_factory=list)
     reused: list[str] = field(default_factory=list)
+    #: Designs the previous ``compile_all`` saw that are gone now, sorted.
     removed: list[str] = field(default_factory=list)
     failed: dict[str, str] = field(default_factory=dict)
     results: dict[str, "CompilationResult"] = field(default_factory=dict)
@@ -263,6 +256,8 @@ class Workspace:
         self.jobs = jobs
         self.label = label
         self._designs: dict[str, _Design] = {}
+        #: Design names at the previous ``compile_all`` (for ``removed``).
+        self._compiled_names: set[str] = set()
         self._lock = threading.Lock()
 
     # -- the design store ------------------------------------------------------
@@ -327,8 +322,7 @@ class Workspace:
                 existing.options = resolved
                 existing.kind = "lang"
             # Move the replaced design to the end: compile_all order then
-            # mirrors the caller's latest job order (what the incremental
-            # adapter relies on for report ordering).
+            # mirrors the caller's latest job order.
             self._designs[name] = self._designs.pop(name)
 
     def add_ir_design(
@@ -564,8 +558,7 @@ class Workspace:
     def cached_result(self, name: str) -> Optional["CompilationResult"]:
         """The memoised result if it is fresh and successful, else ``None``.
 
-        Never compiles -- the non-raising peek behind
-        ``IncrementalCompiler.result_for`` and status reporting.
+        Never compiles -- the non-raising peek behind status reporting.
         """
         with self._lock:
             entry = self._designs.get(name)
@@ -715,6 +708,8 @@ class Workspace:
         report = BuildReport()
         with self._lock:
             designs = list(self._designs.values())
+            report.removed = sorted(self._compiled_names - self._designs.keys())
+            self._compiled_names = set(self._designs)
 
         dirty: list[tuple[_Design, "CompileJob", str]] = []
         ir_outcomes: list["JobResult"] = []

@@ -1,22 +1,13 @@
-"""Tests for the batch compilation driver (fan-out, isolation, determinism).
-
-``BatchCompiler`` is the deprecated facade over
-``repro.workspace.Workspace.compile_all``; this suite keeps exercising it
-on purpose (the shim must stay byte-identical), so its deprecation warning
-is filtered here -- the CI ``-W error::DeprecationWarning`` job still
-catches any *other* code path that reaches the deprecated drivers.
-"""
+"""Tests for the batch job engine (fan-out, isolation, determinism)."""
 
 import pytest
 
 from repro.pipeline import (
     BatchCompilationError,
-    BatchCompiler,
     CompilationCache,
     CompileJob,
+    run_jobs,
 )
-
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 
 def design_source(width: int) -> str:
@@ -59,10 +50,12 @@ class TestCompileJob:
 
 
 class TestBatchCompiler:
+    """The job engine itself: :func:`run_jobs`."""
+
     @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
     def test_all_jobs_compile(self, executor):
         jobs = make_jobs(4)
-        outcome = BatchCompiler(executor=executor, max_workers=2).compile_batch(jobs)
+        outcome = run_jobs(jobs, executor=executor, max_workers=2)
         assert outcome.ok
         assert [entry.name for entry in outcome.results] == [job.name for job in jobs]
         assert len(outcome.result_map()) == 4
@@ -72,7 +65,7 @@ class TestBatchCompiler:
     def test_failing_design_is_isolated(self, executor):
         jobs = make_jobs(3)
         jobs.insert(1, CompileJob(name="broken", sources=((BAD_SOURCE, "broken.td"),)))
-        outcome = BatchCompiler(executor=executor, max_workers=2).compile_batch(jobs)
+        outcome = run_jobs(jobs, executor=executor, max_workers=2)
         assert not outcome.ok
         assert [entry.ok for entry in outcome.results] == [True, False, True, True]
         failure = outcome.results[1]
@@ -84,39 +77,38 @@ class TestBatchCompiler:
 
     def test_parallel_output_identical_to_serial(self):
         jobs = make_jobs(6)
-        serial = BatchCompiler(executor="serial").compile_batch(jobs)
-        threaded = BatchCompiler(executor="thread", max_workers=4).compile_batch(jobs)
+        serial = run_jobs(jobs, executor="serial")
+        threaded = run_jobs(jobs, executor="thread", max_workers=4)
         for a, b in zip(serial.results, threaded.results):
             assert a.result.ir_text() == b.result.ir_text()
 
     def test_process_output_identical_to_serial(self):
         jobs = make_jobs(3)
-        serial = BatchCompiler(executor="serial").compile_batch(jobs)
-        forked = BatchCompiler(executor="process", max_workers=2).compile_batch(jobs)
+        serial = run_jobs(jobs, executor="serial")
+        forked = run_jobs(jobs, executor="process", max_workers=2)
         for a, b in zip(serial.results, forked.results):
             assert a.result.ir_text() == b.result.ir_text()
 
     def test_duplicate_job_names_rejected(self):
         jobs = make_jobs(2)
         with pytest.raises(ValueError, match="duplicate"):
-            BatchCompiler().compile_batch([jobs[0], jobs[0]])
+            run_jobs([jobs[0], jobs[0]])
 
     def test_unknown_executor_rejected(self):
         with pytest.raises(ValueError, match="executor"):
-            BatchCompiler(executor="carrier-pigeon")
+            run_jobs(make_jobs(1), executor="carrier-pigeon")
 
     def test_empty_batch(self):
-        outcome = BatchCompiler().compile_batch([])
+        outcome = run_jobs([])
         assert outcome.ok and len(outcome) == 0
 
 
 class TestBatchWithCache:
     def test_second_batch_hits_cache(self):
         cache = CompilationCache()
-        compiler = BatchCompiler(cache=cache, executor="thread", max_workers=3)
         jobs = make_jobs(4)
-        cold = compiler.compile_batch(jobs)
-        warm = compiler.compile_batch(jobs)
+        cold = run_jobs(jobs, cache=cache, executor="thread", max_workers=3)
+        warm = run_jobs(jobs, cache=cache, executor="thread", max_workers=3)
         assert all(not entry.from_cache for entry in cold.results)
         assert all(entry.from_cache for entry in warm.results)
         assert warm.stats()["cached"] == 4
@@ -128,25 +120,25 @@ class TestBatchWithCache:
         them into memory without re-serialising."""
         cache = CompilationCache(cache_dir=tmp_path)
         jobs = make_jobs(3)
-        cold = BatchCompiler(cache=cache, executor="process", max_workers=2).compile_batch(jobs)
+        cold = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
         assert cold.ok and all(not e.from_cache for e in cold.results)
         assert len(list(tmp_path.glob("*.pkl"))) == 3  # written by the workers
         assert cache.stats.disk_stores == 0  # ... not by the parent
         # ... but the parent's memory tier is warm.
-        warm = BatchCompiler(cache=cache, executor="serial").compile_batch(jobs)
+        warm = run_jobs(jobs, cache=cache, executor="serial")
         assert all(e.from_cache for e in warm.results)
         assert cache.stats.disk_hits == 0
 
     def test_process_workers_share_disk_cache(self, tmp_path):
         cache = CompilationCache(cache_dir=tmp_path)
         jobs = make_jobs(3)
-        BatchCompiler(cache=cache, executor="serial").compile_batch(jobs)
+        run_jobs(jobs, cache=cache, executor="serial")
 
-        # A fresh compiler over the same directory: workers hit the disk tier,
+        # A fresh batch over the same directory: workers hit the disk tier,
         # and the parent's stats absorb those hits (so --json output of a
         # warm process batch actually reports hits).
         warm_cache = CompilationCache(cache_dir=tmp_path)
-        warm = BatchCompiler(cache=warm_cache, executor="process", max_workers=2).compile_batch(jobs)
+        warm = run_jobs(jobs, cache=warm_cache, executor="process", max_workers=2)
         assert all(entry.from_cache for entry in warm.results)
         assert warm_cache.stats.hits == 3
         assert warm_cache.stats.disk_hits == 3
@@ -157,11 +149,10 @@ class TestBatchWithCache:
         """Without a disk tier the parent's in-memory cache still makes the
         second process batch warm (pre-checked before pool dispatch)."""
         cache = CompilationCache()  # no cache_dir
-        compiler = BatchCompiler(cache=cache, executor="process", max_workers=2)
         jobs = make_jobs(3)
-        cold = compiler.compile_batch(jobs)
+        cold = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
         assert all(not e.from_cache for e in cold.results)
-        warm = compiler.compile_batch(jobs)
+        warm = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
         assert all(e.from_cache for e in warm.results)
         assert cache.stats.hits == 3
         for a, b in zip(cold.results, warm.results):
@@ -169,10 +160,9 @@ class TestBatchWithCache:
 
     def test_failed_jobs_are_not_cached(self):
         cache = CompilationCache()
-        compiler = BatchCompiler(cache=cache, executor="serial")
         jobs = [CompileJob(name="broken", sources=((BAD_SOURCE, "broken.td"),))]
-        compiler.compile_batch(jobs)
-        again = compiler.compile_batch(jobs)
+        run_jobs(jobs, cache=cache, executor="serial")
+        again = run_jobs(jobs, cache=cache, executor="serial")
         assert not again.results[0].from_cache
         assert cache.stats.stores == 0
 
@@ -222,9 +212,8 @@ class TestBackendTargets:
 
     def test_batch_carries_backend_outputs_and_caches_them(self):
         cache = CompilationCache()
-        compiler = BatchCompiler(cache=cache, executor="serial")
         jobs = [job.with_options(targets=("vhdl", "ir")) for job in make_jobs(3)]
-        cold = compiler.compile_batch(jobs)
+        cold = run_jobs(jobs, cache=cache, executor="serial")
         assert cold.ok
         for entry in cold.results:
             assert set(entry.result.outputs) == {"vhdl", "ir"}
@@ -232,15 +221,14 @@ class TestBackendTargets:
                 "vhdl": len(entry.result.outputs["vhdl"]),
                 "ir": len(entry.result.outputs["ir"]),
             }
-        warm = compiler.compile_batch(jobs)
+        warm = run_jobs(jobs, cache=cache, executor="serial")
         assert all(entry.from_cache for entry in warm.results)
         for cold_entry, warm_entry in zip(cold.results, warm.results):
             assert warm_entry.result.outputs == cold_entry.result.outputs
 
     def test_unknown_target_is_isolated_error(self):
-        compiler = BatchCompiler(executor="serial")
         jobs = [make_jobs(1)[0].with_options(targets=("systemc",))]
-        outcome = compiler.compile_batch(jobs)
+        outcome = run_jobs(jobs, executor="serial")
         assert not outcome.ok
         entry = outcome.results[0]
         assert entry.error_stage == "backend"
@@ -269,66 +257,3 @@ class TestWorkerCount:
 
         assert _worker_count("serial", 16, 100) == 1
         assert _worker_count("process", 16, 1) == 1
-
-
-class TestParallelParse:
-    SOURCES = tuple(
-        (design_source(width), f"par_{width}.td") for width in range(1, 7)
-    )
-
-    def test_parallel_equals_serial(self):
-        from repro.lang.compile import parse_stage
-        from repro.pipeline.batch import parallel_parse_stage
-
-        serial_units, serial_entry = parse_stage(self.SOURCES)
-        parallel_units, parallel_entry = parallel_parse_stage(self.SOURCES, jobs=4)
-        assert parallel_units == serial_units
-        assert parallel_entry == serial_entry
-
-    def test_parallel_equals_serial_without_stdlib(self):
-        from repro.lang.compile import parse_stage
-        from repro.pipeline.batch import parallel_parse_stage
-
-        serial = parse_stage(self.SOURCES, include_stdlib=False)
-        parallel = parallel_parse_stage(self.SOURCES, include_stdlib=False, jobs=3)
-        assert parallel == serial
-
-    def test_single_worker_takes_serial_path(self):
-        from repro.lang.compile import parse_stage
-        from repro.pipeline.batch import parallel_parse_stage
-
-        assert parallel_parse_stage(self.SOURCES, jobs=1) == parse_stage(self.SOURCES)
-
-    def test_parse_error_propagates(self):
-        from repro.errors import TydiSyntaxError
-        from repro.pipeline.batch import parallel_parse_stage
-
-        bad = self.SOURCES + (("streamlet ? {", "bad.td"),)
-        with pytest.raises(TydiSyntaxError):
-            parallel_parse_stage(bad, jobs=4)
-
-    def test_preload_units_warms_parse_tier(self):
-        cache = CompilationCache()
-        stage_cache = cache.stages
-        parsed = stage_cache.preload_units(self.SOURCES, jobs=4)
-        assert parsed == len(self.SOURCES)
-        # Everything warmed: a second preload parses nothing...
-        assert stage_cache.preload_units(self.SOURCES, jobs=4) == 0
-        # ...and a compile's parse stage is all hits.
-        before = stage_cache.stats_snapshot()["parse_hits"]
-        for text, filename in self.SOURCES:
-            stage_cache.cached_parse(text, filename)
-        after = stage_cache.stats_snapshot()["parse_hits"]
-        assert after - before == len(self.SOURCES)
-
-    def test_preloaded_compile_matches_cold_compile(self):
-        from repro.lang.compile import CompileOptions, run_pipeline
-        from repro.testing import build_chain_design
-
-        sources = build_chain_design(4)
-        cache = CompilationCache()
-        cache.stages.preload_units(sources, jobs=4)
-        warm = cache.stages.compile(list(sources), CompileOptions().as_dict())
-        cold = run_pipeline(sources, CompileOptions())
-        assert warm.ir_text() == cold.ir_text()
-        assert [s.name for s in warm.stages] == [s.name for s in cold.stages]

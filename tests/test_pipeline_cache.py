@@ -235,14 +235,14 @@ class TestStats:
 
 class TestClearRecursive:
     def test_clear_disk_removes_stage_artefacts_without_stage_caching(self, tmp_path):
-        """Regression: clear(disk=True) with stage_caching=False used to glob
-        only top-level *.pkl, orphaning stages/ artefacts on disk (where they
-        still counted against max_disk_bytes)."""
+        """Regression: clear(disk=True) from an instance that never staged
+        anything itself used to glob only top-level *.pkl, orphaning stages/
+        artefacts on disk (where they still counted against max_disk_bytes)."""
         warm = CompilationCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=warm)
         assert list((tmp_path / "stages").glob("*.pkl"))
 
-        cache = CompilationCache(cache_dir=tmp_path, stage_caching=False)
+        cache = CompilationCache(cache_dir=tmp_path)
         cache.clear(disk=True)
         assert not list(tmp_path.rglob("*.pkl"))
 

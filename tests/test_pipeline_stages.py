@@ -15,18 +15,15 @@ import threading
 import pytest
 
 from repro.pipeline import (
-    BatchCompiler,
     CompilationCache,
     CompileJob,
     StageCache,
     file_fingerprint,
+    run_jobs,
 )
+from repro.pipeline import stages as stages_module
 from repro.pipeline.stages import STAGE_DIR_NAME
 from repro.testing import build_chain_design, build_random_design, mutate_design
-
-# A few cases drive the cache through the deprecated BatchCompiler facade
-# on purpose (its stage-cache interaction must stay identical).
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
 TYPES = ("type byte_t = Stream(Bit(8), d=1);", "types.td")
 DESIGN = (
@@ -95,14 +92,16 @@ class TestParseTier:
         assert cache.stats.parse_misses == 0
         assert len(cache) == 0
 
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError):
-            StageCache(max_parse_entries=0)
-        with pytest.raises(ValueError):
-            StageCache(max_evaluate_entries=0)
+    def test_capacity_validation(self, monkeypatch):
+        for namespace in ("ast", "eval"):
+            monkeypatch.setitem(stages_module.STAGE_CAPACITY, namespace, 0)
+            with pytest.raises(ValueError):
+                StageCache()
+            monkeypatch.undo()
 
-    def test_parse_lru_bounded(self):
-        cache = StageCache(max_parse_entries=2)
+    def test_parse_lru_bounded(self, monkeypatch):
+        monkeypatch.setitem(stages_module.STAGE_CAPACITY, "ast", 2)
+        cache = StageCache()
         for index in range(5):
             cache.cached_parse(f"const c{index} = {index};", f"f{index}.td")
         assert len(cache) == 2
@@ -207,7 +206,7 @@ class TestDiskEviction:
             )
             for index in range(5)
         ]
-        outcome = BatchCompiler(cache=cache, executor="process", max_workers=2).compile_batch(jobs)
+        outcome = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
         assert outcome.ok
         total = sum(p.stat().st_size for p in tmp_path.rglob("*.pkl"))
         assert total <= budget
@@ -255,8 +254,7 @@ class TestConcurrency:
 
         def run(slot: int) -> None:
             try:
-                compiler = BatchCompiler(cache=cache, executor="thread", max_workers=4)
-                outcomes[slot] = compiler.compile_batch(jobs)
+                outcomes[slot] = run_jobs(jobs, cache=cache, executor="thread", max_workers=4)
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -282,7 +280,7 @@ class TestConcurrency:
 
         # A cold instance over the same store serves every design warm.
         fresh = CompilationCache(cache_dir=tmp_path)
-        warm = BatchCompiler(cache=fresh, executor="serial").compile_batch(jobs)
+        warm = run_jobs(jobs, cache=fresh, executor="serial")
         assert warm.ok
         assert all(entry.from_cache for entry in warm.results)
 

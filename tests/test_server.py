@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import socket
+import time
 
 import pytest
 
@@ -357,9 +358,11 @@ class TestTransport:
         server = ServerThread().start()
         idle = CompileClient(*server.address).connect()  # never sends anything
         try:
+            start = time.perf_counter()
             with CompileClient(*server.address) as client:
                 client.shutdown()
             server.stop(timeout=15)  # raises if the idle connection wedges it
+            assert time.perf_counter() - start < 1.0
         finally:
             idle.close()
 
