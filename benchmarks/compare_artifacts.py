@@ -40,7 +40,6 @@ GATED_METRICS: dict[str, tuple[str, ...]] = {
     "remote-cache.json": ("speedup",),
     "cold-compile.json": ("speedup",),
     "sim-service.json": ("speedup",),
-    "emit-parallel.json": ("speedup",),
 }
 
 

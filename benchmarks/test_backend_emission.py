@@ -9,7 +9,9 @@ asserts the property the backend-output cache promises:
   the *whole* suite against a warm :class:`~repro.pipeline.stages.
   StageCache` is at least twice as fast as cold emission, because every
   implementation the edit did not touch serves its unit output from the
-  cache, and
+  cache (measured 2.2-4.6x; it read ~10x while cold VHDL emission was
+  quadratic in instances, and a cache hit now costs about as much as
+  keying the unit: fingerprinting its emission subgraph), and
 * **warm == cold** -- the warm outputs are byte-identical to uncached
   emission of the same projects.
 """

@@ -141,23 +141,28 @@ class Backend(ABC):
 
 
 def _port_token(port: Port) -> str:
-    attrs = ",".join(f"{key}={port.attributes[key]!r}" for key in sorted(port.attributes))
     return (
-        f"{port.name}:{port.logical_type.to_tydi()}:{port.direction}"
-        f":{port.clock_domain.name}:{attrs}"
+        f"{port.name}:{port.logical_type.to_tydi()}:{port.direction.value}"
+        f":{port.clock_domain.name}:{_metadata_token(port.attributes)}"
     )
 
 
 def _streamlet_token(streamlet: Streamlet) -> str:
-    ports = ";".join(_port_token(port) for port in streamlet.ports)
+    ports = ";".join([_port_token(port) for port in streamlet.ports])
     return f"streamlet {streamlet.name} doc={streamlet.documentation!r} ports[{ports}]"
 
 
 def _metadata_token(metadata: Mapping[str, object]) -> str:
-    return ",".join(f"{key}={metadata[key]!r}" for key in sorted(metadata))
+    if not metadata:
+        return ""
+    return ",".join([f"{key}={metadata[key]!r}" for key in sorted(metadata)])
 
 
-def implementation_fingerprint(project: Project, implementation: Implementation) -> str:
+def implementation_fingerprint(
+    project: Project,
+    implementation: Implementation,
+    tokens: Optional[dict[str, tuple[str, str]]] = None,
+) -> str:
     """Stable content address of one implementation's emission subgraph.
 
     Covers everything a backend's :meth:`~Backend.emit_unit` may read: the
@@ -171,22 +176,40 @@ def implementation_fingerprint(project: Project, implementation: Implementation)
     Two implementations with equal fingerprints produce byte-identical unit
     output under any backend, which is what keys the per-implementation
     backend-output cache.
+
+    ``tokens`` memoises each implementation's rendered metadata and
+    streamlet signature by name, so an implementation instantiated many
+    times renders once; pass one dict to every call over the same project.
     """
+    if tokens is None:
+        tokens = {}
+
+    def tokens_of(impl: Implementation) -> tuple[str, str]:
+        found = tokens.get(impl.name)
+        if found is None:
+            found = tokens[impl.name] = (
+                _metadata_token(impl.metadata),
+                _streamlet_token(project.streamlet_of(impl)),
+            )
+        return found
+
+    metadata, signature = tokens_of(implementation)
     parts = [
         f"impl {implementation.name} of {implementation.streamlet}",
         f"external={implementation.external}",
         f"doc={implementation.documentation!r}",
-        f"meta={_metadata_token(implementation.metadata)}",
-        _streamlet_token(project.streamlet_of(implementation)),
+        f"meta={metadata}",
+        signature,
     ]
     for instance in implementation.instances:
         inner_impl = project.implementation(instance.implementation)
+        metadata, signature = tokens_of(inner_impl)
         parts.append(
             f"instance {instance.name}({instance.implementation}) "
             f"external={inner_impl.external} "
-            f"meta={_metadata_token(inner_impl.metadata)} "
+            f"meta={metadata} "
             f"imeta={_metadata_token(instance.metadata)} "
-            + _streamlet_token(project.streamlet_of(inner_impl))
+            + signature
         )
     for connection in implementation.connections:
         conn_type = connection.logical_type.to_tydi() if connection.logical_type else "-"
@@ -195,9 +218,6 @@ def implementation_fingerprint(project: Project, implementation: Implementation)
             f"name={connection.name!r} structural={connection.structural} "
             f"synthesized={connection.synthesized}"
         )
-    hasher = hashlib.sha256()
-    hasher.update(b"tydi-impl-fingerprint-v1")
-    for part in parts:
-        hasher.update(b"\x00")
-        hasher.update(part.encode())
+    hasher = hashlib.sha256(b"tydi-impl-fingerprint-v1\x00")
+    hasher.update("\x00".join(parts).encode())
     return hasher.hexdigest()

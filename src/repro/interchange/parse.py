@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import TydiBackendError, TydiIngestError, TydiTypeError
@@ -52,16 +51,22 @@ from repro.spec.logical_types import Bit, Group, LogicalType, Null, Stream, Unio
 from repro.spec.stream_params import Complexity, Direction, Synchronicity, Throughput
 from repro.utils.source import SourceFile
 
+#: One match per token: skip whitespace and comments, then take one token.
+#: Every position matches (``bad`` catches any other character, ``eof`` the
+#: end), so ``finditer`` walks the document without gaps.
 _TOKEN_RE = re.compile(
     r"""
-      (?P<ws>\s+)
-    | (?P<comment>//[^\n]*)
-    | (?P<number>\d+(?:\.\d+)*(?:[eE][+-]?\d+)?)
+    (?:\s+|//[^\n]*)*
+    (?:
+      (?P<number>\d+(?:\.\d+)*(?:[eE][+-]?\d+)?)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<string>"(?:\\.|[^"\\])*")
     | (?P<punct>=>|[{}()\[\]:;,=@.\-])
+    | (?P<bad>.)
+    | (?P<eof>)\Z
+    )
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 _INT_RE = re.compile(r"\d+\Z")
@@ -72,31 +77,30 @@ _VERSION_RE = re.compile(r"//\s*Tydi-IR interchange, format v(\d+)")
 _TYPE_HEADS = ("Null", "Bit", "Group", "Union", "Stream")
 
 
-@dataclass(frozen=True, slots=True)
 class _Token:
-    kind: str  # "ident" | "number" | "string" | "punct" | "eof"
-    text: str
-    start: int
-    end: int
+    __slots__ = ("kind", "text", "start", "end")
+
+    def __init__(self, kind: str, text: str, start: int, end: int) -> None:
+        self.kind = kind  # "ident" | "number" | "string" | "punct" | "eof"
+        self.text = text
+        self.start = start
+        self.end = end
 
 
 def _tokenize(source: SourceFile) -> list[_Token]:
     text = source.text
     tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            span = source.span(pos, pos + 1)
-            if text[pos] == '"':
-                raise TydiIngestError("unterminated string literal", span)
-            raise TydiIngestError(f"unexpected character {text[pos]!r}", span)
-        pos = match.end()
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind in ("ws", "comment"):
-            continue
-        tokens.append(_Token(kind, match.group(), match.start(), match.end()))
-    tokens.append(_Token("eof", "", len(text), len(text)))
+        start, end = match.span(kind)
+        if kind == "bad":
+            span = source.span(start, end)
+            if text[start] == '"':
+                raise TydiIngestError("unterminated string literal", span)
+            raise TydiIngestError(f"unexpected character {text[start]!r}", span)
+        tokens.append(_Token(kind, text[start:end], start, end))
+        if kind == "eof":
+            break
     return tokens
 
 

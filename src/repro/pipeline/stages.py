@@ -56,7 +56,6 @@ edits.
 from __future__ import annotations
 
 import hashlib
-import pickle
 import threading
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -134,22 +133,17 @@ def file_fingerprint(text: str, filename: str) -> str:
     return hasher.hexdigest()
 
 
-#: Per-process state of the parallel-emit pool: the (project, backend) pair
-#: every task of one :meth:`StageCache.emit_backend` call shares, shipped
-#: once through the pool initializer instead of once per task.
-_EMIT_WORKER_STATE: dict[str, object] = {}
-
-
-def _emit_pool_init(payload: bytes) -> None:
-    project, backend = pickle.loads(payload)
-    _EMIT_WORKER_STATE["project"] = project
-    _EMIT_WORKER_STATE["backend"] = backend
-
-
-def _emit_one_unit(implementation_name: str) -> dict[str, str]:
-    project = _EMIT_WORKER_STATE["project"]
-    backend = _EMIT_WORKER_STATE["backend"]
-    return backend.emit_unit(project, project.implementations[implementation_name])
+def _backend_key_prefix(backend):
+    """The hash state every :meth:`StageCache.backend_unit_key` of
+    ``backend`` starts from: salt, backend name and options token."""
+    hasher = hashlib.sha256()
+    hasher.update(_stage_salt().encode())
+    hasher.update(b"\x00backend\x00")
+    hasher.update(backend.name.encode())
+    hasher.update(b"\x00options\x00")
+    hasher.update(backend.options.token().encode())
+    hasher.update(b"\x00impl\x00")
+    return hasher
 
 
 class StageStats:
@@ -210,11 +204,6 @@ class StageCache:
         consults it after its local miss, promotes remote hits into memory
         + disk, and uploads fresh artefacts write-behind.  A dead remote
         degrades to local-only.
-    emit_jobs:
-        Worker-process count for cold backend-unit emission in
-        :meth:`emit_backend` (``None`` / ``1``: serial).  An execution
-        policy, *not* part of any fingerprint: parallel and serial
-        emission produce byte-identical units.
 
     The memory capacity of each tier comes from :data:`STAGE_CAPACITY`.
     Thread-safe; one instance may serve every worker of a thread-executor
@@ -227,10 +216,7 @@ class StageCache:
         cache_dir: Optional[str | Path] = None,
         max_disk_bytes: Optional[int] = None,
         remote: Optional[object] = None,
-        emit_jobs: Optional[int] = None,
     ) -> None:
-        if emit_jobs is not None and emit_jobs < 1:
-            raise ValueError("emit_jobs must be >= 1")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_disk_bytes = max_disk_bytes
         if isinstance(remote, str):
@@ -238,7 +224,6 @@ class StageCache:
 
             remote = RemoteCacheClient.from_url(remote)
         self.remote = remote
-        self.emit_jobs = emit_jobs
         self._stores = {
             namespace: TieredStore(
                 namespace,
@@ -323,13 +308,7 @@ class StageCache:
         name, its options token, and -- via the stage salt -- the
         ``STAGE_SCHEMA_VERSION`` and compiler version.
         """
-        hasher = hashlib.sha256()
-        hasher.update(_stage_salt().encode())
-        hasher.update(b"\x00backend\x00")
-        hasher.update(backend.name.encode())
-        hasher.update(b"\x00options\x00")
-        hasher.update(backend.options.token().encode())
-        hasher.update(b"\x00impl\x00")
+        hasher = _backend_key_prefix(backend)
         hasher.update(implementation_key.encode())
         return hasher.hexdigest()
 
@@ -348,25 +327,6 @@ class StageCache:
             unit = parse_source(text, filename)
             self._stores["ast"].put(key, unit)
         return unit
-
-    def cached_backend_unit(self, project, implementation, backend) -> dict[str, str]:
-        """One implementation's backend output, through the unit cache.
-
-        A hit serves the memoised ``{filename: text}`` mapping without
-        touching the backend; a miss calls ``backend.emit_unit`` and stores
-        the result in every tier.  Emission errors propagate unchanged and
-        are never cached.
-        """
-        from repro.backends import implementation_fingerprint
-
-        key = self.backend_unit_key(
-            backend, implementation_fingerprint(project, implementation)
-        )
-        files = self._stores["backend"].get(key, dict)
-        if files is None:
-            files = backend.emit_unit(project, implementation)
-            self._stores["backend"].put(key, files)
-        return files
 
     def cached_simulation(self, key: str, compute):
         """One plan-driven simulation report, through the ``sim:`` tier.
@@ -394,11 +354,9 @@ class StageCache:
         Byte-identical to ``backend.emit(project)`` (same assemble over the
         same units -- the composition law of :class:`repro.backends.base.
         Backend`), but every unchanged implementation's unit output is
-        served from the cache.  When :attr:`emit_jobs` is > 1, the *cold*
-        units are emitted across a process pool (backends are pure, so
-        per-unit emission is embarrassingly parallel); results are inserted
-        exactly as serial misses would have been, so the cache tiers and
-        stats read identically either way.
+        served from the cache.  A warm call costs little more than keying,
+        so the key prefix is hashed, and each implementation's metadata
+        and streamlet signature rendered, once per call.
 
         Disk stores defer their budget pass to the caller (the single
         per-compile pass in :meth:`compile`); standalone callers with a
@@ -407,55 +365,20 @@ class StageCache:
         """
         from repro.backends import implementation_fingerprint
 
-        units: dict[str, Optional[dict[str, str]]] = {}
-        cold: list[tuple[str, str]] = []
+        store = self._stores["backend"]
+        prefix = _backend_key_prefix(backend)
+        tokens: dict[str, tuple[str, str]] = {}
+        units: dict[str, dict[str, str]] = {}
         for name, implementation in project.implementations.items():
-            key = self.backend_unit_key(
-                backend, implementation_fingerprint(project, implementation)
-            )
-            files = self._stores["backend"].get(key, dict)
+            hasher = prefix.copy()
+            hasher.update(implementation_fingerprint(project, implementation, tokens).encode())
+            key = hasher.hexdigest()
+            files = store.get(key, dict)
             if files is None:
-                cold.append((name, key))
+                files = backend.emit_unit(project, implementation)
+                store.put(key, files)
             units[name] = files
-        if cold:
-            names = [name for name, _ in cold]
-            jobs = self.emit_jobs
-            emitted = None
-            if jobs is not None and jobs > 1 and len(names) > 1:
-                emitted = self._emit_units_parallel(project, backend, names, jobs)
-            if emitted is None:
-                emitted = {
-                    name: backend.emit_unit(project, project.implementations[name])
-                    for name in names
-                }
-            for name, key in cold:
-                units[name] = emitted[name]
-                self._stores["backend"].put(key, emitted[name])
         return backend.assemble(project, backend.emit_shared(project), units)
-
-    def _emit_units_parallel(
-        self, project, backend, names: list[str], jobs: int
-    ) -> Optional[dict[str, dict[str, str]]]:
-        """Emit the named implementations' units across a process pool.
-
-        The (project, backend) pair is pickled once and shipped to each
-        worker through the pool initializer; tasks are just implementation
-        names.  Returns ``None`` when the project cannot be pickled (e.g.
-        simulation behaviours holding closures) -- the caller falls back to
-        serial emission.  Emission errors propagate unchanged.
-        """
-        from concurrent.futures import ProcessPoolExecutor
-
-        try:
-            payload = pickle.dumps((project, backend), protocol=pickle.HIGHEST_PROTOCOL)
-        except (pickle.PickleError, TypeError, AttributeError):
-            return None
-        workers = max(1, min(jobs, len(names)))
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_emit_pool_init, initargs=(payload,)
-        ) as pool:
-            emitted = list(pool.map(_emit_one_unit, names))
-        return dict(zip(names, emitted))
 
     def compile(
         self,

@@ -100,8 +100,22 @@ class LogicalType(metaclass=_InternedTypeMeta):
         raise NotImplementedError
 
     def to_tydi(self) -> str:
-        """Render this type in Tydi-lang / Tydi-IR surface syntax."""
+        """Render this type in Tydi-lang / Tydi-IR surface syntax.
+
+        Types are immutable, so each instance renders once and keeps the
+        text; :meth:`__getstate__` leaves it out of pickles.
+        """
+        text = self.__dict__.get("_tydi")
+        if text is None:
+            text = self.__dict__["_tydi"] = self._render_tydi()
+        return text
+
+    def _render_tydi(self) -> str:
         raise NotImplementedError
+
+    def __getstate__(self) -> dict | None:
+        state = {key: value for key, value in self.__dict__.items() if key != "_tydi"}
+        return state or None
 
     def mangle_name(self) -> str:
         """A filesystem/identifier-safe rendering used for template mangling."""
@@ -148,7 +162,7 @@ class Null(LogicalType):
     def bit_width(self) -> int:
         return 0
 
-    def to_tydi(self) -> str:
+    def _render_tydi(self) -> str:
         return "Null"
 
 
@@ -168,7 +182,7 @@ class Bit(LogicalType):
     def bit_width(self) -> int:
         return self.width
 
-    def to_tydi(self) -> str:
+    def _render_tydi(self) -> str:
         return f"Bit({self.width})"
 
 
@@ -225,7 +239,7 @@ class Group(LogicalType):
         for _, t in self.fields:
             yield from t.walk()
 
-    def to_tydi(self) -> str:
+    def _render_tydi(self) -> str:
         inner = ", ".join(f"{name}: {t.to_tydi()}" for name, t in self.fields)
         if self.name:
             return f"Group {self.name} {{ {inner} }}"
@@ -285,7 +299,7 @@ class Union(LogicalType):
         for _, t in self.variants:
             yield from t.walk()
 
-    def to_tydi(self) -> str:
+    def _render_tydi(self) -> str:
         inner = ", ".join(f"{name}: {t.to_tydi()}" for name, t in self.variants)
         if self.name:
             return f"Union {self.name} {{ {inner} }}"
@@ -413,7 +427,7 @@ class Stream(LogicalType):
             parts.append(f"t{self.throughput.lanes}")
         return "_".join(parts)
 
-    def to_tydi(self) -> str:
+    def _render_tydi(self) -> str:
         args = [self.element.to_tydi()]
         if self.dimension:
             args.append(f"d={self.dimension}")

@@ -52,9 +52,10 @@ class SourceFile:
         # Precompute the byte offset of the start of every line so that
         # offset→location lookups are a bisect rather than a scan.
         self._line_starts = [0]
-        for idx, ch in enumerate(text):
-            if ch == "\n":
-                self._line_starts.append(idx + 1)
+        newline = text.find("\n")
+        while newline >= 0:
+            self._line_starts.append(newline + 1)
+            newline = text.find("\n", newline + 1)
 
     def location(self, offset: int) -> SourceLocation:
         """Convert a character offset into a 1-based :class:`SourceLocation`."""

@@ -21,7 +21,6 @@ output always elaborates.
 from __future__ import annotations
 
 from repro.ir.model import (
-    Connection,
     Implementation,
     Port,
     PortDirection,
@@ -31,7 +30,15 @@ from repro.ir.model import (
 )
 from repro.stdlib.components import primitive_kind
 from repro.utils.text import count_loc
-from repro.vhdl.signals import VhdlPortSignal, port_signals, vhdl_identifier
+from repro.vhdl.signals import (
+    ConnectionNet,
+    SignalsOf,
+    VhdlPortSignal,
+    connection_nets,
+    port_signal_memo,
+    port_signals,
+    vhdl_identifier,
+)
 
 _HEADER = """// Generated by the Tydi-lang reproduction toolchain.
 `default_nettype none
@@ -67,38 +74,16 @@ def _zero_literal(width: int) -> str:
     return f"{width}'b0"
 
 
-def _module_ports(streamlet: Streamlet) -> list[VhdlPortSignal]:
-    signals: list[VhdlPortSignal] = []
-    for port in streamlet.ports:
-        signals.extend(port_signals(port))
-    return signals
-
-
-def emit_module_header(streamlet: Streamlet) -> str:
+def emit_module_header(streamlet: Streamlet, signals_of: SignalsOf = port_signals) -> str:
     """The ``module <name> ( ... );`` opener with clock, reset and streams."""
     lines = [f"module {streamlet.name} ("]
     declarations = ["input  wire clk", "input  wire rst"]
-    declarations.extend(_port_declaration(signal) for signal in _module_ports(streamlet))
+    for port in streamlet.ports:
+        declarations.extend(_port_declaration(signal) for signal in signals_of(port))
     lines.extend(f"  {decl}," for decl in declarations[:-1])
     lines.append(f"  {declarations[-1]}")
     lines.append(");")
     return "\n".join(lines)
-
-
-class _Net:
-    """Interconnect wires created for one connection."""
-
-    __slots__ = ("prefix", "signals")
-
-    def __init__(self, prefix: str) -> None:
-        self.prefix = prefix
-        self.signals: list[VhdlPortSignal] = []
-
-    def signal_for(self, origin: str) -> VhdlPortSignal | None:
-        for signal in self.signals:
-            if signal.origin == origin:
-                return signal
-        return None
 
 
 class VerilogBackend:
@@ -113,6 +98,7 @@ class VerilogBackend:
 
     def __init__(self, project: Project) -> None:
         self.project = project
+        self._signals_of = port_signal_memo()
 
     # -- public API ------------------------------------------------------------
 
@@ -130,7 +116,7 @@ class VerilogBackend:
         return (
             _HEADER
             + "\n"
-            + emit_module_header(streamlet)
+            + emit_module_header(streamlet, self._signals_of)
             + "\n"
             + self._body(implementation, streamlet)
             + f"endmodule // {streamlet.name}\n"
@@ -185,7 +171,7 @@ class VerilogBackend:
             if port.direction is PortDirection.IN:
                 lines.append(f"  assign {base}_ready = 1'b0;")
             else:
-                for signal in port_signals(port):
+                for signal in self._signals_of(port):
                     if signal.origin == "ready":
                         continue
                     lines.append(f"  assign {signal.name} = {_zero_literal(signal.width)};")
@@ -193,35 +179,11 @@ class VerilogBackend:
 
     # -- structural body ----------------------------------------------------------
 
-    def _connection_nets(self, implementation: Implementation) -> list[tuple[Connection, _Net]]:
-        """One interconnect net (wire bundle) per connection."""
-        nets: list[tuple[Connection, _Net]] = []
-        for index, connection in enumerate(implementation.connections):
-            source_port = self.project.resolve_port(implementation, connection.source)
-            prefix = f"net_{index}_{verilog_identifier(str(connection.source)).lower()}"
-            net = _Net(prefix=prefix)
-            for signal in port_signals(source_port):
-                net.signals.append(
-                    VhdlPortSignal(
-                        name=f"{prefix}_{signal.origin}",
-                        width=signal.width,
-                        mode=signal.mode,
-                        origin=signal.origin,
-                        tydi_port=signal.tydi_port,
-                    )
-                )
-            nets.append((connection, net))
-        return nets
-
     def _structural_body(self, implementation: Implementation, streamlet: Streamlet) -> str:
-        nets = self._connection_nets(implementation)
-        endpoint_net: dict[str, _Net] = {}
-        for connection, net in nets:
-            endpoint_net[str(connection.source)] = net
-            endpoint_net[str(connection.sink)] = net
+        nets, endpoint_net = connection_nets(self.project, implementation, self._signals_of)
 
         lines: list[str] = []
-        for _, net in nets:
+        for net in nets:
             for signal in net.signals:
                 lines.append(f"  wire {_range_suffix(signal.width)}{signal.name};")
         if nets:
@@ -243,14 +205,14 @@ class VerilogBackend:
 
         return "\n".join(lines) + "\n"
 
-    def _self_port_assigns(self, port: Port, net: _Net) -> list[str]:
+    def _self_port_assigns(self, port: Port, net: ConnectionNet) -> list[str]:
         """Continuous assigns between a module port and its net.
 
         For an *input* port the forward signals flow from the module port
         into the net and the ready flows back; reversed for outputs.
         """
         lines: list[str] = []
-        for signal in port_signals(port):
+        for signal in self._signals_of(port):
             net_signal = net.signal_for(signal.origin)
             if net_signal is None:
                 continue
@@ -266,7 +228,7 @@ class VerilogBackend:
         self,
         implementation: Implementation,
         instance_name: str,
-        endpoint_net: dict[str, _Net],
+        endpoint_net: dict[str, ConnectionNet],
     ) -> list[str]:
         project = self.project
         instance = implementation.instance(instance_name)
@@ -278,7 +240,7 @@ class VerilogBackend:
         for port in inner_streamlet.ports:
             ref = PortRef(port=port.name, instance=instance_name)
             net = endpoint_net.get(str(ref))
-            for signal in port_signals(port):
+            for signal in self._signals_of(port):
                 if net is None:
                     # Should not happen after the DRC; keep the output legal.
                     target = "" if signal.mode == "out" else _zero_literal(signal.width)

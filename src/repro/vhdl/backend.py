@@ -13,10 +13,7 @@ implementations become black-box stubs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.ir.model import (
-    Connection,
     Implementation,
     Port,
     PortDirection,
@@ -26,7 +23,16 @@ from repro.ir.model import (
 )
 from repro.stdlib.components import primitive_kind
 from repro.utils.text import count_loc
-from repro.vhdl.signals import VhdlPortSignal, port_signals, vhdl_identifier, vhdl_type
+from repro.vhdl.signals import (
+    ConnectionNet,
+    SignalsOf,
+    VhdlPortSignal,
+    connection_nets,
+    port_signal_memo,
+    port_signals,
+    vhdl_identifier,
+    vhdl_type,
+)
 
 _HEADER = """-- Generated by the Tydi-lang reproduction toolchain.
 library ieee;
@@ -35,19 +41,19 @@ use ieee.numeric_std.all;
 """
 
 
-def _entity_ports(streamlet: Streamlet) -> list[VhdlPortSignal]:
+def _entity_ports(streamlet: Streamlet, signals_of: SignalsOf) -> list[VhdlPortSignal]:
     signals: list[VhdlPortSignal] = []
     for port in streamlet.ports:
-        signals.extend(port_signals(port))
+        signals.extend(signals_of(port))
     return signals
 
 
-def emit_entity(streamlet: Streamlet) -> str:
+def emit_entity(streamlet: Streamlet, signals_of: SignalsOf = port_signals) -> str:
     """Emit the VHDL entity of a streamlet (clock, reset and stream signals)."""
     lines = [f"entity {streamlet.name} is", "  port ("]
     lines.append("    clk : in std_logic;")
     lines.append("    rst : in std_logic;")
-    signals = _entity_ports(streamlet)
+    signals = _entity_ports(streamlet, signals_of)
     for index, signal in enumerate(signals):
         separator = ";" if index < len(signals) - 1 else ""
         lines.append(f"    {signal.declaration()}{separator}")
@@ -56,32 +62,18 @@ def emit_entity(streamlet: Streamlet) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_component_declaration(streamlet: Streamlet) -> str:
+def emit_component_declaration(streamlet: Streamlet, signals_of: SignalsOf = port_signals) -> str:
     """Emit a component declaration matching :func:`emit_entity`."""
     lines = [f"  component {streamlet.name} is", "    port ("]
     lines.append("      clk : in std_logic;")
     lines.append("      rst : in std_logic;")
-    signals = _entity_ports(streamlet)
+    signals = _entity_ports(streamlet, signals_of)
     for index, signal in enumerate(signals):
         separator = ";" if index < len(signals) - 1 else ""
         lines.append(f"      {signal.declaration()}{separator}")
     lines.append("    );")
     lines.append("  end component;")
     return "\n".join(lines)
-
-
-@dataclass
-class _Net:
-    """Interconnect signals created for one connection."""
-
-    prefix: str
-    signals: list[VhdlPortSignal] = field(default_factory=list)
-
-    def signal_for(self, origin: str) -> VhdlPortSignal | None:
-        for signal in self.signals:
-            if signal.origin == origin:
-                return signal
-        return None
 
 
 class VhdlBackend:
@@ -97,6 +89,7 @@ class VhdlBackend:
 
     def __init__(self, project: Project) -> None:
         self.project = project
+        self._signals_of = port_signal_memo()
 
     # -- public API ------------------------------------------------------------
 
@@ -117,7 +110,7 @@ class VhdlBackend:
         """One implementation's VHDL file (entity + architecture)."""
         streamlet = self.project.streamlet_of(implementation)
         return (
-            _HEADER + "\n" + emit_entity(streamlet) + "\n"
+            _HEADER + "\n" + emit_entity(streamlet, self._signals_of) + "\n"
             + self._architecture(implementation, streamlet)
         )
 
@@ -170,30 +163,8 @@ class VhdlBackend:
 
     def _structural_architecture(self, implementation: Implementation, streamlet: Streamlet) -> str:
         project = self.project
-
-        # One interconnect net per connection.
-        nets: list[tuple[Connection, _Net]] = []
-        for index, connection in enumerate(implementation.connections):
-            source_port = project.resolve_port(implementation, connection.source)
-            prefix = f"net_{index}_{vhdl_identifier(str(connection.source)).lower()}"
-            net = _Net(prefix=prefix)
-            for signal in port_signals(source_port):
-                net.signals.append(
-                    VhdlPortSignal(
-                        name=f"{prefix}_{signal.origin}",
-                        width=signal.width,
-                        mode=signal.mode,
-                        origin=signal.origin,
-                        tydi_port=signal.tydi_port,
-                    )
-                )
-            nets.append((connection, net))
-
-        # Which net touches a given endpoint?
-        endpoint_net: dict[str, _Net] = {}
-        for connection, net in nets:
-            endpoint_net[str(connection.source)] = net
-            endpoint_net[str(connection.sink)] = net
+        signals_of = self._signals_of
+        nets, endpoint_net = connection_nets(project, implementation, signals_of)
 
         # Component declarations (one per distinct inner streamlet).
         inner_streamlets: dict[str, Streamlet] = {}
@@ -204,9 +175,9 @@ class VhdlBackend:
 
         declaration_lines: list[str] = []
         for inner in inner_streamlets.values():
-            declaration_lines.append(emit_component_declaration(inner))
+            declaration_lines.append(emit_component_declaration(inner, signals_of))
             declaration_lines.append("")
-        for _, net in nets:
+        for net in nets:
             for signal in net.signals:
                 declaration_lines.append(f"  signal {signal.name} : {vhdl_type(signal.width)};")
 
@@ -223,7 +194,7 @@ class VhdlBackend:
 
         # Instantiate the inner components.
         for instance in implementation.instances:
-            body_lines.extend(self._instance_port_map(implementation, instance.name))
+            body_lines.extend(self._instance_port_map(implementation, instance.name, endpoint_net))
             body_lines.append("")
 
         declarations = "\n".join(declaration_lines)
@@ -236,7 +207,7 @@ class VhdlBackend:
             f"end architecture structural;\n"
         )
 
-    def _self_port_assignments(self, port: Port, net: _Net) -> list[str]:
+    def _self_port_assignments(self, port: Port, net: ConnectionNet) -> list[str]:
         """Continuous assignments between an entity port and its net.
 
         For an *input* port of the implementation the forward signals flow
@@ -244,7 +215,7 @@ class VhdlBackend:
         *output* port the direction is reversed.
         """
         lines: list[str] = []
-        for signal in port_signals(port):
+        for signal in self._signals_of(port):
             net_signal = net.signal_for(signal.origin)
             if net_signal is None:
                 continue
@@ -256,37 +227,23 @@ class VhdlBackend:
                 lines.append(f"{signal.name} <= {net_signal.name};")
         return lines
 
-    def _instance_port_map(self, implementation: Implementation, instance_name: str) -> list[str]:
+    def _instance_port_map(
+        self,
+        implementation: Implementation,
+        instance_name: str,
+        endpoint_net: dict[str, ConnectionNet],
+    ) -> list[str]:
         project = self.project
         instance = implementation.instance(instance_name)
         inner_impl = project.implementation(instance.implementation)
         inner_streamlet = project.streamlet_of(inner_impl)
-
-        # Recompute the endpoint->net map lazily (cheap relative to emission).
-        endpoint_net: dict[str, _Net] = {}
-        for index, connection in enumerate(implementation.connections):
-            source_port = project.resolve_port(implementation, connection.source)
-            prefix = f"net_{index}_{vhdl_identifier(str(connection.source)).lower()}"
-            net = _Net(prefix=prefix)
-            for signal in port_signals(source_port):
-                net.signals.append(
-                    VhdlPortSignal(
-                        name=f"{prefix}_{signal.origin}",
-                        width=signal.width,
-                        mode=signal.mode,
-                        origin=signal.origin,
-                        tydi_port=signal.tydi_port,
-                    )
-                )
-            endpoint_net[str(connection.source)] = net
-            endpoint_net[str(connection.sink)] = net
 
         lines = [f"{instance_name} : {inner_streamlet.name}", "  port map ("]
         mappings = ["    clk => clk", "    rst => rst"]
         for port in inner_streamlet.ports:
             ref = PortRef(port=port.name, instance=instance_name)
             net = endpoint_net.get(str(ref))
-            for signal in port_signals(port):
+            for signal in self._signals_of(port):
                 if net is None:
                     # Should not happen after the DRC; keep the output legal.
                     target = "open" if signal.mode == "out" else (

@@ -5,13 +5,17 @@ last, strobe, index and user wires (see :mod:`repro.spec.physical`).  Signal
 direction in the VHDL entity depends on both the port direction and the
 signal role: forward signals of an input port are ``in`` while its ready is
 ``out``, and vice versa for output ports.
+
+Both HDL emitters wire a structural implementation the same way, so the
+interconnect (:func:`connection_nets`) is built here once for both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from repro.ir.model import Port, PortDirection
+from repro.ir.model import Implementation, Port, PortDirection, Project
 from repro.spec.logical_types import Stream
 from repro.spec.physical import PhysicalSignal, expand_stream
 from repro.utils.names import sanitize_identifier
@@ -44,6 +48,10 @@ class VhdlPortSignal:
 
     def signal_declaration(self, prefix: str = "") -> str:
         return f"signal {prefix}{self.name} : {vhdl_type(self.width)};"
+
+
+#: How an emitter expands a port: :func:`port_signals` or a memoised copy.
+SignalsOf = Callable[[Port], list[VhdlPortSignal]]
 
 
 def _signal_mode(port_direction: PortDirection, signal: PhysicalSignal) -> str:
@@ -85,12 +93,80 @@ def port_signals(port: Port) -> list[VhdlPortSignal]:
     return signals
 
 
+def port_signal_memo() -> SignalsOf:
+    """A :func:`port_signals` that expands each port only once.
+
+    Keyed by port identity, so it must not outlive the project it reads:
+    each emitter object makes its own.  The returned lists are shared
+    between calls; callers must not mutate them.
+    """
+    memo: dict[int, tuple[Port, list[VhdlPortSignal]]] = {}
+
+    def signals_of(port: Port) -> list[VhdlPortSignal]:
+        entry = memo.get(id(port))
+        if entry is None:
+            # The entry keeps the port alive, so its id cannot be reused.
+            entry = memo[id(port)] = (port, port_signals(port))
+        return entry[1]
+
+    return signals_of
+
+
+class ConnectionNet:
+    """The interconnect signals created for one connection."""
+
+    __slots__ = ("signals", "_by_origin")
+
+    def __init__(self, signals: list[VhdlPortSignal]) -> None:
+        self.signals = signals
+        self._by_origin = {signal.origin: signal for signal in reversed(signals)}
+
+    def signal_for(self, origin: str) -> VhdlPortSignal | None:
+        return self._by_origin.get(origin)
+
+
+def connection_nets(
+    project: Project,
+    implementation: Implementation,
+    signals_of: SignalsOf = port_signals,
+) -> tuple[list[ConnectionNet], dict[str, ConnectionNet]]:
+    """One net per connection of ``implementation``, and the endpoint->net map.
+
+    Net ``i`` mirrors its source port's signals under the prefix
+    ``net_<i>_<source>``.  The map is keyed by ``str(PortRef)`` of both
+    ends; an endpoint on several connections maps to the last one.
+    """
+    nets: list[ConnectionNet] = []
+    endpoint_net: dict[str, ConnectionNet] = {}
+    for index, connection in enumerate(implementation.connections):
+        source = str(connection.source)
+        prefix = f"net_{index}_{vhdl_identifier(source).lower()}"
+        source_port = project.resolve_port(implementation, connection.source)
+        net = ConnectionNet(
+            [
+                VhdlPortSignal(
+                    f"{prefix}_{signal.origin}",
+                    signal.width,
+                    signal.mode,
+                    signal.origin,
+                    signal.tydi_port,
+                )
+                for signal in signals_of(source_port)
+            ]
+        )
+        nets.append(net)
+        endpoint_net[source] = net
+        endpoint_net[str(connection.sink)] = net
+    return nets, endpoint_net
+
+
 def data_width_of(port: Port) -> int:
     """Total data width of a port (used by the primitive generators)."""
     if isinstance(port.logical_type, Stream):
-        return max(1, expand_stream(port.logical_type).signal("data").width) if any(
-            s.name == "data" for s in expand_stream(port.logical_type).signals
-        ) else 1
+        for signal in expand_stream(port.logical_type).signals:
+            if signal.name == "data":
+                return max(1, signal.width)
+        return 1
     return max(1, port.logical_type.bit_width())
 
 

@@ -166,3 +166,25 @@ class TestBoolStream:
         stream = bool_stream()
         assert stream.element == Bit(1)
         assert stream.dimension == 1
+
+
+class TestRenderedText:
+    def _anonymous(self):
+        # Anonymous groups are never interned: each call builds a new object.
+        return Stream.new(Group.of(a=Bit(8), b=Union.of(x=Bit(2), y=Null())), dimension=2)
+
+    def test_render_is_stable(self):
+        stream = self._anonymous()
+        assert stream.to_tydi() == stream.to_tydi() == str(stream)
+        assert stream.to_tydi() == self._anonymous().to_tydi()
+
+    def test_rendered_text_is_not_pickled(self):
+        import pickle
+
+        rendered, fresh = self._anonymous(), self._anonymous()
+        text = rendered.to_tydi()
+        blob = pickle.dumps(rendered)
+        assert blob == pickle.dumps(fresh)
+        assert text.encode() not in blob
+        loaded = pickle.loads(blob)
+        assert loaded == rendered and loaded.to_tydi() == text
