@@ -28,7 +28,9 @@ Shutdown is drain-first: the service's ``shutdown`` method completes only
 after every in-flight request finished, so by the time the transport
 winds down, every response has been written.  Idle connections parked in
 a read are woken by an in-loop closing event rather than having their
-sockets yanked mid-write.
+sockets yanked mid-write; each lingers up to :data:`CLOSE_LINGER_S` for a
+request already on its way, so a request racing the close (a second
+client's ``shutdown``, say) is answered instead of dropped.
 
 :class:`ServerThread` runs the whole stack on a background thread's event
 loop -- the harness the tests, the stress suite and the throughput
@@ -53,6 +55,12 @@ from repro.server.service import CompileService
 #: backpressure (the pool's bounded queues provide the structured-error
 #: form of backpressure at the next layer down).
 MAX_PIPELINE_REQUESTS = 64
+
+#: How long a connection parked in a read keeps reading once the server
+#: closes; a request line that arrives meanwhile is still answered (after a
+#: ``shutdown``, new work with a draining error and a second ``shutdown``
+#: with the shared drain's result).
+CLOSE_LINGER_S = 0.25
 
 #: Pending watch-event bound per NDJSON connection: a slow reader drops
 #: the *oldest* undelivered events (each later frame carries a ``dropped``
@@ -302,7 +310,8 @@ class TydiServer:
             raise error
 
     async def _read_or_closing(self, reader: asyncio.StreamReader) -> Optional[bytes]:
-        """The next request line, or ``None`` once the server is closing."""
+        """The next request line, or ``None`` once the server is closing and
+        no line arrived within :data:`CLOSE_LINGER_S`."""
         assert self._closing is not None
         read_task = asyncio.create_task(reader.readline())
         closing_task = asyncio.create_task(self._closing.wait())
@@ -310,6 +319,8 @@ class TydiServer:
             await asyncio.wait(
                 {read_task, closing_task}, return_when=asyncio.FIRST_COMPLETED
             )
+            if not read_task.done():
+                await asyncio.wait({read_task}, timeout=CLOSE_LINGER_S)
         finally:
             for pending in (read_task, closing_task):
                 if not pending.done():

@@ -13,6 +13,7 @@ treatment.
 from __future__ import annotations
 
 import functools
+import json
 import random
 
 import pytest
@@ -130,6 +131,23 @@ def test_future_format_version_is_rejected():
     )
     with pytest.raises(TydiIngestError, match=f"v{FORMAT_VERSION + 1}"):
         load_ir(bumped)
+
+
+@pytest.mark.parametrize("where", ["doc string", "trailing comment"])
+def test_format_stamp_is_read_only_from_the_first_line(where):
+    # A document without the stamp may still carry its words elsewhere.
+    future = f"// Tydi-IR interchange, format v{FORMAT_VERSION + 6}"
+    doc = future if where == "doc string" else "source"
+    trailer = future if where == "trailing comment" else "// end"
+    text = (
+        'project "p";\n'
+        f"streamlet s {{\n  doc {json.dumps(doc)};\n  port i: Stream(Bit(8), d=1) in;\n}}\n"
+        "impl i of s {\n  external;\n}\n"
+        f"top i;\n{trailer}\n"
+    )
+    project = load_ir(text)
+    assert project.streamlets["s"].documentation == doc
+    assert emit_document(project).startswith(f"// Tydi-IR interchange, format v{FORMAT_VERSION}\n")
 
 
 def test_empty_document_is_an_ingest_error():

@@ -1,11 +1,19 @@
-"""Differential test: the one-match-per-token ``.tir`` tokenizer.
+"""Differential test: the ``.tir`` tokenizers against the first one.
 
-:func:`repro.interchange.parse._tokenize` skips whitespace and comments
-inside each token's regex match and catches bad characters with a
-catch-all group.  It must produce the same token stream, and raise the
-same :class:`~repro.errors.TydiIngestError` messages and spans, as the
-previous tokenizer, kept below as :func:`_reference_tokenize`: one match
-per token *or* gap, and a failed match for a bad character.
+Two tokenizers must produce the same token stream, and raise the same
+:class:`~repro.errors.TydiIngestError` messages and spans, as the first
+tokenizer, kept below as :func:`_reference_tokenize` (one match per token
+*or* gap, and a failed match for a bad character):
+
+* the one-match-per-token tokenizer, which skips whitespace and comments
+  inside each token's match, catches bad characters with a catch-all
+  group and builds offset-carrying ``_Token`` objects (kept verbatim with
+  the previous parser in ``test_interchange_ingest.py``);
+* the text-only tokenizer :func:`repro.interchange.parse._tokenize`, which
+  returns token texts from one ``findall``.  Here each token's kind comes
+  from :func:`~repro.interchange.parse._kind` and its offsets from
+  ``finditer`` over the same pattern, as the parser recovers them for an
+  error's span.
 """
 
 from __future__ import annotations
@@ -17,11 +25,12 @@ import pytest
 
 from repro.errors import TydiIngestError
 from repro.interchange import emit_document
-from repro.interchange.parse import _tokenize
+from repro.interchange.parse import _TOKEN_RE, _kind, _tokenize
 from repro.lang.compile import compile_sources
 from repro.queries import ALL_QUERIES
 from repro.testing import build_random_design
 from repro.utils.source import SourceFile
+from test_interchange_ingest import _tokenize as _one_match_tokenize
 
 _REFERENCE_TOKEN_RE = re.compile(
     r"""
@@ -56,6 +65,20 @@ def _reference_tokenize(source: SourceFile) -> list[tuple[str, str, int, int]]:
     return tokens
 
 
+def _text_only_tokenize(source: SourceFile) -> list[tuple[str, str, int, int]]:
+    texts = _tokenize(source.text, source.filename)
+    tokens = []
+    for text, match in zip(texts, _TOKEN_RE.finditer(source.text)):
+        assert match.group(1) == text
+        tokens.append((_kind(text), text, *match.span(1)))
+        if not text:  # the parser reads nothing past the first end token
+            break
+    return tokens
+
+
+TOKENIZERS = (_one_match_tokenize, _text_only_tokenize)
+
+
 def _outcome(tokenize, text: str):
     source = SourceFile(text, "doc.tir")
     try:
@@ -73,7 +96,10 @@ def _documents() -> list[str]:
 
 #: Hand-written edge cases: gaps at either end, comments without a final
 #: newline, every token kind, and bad characters or unterminated strings
-#: at the start, middle and end of a line.
+#: at the start, middle and end of a line (two of them: the first one
+#: counts), non-ASCII decimal digits (a
+#: number), a superscript digit (a bad character) and a no-break space
+#: (whitespace).
 TRICKY = [
     "",
     " ",
@@ -99,17 +125,27 @@ TRICKY = [
     "line1\nline2\n   ~",
     "9abc",
     "-",
+    "Bit(٣)",
+    "x٣ ٣.٣e٣",
+    "²",
+    "1\u00a02",
+    "ok # then $",
+    '"unterminated $',
 ]
 
 
 @pytest.mark.parametrize("text", TRICKY, ids=range(len(TRICKY)))
 def test_tricky_inputs_tokenize_like_the_reference(text):
-    assert _outcome(_tokenize, text) == _outcome(_reference_tokenize, text)
+    expected = _outcome(_reference_tokenize, text)
+    for tokenize in TOKENIZERS:
+        assert _outcome(tokenize, text) == expected
 
 
 def test_emitted_documents_tokenize_like_the_reference():
     for document in _documents():
-        assert _outcome(_tokenize, document) == _outcome(_reference_tokenize, document)
+        expected = _outcome(_reference_tokenize, document)
+        for tokenize in TOKENIZERS:
+            assert _outcome(tokenize, document) == expected
 
 
 def test_corrupted_documents_fail_like_the_reference():
@@ -118,7 +154,8 @@ def test_corrupted_documents_fail_like_the_reference():
     rng = random.Random(7)
     for _ in range(40):
         position = rng.randrange(len(document))
-        for insert in ("$", '"', "§"):
+        for insert in ("$", '"', "§", "٣"):
             broken = document[:position] + insert + document[position:]
             expected = _outcome(_reference_tokenize, broken)
-            assert _outcome(_tokenize, broken) == expected
+            for tokenize in TOKENIZERS:
+                assert _outcome(tokenize, broken) == expected

@@ -336,9 +336,15 @@ def test_concurrent_shutdowns_share_one_drain():
     with CompileService(jobs=2) as service:
         with ServerThread(service) as server:
             replies = []
+            # Every client completes a round trip before any asks to stop, so
+            # none can still be connecting when the first shutdown closes the
+            # listener.
+            connected = threading.Barrier(3, timeout=30)
 
             def send_shutdown():
                 with CompileClient(*server.address, connect_retry_for=5) as client:
+                    client.ping()
+                    connected.wait()
                     replies.append(client.shutdown())
 
             threads = [threading.Thread(target=send_shutdown) for _ in range(3)]
@@ -346,6 +352,7 @@ def test_concurrent_shutdowns_share_one_drain():
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
     assert len(replies) == 3
     assert all(reply["stopping"] for reply in replies)
     assert all(reply["drained"] for reply in replies)

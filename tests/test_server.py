@@ -26,7 +26,7 @@ from repro.server import (
     ServerThread,
     http_post,
 )
-from repro.server import protocol
+from repro.server import protocol, transport
 
 GOOD_SOURCE = (
     "type link_t = Stream(Bit(8));\n"
@@ -365,6 +365,28 @@ class TestTransport:
             assert time.perf_counter() - start < 1.0
         finally:
             idle.close()
+
+    def test_request_racing_the_close_is_answered(self, monkeypatch):
+        """A client whose request arrives just after the server began
+        closing still gets its reply instead of a closed connection."""
+        # A linger no scheduling delay between the close and the request
+        # can outlast; connections that hang up end theirs at once.
+        monkeypatch.setattr(transport, "CLOSE_LINGER_S", 30.0)
+        with ServerThread() as server:
+            with CompileClient(*server.address) as late:
+                late.ping()
+                with CompileClient(*server.address) as first:
+                    first.shutdown()
+                # The listener closes once the server is closing.
+                deadline = time.monotonic() + 10
+                while True:
+                    try:
+                        socket.create_connection(server.address, timeout=1).close()
+                    except ConnectionRefusedError:
+                        break
+                    assert time.monotonic() < deadline, "the server never closed"
+                    time.sleep(0.005)
+                assert late.shutdown() == {"stopping": True, "drained": True}
 
     def test_unknown_methods_are_bucketed_in_stats(self):
         service = CompileService(jobs=1)
