@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from repro.arrow.dataset import Table
 from repro.arrow.schema import ArrowSchema, TYPE_ALIASES, tydi_type_expression
 from repro.errors import TydiSimulationError
@@ -80,13 +82,28 @@ def fletcher_loc(schemas: Iterable[ArrowSchema]) -> int:
     return count_loc(fletcher_interface_source(schemas), language="tydi")
 
 
+def _python_values(values: np.ndarray) -> list:
+    """One column as the Python values a reader streams.
+
+    Equal, by type and value, to ``values[i].item()`` for every element
+    that has ``.item()`` and to ``values[i]`` otherwise; one ``tolist``
+    does that for every dtype except ``object``, whose elements stay as
+    they are.
+    """
+    if values.dtype != object:
+        return values.tolist()
+    return [value.item() if hasattr(value, "item") else value for value in values]
+
+
 class FletcherReaderBehavior:
     """Simulator behaviour of a generated memory reader.
 
     Streams the rows of a :class:`Table` out of the column ports.  Every
     column advances independently (each output port has its own read
-    pointer), matching how Fletcher's per-column readers behave; the final
-    row carries the ``last`` flag closing the outer dimension.
+    pointer, the ``pos_<port>`` state), matching how Fletcher's per-column
+    readers behave; the final row carries the ``last`` flag closing the
+    outer dimension.  Each connected column is converted to Python values
+    once, on the first fire.
     """
 
     latency = 1
@@ -94,23 +111,39 @@ class FletcherReaderBehavior:
     def __init__(self, implementation: Implementation, table: Table) -> None:
         self.implementation = implementation
         self.table = table
+        self._columns: dict[str, list] = {}
+        self._ctx = None
+        #: ``(channel, state key, values)`` per connected column port, in
+        #: output-port order; bound to the context they were built for.
+        self._lanes: list[tuple] = []
 
-    def fire(self, ctx) -> bool:
-        progressed = False
-        for port in ctx.output_ports():
+    def _bind(self, ctx) -> None:
+        lanes = []
+        for port, channel in ctx.component.outputs.items():
             if port not in self.table:
                 continue
-            values = self.table[port]
-            position = int(ctx.get_state(f"pos_{port}", 0))
+            values = self._columns.get(port)
+            if values is None:
+                values = self._columns[port] = _python_values(self.table[port])
+            lanes.append((channel, f"pos_{port}", values))
+        self._ctx = ctx
+        self._lanes = lanes
+
+    def fire(self, ctx) -> bool:
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        state = ctx.component.state
+        push = ctx.simulator.push
+        progressed = False
+        for channel, key, values in self._lanes:
+            position = state.get(key, 0)
             if position >= len(values):
                 continue
-            if not ctx.can_send(port):
-                continue
-            raw = values[position]
-            value = raw.item() if hasattr(raw, "item") else raw
+            if len(channel.queue) >= channel.capacity or channel.pending:
+                continue  # no space: the channel's pop wakes the reader again
             is_last = position == len(values) - 1
-            ctx.send(port, Packet(value=value, last=(is_last,)))
-            ctx.set_state(f"pos_{port}", position + 1)
+            push(channel, Packet(value=values[position], last=(is_last,)))
+            ctx.set_state(key, position + 1)
             progressed = True
         return progressed
 

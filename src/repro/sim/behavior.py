@@ -32,11 +32,20 @@ from repro.stdlib.components import primitive_kind
 
 
 class BehaviorContext:
-    """The API a behaviour uses to interact with the engine."""
+    """The API a behaviour uses to interact with the engine.
+
+    The simulator builds one context per component at elaboration and
+    passes that same object to every ``fire``.  It reads the component's
+    channel and state dicts directly.
+    """
 
     def __init__(self, simulator, component) -> None:
         self.simulator = simulator
         self.component = component
+        self._inputs = component.inputs
+        self._outputs = component.outputs
+        self._state = component.state
+        self._state_log = component.state_log
 
     # -- time and state ----------------------------------------------------------
 
@@ -45,58 +54,59 @@ class BehaviorContext:
         return self.simulator.now
 
     def get_state(self, name: str, default: object = None) -> object:
-        return self.component.state.get(name, default)
+        return self._state.get(name, default)
 
     def set_state(self, name: str, value: object) -> None:
-        self.component.state[name] = value
-        self.component.state_log.append((self.now, name, value))
+        self._state[name] = value
+        self._state_log.append((self.simulator.now, name, value))
 
     # -- input side ---------------------------------------------------------------
 
     def has_input(self, port: str) -> bool:
-        channel = self.component.inputs.get(port)
-        return channel is not None and channel.has_data()
+        channel = self._inputs.get(port)
+        return channel is not None and bool(channel.queue)
 
     def peek(self, port: str) -> Optional[Packet]:
-        channel = self.component.inputs.get(port)
+        channel = self._inputs.get(port)
         if channel is None:
             return None
         return channel.peek()
 
     def take(self, port: str) -> Packet:
         """Consume (acknowledge) the head packet of an input port."""
-        channel = self.component.inputs.get(port)
-        if channel is None or not channel.has_data():
+        channel = self._inputs.get(port)
+        if channel is None or not channel.queue:
             raise TydiSimulationError(
                 f"component {self.component.path} tried to take from empty port {port!r}"
             )
         return self.simulator.pop(channel)
 
     def input_ports(self) -> list[str]:
-        return list(self.component.inputs)
+        return list(self._inputs)
 
     # -- output side -----------------------------------------------------------------
 
     def can_send(self, port: str) -> bool:
-        channel = self.component.outputs.get(port)
+        channel = self._outputs.get(port)
         return channel is not None and channel.can_accept()
 
     def send(self, port: str, packet: Packet | object, delay: int = 0) -> None:
         """Emit a packet on an output port, optionally after ``delay`` cycles."""
-        channel = self.component.outputs.get(port)
+        channel = self._outputs.get(port)
         if channel is None:
             # Output not connected anywhere (e.g. voided away at a higher
             # level); silently drop, like hardware whose ready is tied high.
             return
         if not isinstance(packet, Packet):
             packet = Packet(value=packet)
+        simulator = self.simulator
         if delay <= 0:
-            self.simulator.push(channel, packet)
+            simulator.push(channel, packet)
         else:
-            self.simulator.schedule(delay, lambda: self.simulator.push(channel, packet))
+            simulator.schedule(delay, lambda: simulator.push(channel, packet))
 
     def output_ports(self) -> list[str]:
-        return list(self.component.outputs)
+        return list(self._outputs)
 
 
 class PrimitiveBehavior:

@@ -12,6 +12,11 @@ behaviour consumes packets with ``ctx.take`` (which is also the handshake
 acknowledge) and produces packets with ``ctx.send`` (optionally after a
 latency).  Every transfer is recorded so that bottleneck analysis and
 testbench generation can replay the run.
+
+Elaboration gives every component one :class:`BehaviorContext` and one
+wake-up callable, and links every channel to the components at its ends.
+Waking a component is then one heap push of its wake-up: no closure or
+context is built, and no component is looked up by path, per event.
 """
 
 from __future__ import annotations
@@ -23,13 +28,19 @@ from typing import Callable, Iterable, Optional
 
 from repro.errors import TydiSimulationError
 from repro.ir.model import Implementation, PortDirection, Project
+from repro.sim.behavior import BehaviorContext, behavior_for
 from repro.sim.packets import Packet, sequence_to_packets
 from repro.spec.logical_types import Stream
+from repro.stdlib.components import primitive_kind
 
 #: Default simulation budgets, shared with :class:`repro.sim.harness.
 #: SimulationPlan` so plan-driven and direct runs agree on the limits.
 DEFAULT_MAX_TIME = 1_000_000
 DEFAULT_MAX_EVENTS = 5_000_000
+
+#: Fires of one component within one wake-up before the engine reports a
+#: behaviour that never stops making "progress".
+_MAX_FIRES_PER_WAKE = 10_000
 
 
 @dataclass
@@ -67,6 +78,15 @@ class Channel:
         self.pending: deque[tuple[Packet, int]] = deque()
         self.stats = ChannelStats()
         self.closed = False
+        #: The components at either end, linked when a simulator attaches
+        #: the channel; ``None`` for a top-level port.
+        self.source_component: Optional[Component] = None
+        self.sink_component: Optional[Component] = None
+
+    def __getstate__(self) -> dict[str, object]:
+        # The links belong to the running simulator; a pickled channel (in
+        # a trace, say) keeps only its own record.
+        return {**self.__dict__, "source_component": None, "sink_component": None}
 
     def can_accept(self) -> bool:
         return len(self.queue) < self.capacity and not self.pending
@@ -97,6 +117,10 @@ class Component:
     outputs: dict[str, Channel] = field(default_factory=dict)
     state: dict[str, object] = field(default_factory=dict)
     state_log: list[tuple[int, str, object]] = field(default_factory=list)
+    #: The one context every ``fire`` of this component receives.
+    ctx: Optional[BehaviorContext] = field(default=None, compare=False)
+    #: The event the engine enqueues to fire this component.
+    wake: Optional[Callable[[], None]] = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Component({self.path}, {self.implementation.name})"
@@ -130,8 +154,6 @@ class Simulator:
         channel_capacity: int = 2,
         behaviors: Optional[dict[str, object]] = None,
     ) -> None:
-        from repro.sim.behavior import behavior_for  # local import avoids a cycle
-
         self.project = project
         self.top_name = top or project.top
         if self.top_name is None:
@@ -141,7 +163,6 @@ class Simulator:
             raise TydiSimulationError("the top-level implementation must be structural")
         self.channel_capacity = channel_capacity
         self._behavior_overrides = behaviors or {}
-        self._behavior_for = behavior_for
 
         self.components: dict[str, Component] = {}
         self.channels: list[Channel] = []
@@ -235,7 +256,7 @@ class Simulator:
                 if override is None:
                     override = self._behavior_overrides.get(inner.name)
                 if override is None:
-                    behavior = self._behavior_for(inner)
+                    behavior = behavior_for(inner)
                 elif hasattr(override, "fire"):
                     behavior = override
                 elif callable(override):
@@ -245,9 +266,10 @@ class Simulator:
                     raise TydiSimulationError(
                         f"behaviour override for {inner.name!r} must be a behaviour or a factory"
                     )
-                self.components[inner_path] = Component(
-                    path=inner_path, implementation=inner, behavior=behavior
-                )
+                component = Component(path=inner_path, implementation=inner, behavior=behavior)
+                component.ctx = BehaviorContext(self, component)
+                component.wake = self._wake_up(component)
+                self.components[inner_path] = component
             else:
                 self._collect(inner_path, inner, edges)
 
@@ -263,8 +285,6 @@ class Simulator:
         return (inner_path, ref.port)
 
     def _attach(self, channel: Channel) -> None:
-        from repro.stdlib.components import primitive_kind
-
         source_path, source_port = channel.source
         sink_path, sink_port = channel.sink
 
@@ -282,11 +302,13 @@ class Simulator:
         if source_path == "":
             self.input_channels[source_port] = channel
         else:
-            self.components[source_path].outputs[source_port] = channel
+            channel.source_component = self.components[source_path]
+            channel.source_component.outputs[source_port] = channel
         if sink_path == "":
             self.output_channels[sink_port] = channel
         else:
-            self.components[sink_path].inputs[sink_port] = channel
+            channel.sink_component = self.components[sink_path]
+            channel.sink_component.inputs[sink_port] = channel
 
     # -- event queue -------------------------------------------------------------
 
@@ -296,78 +318,84 @@ class Simulator:
         self._event_seq += 1
         heapq.heappush(self._event_queue, (self.now + delay, self._event_seq, action))
 
-    def _notify_component(self, path: str) -> None:
-        component = self.components.get(path)
-        if component is None:
-            return
-        self.schedule(0, lambda: self._fire(component))
+    def _wake_up(self, component: Component) -> Callable[[], None]:
+        """The event that fires ``component``: keep firing its behaviour
+        while it makes progress in this delta cycle."""
+        ctx = component.ctx
 
-    def _fire(self, component: Component) -> None:
-        from repro.sim.behavior import BehaviorContext  # local import avoids a cycle
+        def wake() -> None:
+            fire = component.behavior.fire
+            fires = 0
+            while fire(ctx):
+                fires += 1
+                if fires == _MAX_FIRES_PER_WAKE:  # pragma: no cover - defensive guard
+                    raise TydiSimulationError(
+                        f"component {component.path} fired {_MAX_FIRES_PER_WAKE} times "
+                        f"at t={self.now}; behaviour is likely not consuming its inputs"
+                    )
 
-        ctx = BehaviorContext(self, component)
-        # Keep firing while the behaviour makes progress in this delta cycle.
-        for _ in range(10_000):
-            if not component.behavior.fire(ctx):
-                break
-        else:  # pragma: no cover - defensive guard against livelock
-            raise TydiSimulationError(
-                f"component {component.path} fired 10000 times at t={self.now}; "
-                "behaviour is likely not consuming its inputs"
-            )
+        return wake
 
     # -- channel operations --------------------------------------------------------
 
     def push(self, channel: Channel, packet: Packet, *, from_source: bool = True) -> None:
         """Deliver a packet into a channel (or its pending queue when full)."""
-        stamped = Packet(value=packet.value, last=packet.last, produced_at=self.now)
+        now = self.now
+        stamped = Packet(value=packet.value, last=packet.last, produced_at=now)
         if len(channel.queue) < channel.capacity and not channel.pending:
-            channel.queue.append((stamped, self.now))
-            channel.stats.last_activity = self.now
+            channel.queue.append((stamped, now))
+            channel.stats.last_activity = now
             self._on_data_available(channel)
         else:
-            channel.pending.append((stamped, self.now))
+            channel.pending.append((stamped, now))
             channel.stats.blocked_sends += 1
 
     def pop(self, channel: Channel) -> Packet:
         """Consume the head packet of a channel (the handshake acknowledge)."""
         if not channel.queue:
             raise TydiSimulationError(f"pop from empty channel {channel.name}")
+        now = self.now
         packet, enqueued_at = channel.queue.popleft()
-        channel.stats.packets_transferred += 1
-        channel.stats.total_queue_wait += self.now - enqueued_at
-        channel.stats.last_activity = self.now
+        stats = channel.stats
+        stats.packets_transferred += 1
+        stats.total_queue_wait += now - enqueued_at
+        stats.last_activity = now
         # Move a pending packet into the freed slot and account its blockage.
         if channel.pending:
             pending_packet, produced_at = channel.pending.popleft()
-            channel.stats.total_blocked_time += self.now - produced_at
-            channel.queue.append((pending_packet, self.now))
+            stats.total_blocked_time += now - produced_at
+            channel.queue.append((pending_packet, now))
             self._on_data_available(channel)
         # Space freed: the source may be able to produce again.
-        source_path, _ = channel.source
-        if source_path:
-            self._notify_component(source_path)
+        source = channel.source_component
+        if source is not None:
+            self._event_seq += 1
+            heapq.heappush(self._event_queue, (now, self._event_seq, source.wake))
         return packet
 
     def _on_data_available(self, channel: Channel) -> None:
-        sink_path, sink_port = channel.sink
-        if sink_path == "":
-            # Top-level output: record and consume immediately (the testbench
-            # environment is always ready).
-            packet, enqueued_at = channel.queue.popleft()
-            channel.stats.packets_transferred += 1
-            channel.stats.total_queue_wait += self.now - enqueued_at
-            self.trace.outputs.setdefault(sink_port, []).append((self.now, packet))
-            if channel.pending:
-                pending_packet, produced_at = channel.pending.popleft()
-                channel.stats.total_blocked_time += self.now - produced_at
-                channel.queue.append((pending_packet, self.now))
-                self.schedule(0, lambda: self._on_data_available(channel))
-            source_path, _ = channel.source
-            if source_path:
-                self._notify_component(source_path)
-        else:
-            self._notify_component(sink_path)
+        sink = channel.sink_component
+        if sink is not None:
+            self._event_seq += 1
+            heapq.heappush(self._event_queue, (self.now, self._event_seq, sink.wake))
+            return
+        # Top-level output: record and consume immediately (the testbench
+        # environment is always ready).
+        now = self.now
+        packet, enqueued_at = channel.queue.popleft()
+        stats = channel.stats
+        stats.packets_transferred += 1
+        stats.total_queue_wait += now - enqueued_at
+        self.trace.outputs.setdefault(channel.sink[1], []).append((now, packet))
+        if channel.pending:
+            pending_packet, produced_at = channel.pending.popleft()
+            stats.total_blocked_time += now - produced_at
+            channel.queue.append((pending_packet, now))
+            self.schedule(0, lambda: self._on_data_available(channel))
+        source = channel.source_component
+        if source is not None:
+            self._event_seq += 1
+            heapq.heappush(self._event_queue, (now, self._event_seq, source.wake))
 
     # -- stimulus and execution -------------------------------------------------------
 
@@ -451,26 +479,33 @@ class Simulator:
         for component in self.components.values():
             start = getattr(component.behavior, "start", None)
             if callable(start):
-                from repro.sim.behavior import BehaviorContext
+                start(component.ctx)
+            self.schedule(0, component.wake)
 
-                start(BehaviorContext(self, component))
-            self._notify_component(component.path)
-
-        while self._event_queue:
-            time, _, action = heapq.heappop(self._event_queue)
-            if time > max_time:
-                break
-            self.now = time
-            action()
-            self._events_processed += 1
-            if self._events_processed > max_events:
-                self._finalize_trace()
-                raise TydiSimulationError(
-                    f"simulation exceeded {max_events} events; possible livelock",
-                    trace=self.trace,
-                )
+        queue = self._event_queue
+        heappop = heapq.heappop
+        processed = self._events_processed
+        exhausted = False
+        try:
+            while queue:
+                time, _, action = heappop(queue)
+                if time > max_time:
+                    break
+                self.now = time
+                action()
+                processed += 1
+                if processed > max_events:
+                    exhausted = True
+                    break
+        finally:
+            self._events_processed = processed
 
         self._finalize_trace()
+        if exhausted:
+            raise TydiSimulationError(
+                f"simulation exceeded {max_events} events; possible livelock",
+                trace=self.trace,
+            )
         return self.trace
 
     def _finalize_trace(self) -> None:

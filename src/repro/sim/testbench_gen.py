@@ -70,12 +70,17 @@ def coverage_of(trace: SimulationTrace) -> dict[str, object]:
     The paper stresses that "the coverage of input data in the simulation
     stage is important because uncovered input results in uncovered state
     transformation"; this helper lets tests assert that a stimulus actually
-    exercised the states it was meant to.
+    exercised the states it was meant to.  Unhashable state values (the
+    lists and dicts accumulators keep) are told apart by their ``str``.
     """
     states: dict[str, set[object]] = {}
     for path, log in trace.state_logs.items():
         for _, state_name, value in log:
-            states.setdefault(f"{path}.{state_name}", set()).add(value)
+            seen = states.setdefault(f"{path}.{state_name}", set())
+            try:
+                seen.add(value)
+            except TypeError:
+                seen.add(str(value))
     return {
         "ports_driven": sorted(trace.inputs),
         "ports_observed": sorted(trace.outputs),

@@ -1,0 +1,946 @@
+"""Differential test: the simulator against the engine it replaced.
+
+The engine builds one :class:`~repro.sim.behavior.BehaviorContext` and one
+wake-up callable per component at elaboration, links every channel to the
+components at its ends, and enqueues those wake-ups directly; the Fletcher
+reader converts each connected column to Python values once and walks
+precomputed lanes.  None of that may change what a simulation computes.
+The previous engine, context and reader are kept verbatim below as the
+reference (renamed, and with the context class named directly where the
+engine imported it inside ``_fire`` and ``run``).  Both must produce the
+same full trace: the same events with the same sequence numbers (every
+``fire`` is logged with the number of events scheduled so far), hence
+the same ``events_processed`` and ``end_time``, the same input and output
+packets with their arrival times and ``produced_at``, the same per-channel
+statistics and final queue contents, the same state logs and component
+states, and the same :meth:`SimulationReport.as_dict` -- also when a run
+is truncated by ``max_time`` or stopped by ``max_events``, where the
+partial ``exc.trace`` must match too.
+
+The designs: the six TPC-H queries over three seeded datasets (plus
+empty tables, and reader objects reused across runs), fuzzed
+:func:`~repro.testing.build_random_design` chains driven through
+:class:`~repro.sim.SimulationPlan` stimuli at channel capacity 1 and 4,
+the scripted-behaviour designs of ``test_sim_scripted.py``, a design that
+deadlocks and ends by ``max_time``, and runs that exhaust ``max_events``.
+Two call-count tests pin what the engine no longer repeats: a tpch-sim
+benchmark pass builds one context per component, and each reader converts
+each connected column once.
+"""
+
+from __future__ import annotations
+
+import functools
+import heapq
+import json
+import random
+from collections import deque
+from dataclasses import astuple, dataclass, field
+from typing import Callable, Iterable, Optional
+
+import numpy as np
+import pytest
+
+from repro.arrow import fletcher
+from repro.arrow.fletcher import reader_behaviors, reader_name
+from repro.arrow.tpch import generate_tpch_data
+from repro.errors import TydiSimulationError
+from repro.ir.model import Implementation, PortDirection, Project
+from repro.lang.compile import compile_project, compile_sources
+from repro.queries import ALL_QUERIES
+from repro.sim import SimulationPlan, Simulator, Stimulus, report_from_trace
+from repro.sim.behavior import BehaviorContext
+from repro.sim.engine import ChannelStats, SimulationTrace
+from repro.sim.packets import Packet, sequence_to_packets
+from repro.spec.logical_types import Stream
+from repro.testing import build_random_design
+from test_sim_scripted import CLAMP, DOUBLER, MERGE, SLOW, TAP, TOGGLER
+
+# -- the reference: the previous engine, context and reader, verbatim ---------
+
+
+class ReferenceChannel:
+    """A point-to-point stream connection with a bounded queue."""
+
+    def __init__(
+        self,
+        name: str,
+        source: tuple[str, str],
+        sink: tuple[str, str],
+        capacity: int = 2,
+    ) -> None:
+        self.name = name
+        self.source = source  # (component path, port name)
+        self.sink = sink
+        self.capacity = max(1, capacity)
+        self.queue: deque[tuple[Packet, int]] = deque()
+        #: Packets produced by the source that did not fit in the queue yet.
+        self.pending: deque[tuple[Packet, int]] = deque()
+        self.stats = ChannelStats()
+        self.closed = False
+
+    def can_accept(self) -> bool:
+        return len(self.queue) < self.capacity and not self.pending
+
+    def occupancy(self) -> int:
+        return len(self.queue)
+
+    def has_data(self) -> bool:
+        return bool(self.queue)
+
+    def peek(self) -> Optional[Packet]:
+        if not self.queue:
+            return None
+        return self.queue[0][0]
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Channel({self.name}, {len(self.queue)}/{self.capacity})"
+
+
+@dataclass
+class ReferenceComponent:
+    """A leaf component of the flattened design."""
+
+    path: str
+    implementation: Implementation
+    behavior: object
+    inputs: dict[str, ReferenceChannel] = field(default_factory=dict)
+    outputs: dict[str, ReferenceChannel] = field(default_factory=dict)
+    state: dict[str, object] = field(default_factory=dict)
+    state_log: list[tuple[int, str, object]] = field(default_factory=list)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"Component({self.path}, {self.implementation.name})"
+
+
+
+
+class ReferenceSimulator:
+    """Flattens a project and runs the event-driven simulation."""
+
+    def __init__(
+        self,
+        project: Project,
+        top: Optional[str] = None,
+        channel_capacity: int = 2,
+        behaviors: Optional[dict[str, object]] = None,
+    ) -> None:
+        from repro.sim.behavior import behavior_for  # local import avoids a cycle
+
+        self.project = project
+        self.top_name = top or project.top
+        if self.top_name is None:
+            raise TydiSimulationError("simulation requires a top-level implementation")
+        self.top = project.implementation(self.top_name)
+        if self.top.external:
+            raise TydiSimulationError("the top-level implementation must be structural")
+        self.channel_capacity = channel_capacity
+        self._behavior_overrides = behaviors or {}
+        self._behavior_for = behavior_for
+
+        self.components: dict[str, ReferenceComponent] = {}
+        self.channels: list[ReferenceChannel] = []
+        self.input_channels: dict[str, ReferenceChannel] = {}
+        self.output_channels: dict[str, ReferenceChannel] = {}
+
+        self.now = 0
+        self._event_queue: list[tuple[int, int, Callable[[], None]]] = []
+        self._event_seq = 0
+        self._events_processed = 0
+        self.trace = SimulationTrace()
+
+        self._elaborate()
+
+    # -- elaboration -----------------------------------------------------------
+
+    def _elaborate(self) -> None:
+        edges: list[tuple[tuple[str, str], tuple[str, str]]] = []
+        self._collect("", self.top, edges)
+
+        top_streamlet = self.project.streamlet_of(self.top)
+
+        # Identify true sources and sinks of each connection chain.
+        next_hop: dict[tuple[str, str], tuple[str, str]] = {}
+        for source, sink in edges:
+            if source in next_hop:
+                raise TydiSimulationError(
+                    f"endpoint {source} drives more than one connection; run the DRC first"
+                )
+            next_hop[source] = sink
+
+        leaf_ports: set[tuple[str, str]] = set()
+        for path, component in self.components.items():
+            streamlet = self.project.streamlet_of(component.implementation)
+            for port in streamlet.ports:
+                leaf_ports.add((path, port.name))
+
+        def is_terminal_sink(key: tuple[str, str]) -> bool:
+            path, port_name = key
+            if key in leaf_ports:
+                port = self.project.streamlet_of(self.components[path].implementation).port(port_name)
+                return port.direction is PortDirection.IN
+            if path == "":
+                return top_streamlet.port(port_name).direction is PortDirection.OUT
+            return False
+
+        def true_sources() -> Iterable[tuple[str, str]]:
+            for path, component in self.components.items():
+                streamlet = self.project.streamlet_of(component.implementation)
+                for port in streamlet.ports:
+                    if port.direction is PortDirection.OUT:
+                        yield (path, port.name)
+            for port in top_streamlet.ports:
+                if port.direction is PortDirection.IN:
+                    yield ("", port.name)
+
+        for source in true_sources():
+            if source not in next_hop:
+                continue  # dangling source: DRC would have flagged it
+            hop = next_hop[source]
+            seen = {source}
+            while not is_terminal_sink(hop):
+                if hop not in next_hop or hop in seen:
+                    raise TydiSimulationError(
+                        f"connection chain starting at {source} does not terminate at a leaf port"
+                    )
+                seen.add(hop)
+                hop = next_hop[hop]
+            channel = ReferenceChannel(
+                name=f"{source[0] or 'top'}.{source[1]} -> {hop[0] or 'top'}.{hop[1]}",
+                source=source,
+                sink=hop,
+                capacity=self.channel_capacity,
+            )
+            self.channels.append(channel)
+            self.trace.channels[channel.name] = channel
+            self._attach(channel)
+
+    def _collect(
+        self,
+        path: str,
+        implementation: Implementation,
+        edges: list[tuple[tuple[str, str], tuple[str, str]]],
+    ) -> None:
+        """Recursively walk structural implementations, creating leaf components."""
+        for instance in implementation.instances:
+            inner = self.project.implementation(instance.implementation)
+            inner_path = f"{path}/{instance.name}" if path else instance.name
+            if inner.external:
+                override = self._behavior_overrides.get(inner_path)
+                if override is None:
+                    override = self._behavior_overrides.get(inner.name)
+                if override is None:
+                    behavior = self._behavior_for(inner)
+                elif hasattr(override, "fire"):
+                    behavior = override
+                elif callable(override):
+                    # A factory: called with the implementation to build the behaviour.
+                    behavior = override(inner)
+                else:
+                    raise TydiSimulationError(
+                        f"behaviour override for {inner.name!r} must be a behaviour or a factory"
+                    )
+                self.components[inner_path] = ReferenceComponent(
+                    path=inner_path, implementation=inner, behavior=behavior
+                )
+            else:
+                self._collect(inner_path, inner, edges)
+
+        for connection in implementation.connections:
+            source_key = self._endpoint_key(path, implementation, connection.source)
+            sink_key = self._endpoint_key(path, implementation, connection.sink)
+            edges.append((source_key, sink_key))
+
+    def _endpoint_key(self, path: str, implementation: Implementation, ref) -> tuple[str, str]:
+        if ref.instance is None:
+            return (path, ref.port)
+        inner_path = f"{path}/{ref.instance}" if path else ref.instance
+        return (inner_path, ref.port)
+
+    def _attach(self, channel: ReferenceChannel) -> None:
+        from repro.stdlib.components import primitive_kind
+
+        source_path, source_port = channel.source
+        sink_path, sink_port = channel.sink
+
+        # A constant generator feeding a voider would exchange packets forever
+        # (the voider is always ready); such a pair carries no information, so
+        # it is optimised away -- neither side sees the channel.
+        const_kinds = ("const_int_generator", "const_float_generator", "const_str_generator")
+        if source_path and sink_path:
+            source_kind = primitive_kind(self.components[source_path].implementation) if source_path in self.components else None
+            sink_kind = primitive_kind(self.components[sink_path].implementation) if sink_path in self.components else None
+            if source_kind in const_kinds and sink_kind == "voider":
+                channel.closed = True
+                return
+
+        if source_path == "":
+            self.input_channels[source_port] = channel
+        else:
+            self.components[source_path].outputs[source_port] = channel
+        if sink_path == "":
+            self.output_channels[sink_port] = channel
+        else:
+            self.components[sink_path].inputs[sink_port] = channel
+
+    # -- event queue -------------------------------------------------------------
+
+    def schedule(self, delay: int, action: Callable[[], None]) -> None:
+        if delay < 0:
+            raise TydiSimulationError(f"cannot schedule an event {delay} cycles in the past")
+        self._event_seq += 1
+        heapq.heappush(self._event_queue, (self.now + delay, self._event_seq, action))
+
+    def _notify_component(self, path: str) -> None:
+        component = self.components.get(path)
+        if component is None:
+            return
+        self.schedule(0, lambda: self._fire(component))
+
+    def _fire(self, component: ReferenceComponent) -> None:
+        ctx = ReferenceContext(self, component)
+        # Keep firing while the behaviour makes progress in this delta cycle.
+        for _ in range(10_000):
+            if not component.behavior.fire(ctx):
+                break
+        else:  # pragma: no cover - defensive guard against livelock
+            raise TydiSimulationError(
+                f"component {component.path} fired 10000 times at t={self.now}; "
+                "behaviour is likely not consuming its inputs"
+            )
+
+    # -- channel operations --------------------------------------------------------
+
+    def push(self, channel: ReferenceChannel, packet: Packet, *, from_source: bool = True) -> None:
+        """Deliver a packet into a channel (or its pending queue when full)."""
+        stamped = Packet(value=packet.value, last=packet.last, produced_at=self.now)
+        if len(channel.queue) < channel.capacity and not channel.pending:
+            channel.queue.append((stamped, self.now))
+            channel.stats.last_activity = self.now
+            self._on_data_available(channel)
+        else:
+            channel.pending.append((stamped, self.now))
+            channel.stats.blocked_sends += 1
+
+    def pop(self, channel: ReferenceChannel) -> Packet:
+        """Consume the head packet of a channel (the handshake acknowledge)."""
+        if not channel.queue:
+            raise TydiSimulationError(f"pop from empty channel {channel.name}")
+        packet, enqueued_at = channel.queue.popleft()
+        channel.stats.packets_transferred += 1
+        channel.stats.total_queue_wait += self.now - enqueued_at
+        channel.stats.last_activity = self.now
+        # Move a pending packet into the freed slot and account its blockage.
+        if channel.pending:
+            pending_packet, produced_at = channel.pending.popleft()
+            channel.stats.total_blocked_time += self.now - produced_at
+            channel.queue.append((pending_packet, self.now))
+            self._on_data_available(channel)
+        # Space freed: the source may be able to produce again.
+        source_path, _ = channel.source
+        if source_path:
+            self._notify_component(source_path)
+        return packet
+
+    def _on_data_available(self, channel: ReferenceChannel) -> None:
+        sink_path, sink_port = channel.sink
+        if sink_path == "":
+            # Top-level output: record and consume immediately (the testbench
+            # environment is always ready).
+            packet, enqueued_at = channel.queue.popleft()
+            channel.stats.packets_transferred += 1
+            channel.stats.total_queue_wait += self.now - enqueued_at
+            self.trace.outputs.setdefault(sink_port, []).append((self.now, packet))
+            if channel.pending:
+                pending_packet, produced_at = channel.pending.popleft()
+                channel.stats.total_blocked_time += self.now - produced_at
+                channel.queue.append((pending_packet, self.now))
+                self.schedule(0, lambda: self._on_data_available(channel))
+            source_path, _ = channel.source
+            if source_path:
+                self._notify_component(source_path)
+        else:
+            self._notify_component(sink_path)
+
+    # -- stimulus and execution -------------------------------------------------------
+
+    def drive(
+        self,
+        port: str,
+        values: Iterable[object],
+        *,
+        dimensions: Optional[int] = None,
+        interval: int = 1,
+        start_time: int = 0,
+    ) -> None:
+        """Queue a stimulus sequence on a top-level input port."""
+        if port not in self.input_channels:
+            raise TydiSimulationError(
+                f"top-level implementation {self.top_name!r} has no driven input port {port!r}"
+            )
+        channel = self.input_channels[port]
+        if dimensions is None:
+            top_port = self.project.streamlet_of(self.top).port(port)
+            dimensions = (
+                top_port.logical_type.dimension
+                if isinstance(top_port.logical_type, Stream)
+                else 1
+            )
+        packets = sequence_to_packets(values, dimensions)
+
+        def feeder(index: int = 0) -> None:
+            if index >= len(packets):
+                return
+            if channel.can_accept():
+                packet = packets[index]
+                self.trace.inputs.setdefault(port, []).append((self.now, packet))
+                self.push(channel, packet)
+                self.schedule(max(1, interval), lambda: feeder(index + 1))
+            else:
+                # Backpressure from the design: retry next cycle.
+                channel.stats.blocked_sends += 1
+                self.schedule(1, lambda: feeder(index))
+
+        self.schedule(start_time, feeder)
+
+    def drive_packets(self, port: str, packets: Iterable[Packet], interval: int = 1) -> None:
+        """Queue explicit packets (with custom last flags) on an input port."""
+        if port not in self.input_channels:
+            raise TydiSimulationError(f"no driven input port {port!r}")
+        channel = self.input_channels[port]
+        packet_list = list(packets)
+
+        def feeder(index: int = 0) -> None:
+            if index >= len(packet_list):
+                return
+            if channel.can_accept():
+                self.trace.inputs.setdefault(port, []).append((self.now, packet_list[index]))
+                self.push(channel, packet_list[index])
+                self.schedule(max(1, interval), lambda: feeder(index + 1))
+            else:
+                self.schedule(1, lambda: feeder(index))
+
+        self.schedule(0, feeder)
+
+    def run(
+        self,
+        max_time: Optional[int] = None,
+        max_events: Optional[int] = None,
+    ) -> SimulationTrace:
+        """Process events until the queue drains.
+
+        Reaching ``max_time`` *truncates*: the run stops and returns the
+        trace recorded so far -- a deadlocked design keeps polling blocked
+        stimuli forever, so the time budget is how such a run ends and
+        reaches :func:`~repro.sim.deadlock.detect_deadlock`.  Exceeding
+        ``max_events`` is a livelock diagnosis: it raises a
+        :class:`TydiSimulationError` with the partial trace attached
+        (``exc.trace``) so the truncated run can still be analysed.
+        """
+        max_time = DEFAULT_MAX_TIME if max_time is None else max_time
+        max_events = DEFAULT_MAX_EVENTS if max_events is None else max_events
+        # Give every behaviour a chance to initialise (constant generators
+        # start emitting without any input).
+        for component in self.components.values():
+            start = getattr(component.behavior, "start", None)
+            if callable(start):
+                start(ReferenceContext(self, component))
+            self._notify_component(component.path)
+
+        while self._event_queue:
+            time, _, action = heapq.heappop(self._event_queue)
+            if time > max_time:
+                break
+            self.now = time
+            action()
+            self._events_processed += 1
+            if self._events_processed > max_events:
+                self._finalize_trace()
+                raise TydiSimulationError(
+                    f"simulation exceeded {max_events} events; possible livelock",
+                    trace=self.trace,
+                )
+
+        self._finalize_trace()
+        return self.trace
+
+    def _finalize_trace(self) -> None:
+        self.trace.end_time = self.now
+        self.trace.events_processed = self._events_processed
+        for component in self.components.values():
+            if component.state_log:
+                self.trace.state_logs[component.path] = list(component.state_log)
+
+
+class ReferenceContext:
+    """The API a behaviour uses to interact with the engine."""
+
+    def __init__(self, simulator, component) -> None:
+        self.simulator = simulator
+        self.component = component
+
+    # -- time and state ----------------------------------------------------------
+
+    @property
+    def now(self) -> int:
+        return self.simulator.now
+
+    def get_state(self, name: str, default: object = None) -> object:
+        return self.component.state.get(name, default)
+
+    def set_state(self, name: str, value: object) -> None:
+        self.component.state[name] = value
+        self.component.state_log.append((self.now, name, value))
+
+    # -- input side ---------------------------------------------------------------
+
+    def has_input(self, port: str) -> bool:
+        channel = self.component.inputs.get(port)
+        return channel is not None and channel.has_data()
+
+    def peek(self, port: str) -> Optional[Packet]:
+        channel = self.component.inputs.get(port)
+        if channel is None:
+            return None
+        return channel.peek()
+
+    def take(self, port: str) -> Packet:
+        """Consume (acknowledge) the head packet of an input port."""
+        channel = self.component.inputs.get(port)
+        if channel is None or not channel.has_data():
+            raise TydiSimulationError(
+                f"component {self.component.path} tried to take from empty port {port!r}"
+            )
+        return self.simulator.pop(channel)
+
+    def input_ports(self) -> list[str]:
+        return list(self.component.inputs)
+
+    # -- output side -----------------------------------------------------------------
+
+    def can_send(self, port: str) -> bool:
+        channel = self.component.outputs.get(port)
+        return channel is not None and channel.can_accept()
+
+    def send(self, port: str, packet: Packet | object, delay: int = 0) -> None:
+        """Emit a packet on an output port, optionally after ``delay`` cycles."""
+        channel = self.component.outputs.get(port)
+        if channel is None:
+            # Output not connected anywhere (e.g. voided away at a higher
+            # level); silently drop, like hardware whose ready is tied high.
+            return
+        if not isinstance(packet, Packet):
+            packet = Packet(value=packet)
+        if delay <= 0:
+            self.simulator.push(channel, packet)
+        else:
+            self.simulator.schedule(delay, lambda: self.simulator.push(channel, packet))
+
+    def output_ports(self) -> list[str]:
+        return list(self.component.outputs)
+
+class ReferenceReader:
+    """Simulator behaviour of a generated memory reader.
+
+    Streams the rows of a :class:`Table` out of the column ports.  Every
+    column advances independently (each output port has its own read
+    pointer), matching how Fletcher's per-column readers behave; the final
+    row carries the ``last`` flag closing the outer dimension.
+    """
+
+    latency = 1
+
+    def __init__(self, implementation: Implementation, table: Table) -> None:
+        self.implementation = implementation
+        self.table = table
+
+    def fire(self, ctx) -> bool:
+        progressed = False
+        for port in ctx.output_ports():
+            if port not in self.table:
+                continue
+            values = self.table[port]
+            position = int(ctx.get_state(f"pos_{port}", 0))
+            if position >= len(values):
+                continue
+            if not ctx.can_send(port):
+                continue
+            raw = values[position]
+            value = raw.item() if hasattr(raw, "item") else raw
+            is_last = position == len(values) - 1
+            ctx.send(port, Packet(value=value, last=(is_last,)))
+            ctx.set_state(f"pos_{port}", position + 1)
+            progressed = True
+        return progressed
+
+    def start(self, ctx) -> None:
+        if self.table.num_rows == 0:
+            # An empty table still terminates every column stream.
+            for port in ctx.output_ports():
+                ctx.send(port, Packet(value=None, last=(True,)))
+
+
+def reference_reader_behaviors(schemas, tables) -> dict[str, object]:
+    return {
+        reader_name(schema): functools.partial(ReferenceReader, table=tables[schema.name])
+        for schema in schemas
+    }
+
+
+# -- running one plan on either engine ------------------------------------------
+
+
+def _exact(value: object) -> object:
+    """``value`` with every type spelled out, so that values Python calls
+    equal (``1``, ``1.0``, ``True``, ``np.int64(1)``) still differ."""
+    if isinstance(value, (list, tuple)):
+        return (type(value).__name__, [_exact(item) for item in value])
+    if isinstance(value, dict):
+        return ("dict", [(_exact(key), _exact(item)) for key, item in value.items()])
+    return (type(value).__name__, repr(value))
+
+
+def _packet(packet: Packet) -> tuple:
+    return (_exact(packet.value), packet.last, packet.produced_at)
+
+
+def full_trace(simulator, trace: SimulationTrace, plan: SimulationPlan) -> dict[str, object]:
+    """Everything one run recorded, as lists in recording order."""
+
+    def transfers(record):
+        return [
+            (port, [(time, _packet(packet)) for time, packet in events])
+            for port, events in record.items()
+        ]
+
+    def queued(entries):
+        return [(_packet(packet), time) for packet, time in entries]
+
+    return {
+        "events_processed": trace.events_processed,
+        "end_time": trace.end_time,
+        "outputs": transfers(trace.outputs),
+        "inputs": transfers(trace.inputs),
+        "channels": [
+            (
+                name,
+                channel.source,
+                channel.sink,
+                channel.capacity,
+                channel.closed,
+                astuple(channel.stats),
+                queued(channel.queue),
+                queued(channel.pending),
+            )
+            for name, channel in trace.channels.items()
+        ],
+        "state_logs": [
+            (path, [(time, name, _exact(value)) for time, name, value in log])
+            for path, log in trace.state_logs.items()
+        ],
+        "states": [
+            (path, _exact(component.state)) for path, component in simulator.components.items()
+        ],
+        "report": json.dumps(
+            report_from_trace(simulator, trace, plan).as_dict(), sort_keys=True, default=repr
+        ),
+    }
+
+
+class FireLog:
+    """Wraps a component's behaviour and logs every ``fire``: the time, how
+    many events the engine had scheduled so far, the component and whether
+    it made progress.  Two engines log the same only if they run the same
+    events in the same order."""
+
+    def __init__(self, behavior, path: str, simulator, log: list) -> None:
+        self.behavior = behavior
+        self.path = path
+        self.simulator = simulator
+        self.log = log
+
+    def start(self, ctx) -> None:
+        start = getattr(self.behavior, "start", None)
+        if callable(start):
+            start(ctx)
+
+    def fire(self, ctx) -> bool:
+        progressed = self.behavior.fire(ctx)
+        self.log.append((self.simulator.now, self.simulator._event_seq, self.path, progressed))
+        return progressed
+
+
+def simulate(simulator_class, project, plan: SimulationPlan, behaviors=None) -> dict[str, object]:
+    """Run ``plan`` on one engine the way :func:`~repro.sim.run_simulation`
+    does, keeping the partial trace of a run that exceeds ``max_events``."""
+    simulator = simulator_class(
+        project, channel_capacity=plan.channel_capacity, behaviors=behaviors
+    )
+    fires: list[tuple] = []
+    for component in simulator.components.values():
+        component.behavior = FireLog(component.behavior, component.path, simulator, fires)
+    for stimulus in plan.stimuli:
+        simulator.drive(
+            stimulus.port,
+            list(stimulus.values),
+            dimensions=stimulus.dimensions,
+            interval=stimulus.interval,
+            start_time=stimulus.start_time,
+        )
+    error = None
+    try:
+        trace = simulator.run(max_time=plan.max_time, max_events=plan.max_events)
+    except TydiSimulationError as exc:
+        error, trace = str(exc), exc.trace
+    return {"error": error, "fires": fires, **full_trace(simulator, trace, plan)}
+
+
+def assert_same_run(project, plan, behaviors=None, reference_behaviors=None) -> dict[str, object]:
+    expected = simulate(ReferenceSimulator, project, plan, reference_behaviors or behaviors)
+    actual = simulate(Simulator, project, plan, behaviors)
+    for key, value in expected.items():
+        assert actual[key] == value, f"{key} differs from the reference engine"
+    return actual
+
+
+# -- TPC-H ------------------------------------------------------------------------
+
+ROWS = 200
+
+
+@functools.lru_cache(maxsize=None)
+def tpch_tables(seed: int):
+    return generate_tpch_data(ROWS, seed=seed)
+
+
+def tpch_run(query, seed: int, plan: SimulationPlan) -> dict[str, object]:
+    datasets = query.dataset_builder(tpch_tables(seed))
+    return assert_same_run(
+        query.compile().project,
+        plan,
+        reader_behaviors(query.schemas, datasets),
+        reference_reader_behaviors(query.schemas, datasets),
+    )
+
+
+@pytest.mark.parametrize("seed", (1, 2, 3))
+@pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda query: query.name)
+def test_tpch_designs(query, seed):
+    run = tpch_run(query, seed, query.default_plan())
+    assert run["error"] is None
+    assert json.loads(run["report"])["verdict"] == "ok"
+
+
+SMALL_QUERIES = [query for query in ALL_QUERIES if query.name in ("q1", "q6")]
+
+
+@pytest.mark.parametrize("query", SMALL_QUERIES, ids=lambda query: query.name)
+def test_tpch_empty_tables(query):
+    datasets = {name: table.head(0) for name, table in query.dataset_builder(tpch_tables(1)).items()}
+    assert_same_run(
+        query.compile().project,
+        query.default_plan(),
+        reader_behaviors(query.schemas, datasets),
+        reference_reader_behaviors(query.schemas, datasets),
+    )
+
+
+@pytest.mark.parametrize("query", SMALL_QUERIES, ids=lambda query: query.name)
+def test_tpch_reader_objects_reused_across_runs(query):
+    # A behaviour object (not a factory) serves every instance of its
+    # implementation, in every simulator it is passed to.
+    project = query.compile().project
+    datasets = query.dataset_builder(tpch_tables(2))
+
+    def shared(reader_class):
+        return {
+            reader_name(schema): reader_class(
+                project.implementation(reader_name(schema)), datasets[schema.name]
+            )
+            for schema in query.schemas
+        }
+
+    plan = query.default_plan()
+    reference, behaviors = shared(ReferenceReader), shared(fletcher.FletcherReaderBehavior)
+    first = simulate(ReferenceSimulator, project, plan, reference)
+    for _ in range(2):
+        assert simulate(Simulator, project, plan, behaviors) == first
+
+
+@pytest.mark.parametrize("query", SMALL_QUERIES, ids=lambda query: query.name)
+def test_tpch_max_events_exhaustion(query):
+    run = tpch_run(query, 1, query.default_plan(max_events=2500))
+    assert run["error"] == "simulation exceeded 2500 events; possible livelock"
+    assert run["events_processed"] == 2501
+
+
+# -- fuzzed chains driven by plan stimuli -----------------------------------------
+
+
+class ChainStep:
+    """A chain step: forwards each packet after a latency set by its step
+    number, counts packets in state, and copies every third count to its
+    ``spare`` port when it has one (sugaring voids it)."""
+
+    def __init__(self, implementation: Implementation) -> None:
+        self.latency = int(implementation.name[len("step") : -len("_i")]) % 3
+
+    def fire(self, ctx) -> bool:
+        if not ctx.has_input("i") or not ctx.can_send("o"):
+            return False
+        packet = ctx.take("i")
+        seen = ctx.get_state("seen", 0) + 1
+        ctx.set_state("seen", seen)
+        ctx.send("o", packet, delay=self.latency)
+        if seen % 3 == 0 and ctx.can_send("spare"):
+            ctx.send("spare", packet.with_value(seen))
+        return True
+
+
+def chain_step(implementation: Implementation) -> ChainStep:
+    return ChainStep(implementation)
+
+
+@pytest.mark.parametrize("capacity", (1, 4))
+@pytest.mark.parametrize("seed", range(8))
+def test_fuzzed_chains(seed, capacity):
+    rng = random.Random(seed)
+    project = compile_sources(build_random_design(rng), cache=None).project
+    behaviors = {name: chain_step for name in project.implementations if name.startswith("step")}
+    stimulus = Stimulus(
+        port="feed",
+        values=tuple(rng.randint(0, 255) for _ in range(rng.randint(0, 12))),
+        interval=rng.randint(1, 3),
+        start_time=rng.randint(0, 4),
+    )
+    plan = SimulationPlan(stimuli=(stimulus,), channel_capacity=capacity, testbench=True)
+    run = assert_same_run(project, plan, behaviors)
+    assert run["error"] is None
+
+
+# -- scripted behaviours, deadlock and livelock ------------------------------------
+
+SCRIPTED = {
+    "doubler": (DOUBLER, {"i": [1, 2, 3, 4, 5]}),
+    "merge": (MERGE, {"x": [1, 2, 3, 4], "y": [10, 20, 30, 40]}),
+    "slow": (SLOW, {"i": [5, 6, 7]}),
+    "clamp": (CLAMP, {"i": [50, 150, 99, 101]}),
+    "tap": (TAP, {"i": [1, 2, 3]}),
+    "toggler": (TOGGLER, {"i": [10, 11, 12, 13, 14]}),
+}
+
+
+@pytest.mark.parametrize("capacity", (1, 2))
+@pytest.mark.parametrize("name", sorted(SCRIPTED))
+def test_scripted_designs(name, capacity):
+    source, stimuli = SCRIPTED[name]
+    plan = SimulationPlan(stimuli=stimuli, channel_capacity=capacity, testbench=True)
+    run = assert_same_run(compile_project(source).project, plan)
+    assert run["error"] is None
+
+
+MISSING_OPERAND = """
+type num = Stream(Bit(8), d=1);
+streamlet top_s { a: num in, b: num in, o: num out, }
+impl top_i of top_s {
+    instance add(adder_i<type num, type num>),
+    a => add.lhs,
+    b => add.rhs,
+    add.output => o,
+}
+top top_i;
+"""
+
+
+@pytest.mark.parametrize("capacity", (1, 2))
+def test_deadlock_ends_by_max_time(capacity):
+    # Only one adder operand is driven: the stimulus polls forever.
+    plan = SimulationPlan(stimuli={"a": [1, 2, 3]}, channel_capacity=capacity, max_time=400)
+    run = assert_same_run(compile_project(MISSING_OPERAND).project, plan)
+    assert run["error"] is None
+    assert run["end_time"] == 400
+    assert json.loads(run["report"])["verdict"] == "deadlock"
+
+
+ENDLESS = """
+type num = Stream(Bit(32), d=1);
+streamlet top_s { total: num out, }
+impl top_i of top_s {
+    instance k(const_int_generator_i<type num, 3>),
+    instance acc(sum_i<type num, type num>),
+    k.output => acc.input,
+    acc.output => total,
+}
+top top_i;
+"""
+
+
+def test_max_events_exhaustion_keeps_the_partial_trace():
+    # The constant stream never closes, so the accumulator never finishes.
+    plan = SimulationPlan(max_events=600)
+    run = assert_same_run(compile_project(ENDLESS).project, plan)
+    assert run["error"] == "simulation exceeded 600 events; possible livelock"
+    assert run["events_processed"] == 601
+
+
+# -- what the engine and the reader allocate ---------------------------------------
+
+
+def test_one_context_per_component(monkeypatch):
+    # One tpch-sim benchmark pass (seed 1); the previous engine built a
+    # context per wake-up, 285,674 of them.
+    contexts: list[str] = []
+    make_context = BehaviorContext.__init__
+
+    def counting_context(self, simulator, component):
+        contexts.append(component.path)
+        make_context(self, simulator, component)
+
+    monkeypatch.setattr(BehaviorContext, "__init__", counting_context)
+    tables = generate_tpch_data(600, seed=1)
+    components = []
+    for query in ALL_QUERIES:
+        _, _, simulator = query.simulate(tables)
+        components.extend(simulator.components)
+    assert len(components) == 176
+    assert contexts == components
+
+
+def test_each_reader_converts_each_connected_column_once(monkeypatch):
+    conversions: list[object] = []
+    convert = fletcher._python_values
+
+    def counting_convert(values):
+        conversions.append(values)
+        return convert(values)
+
+    monkeypatch.setattr(fletcher, "_python_values", counting_convert)
+    columns = 0
+    for query in ALL_QUERIES:
+        _, _, simulator = query.simulate(tpch_tables(1))
+        for component in simulator.components.values():
+            if isinstance(component.behavior, fletcher.FletcherReaderBehavior):
+                columns += sum(port in component.behavior.table for port in component.outputs)
+    assert columns > 0
+    assert len(conversions) == columns
+
+
+def test_column_conversion_matches_per_element_item():
+    tables = generate_tpch_data(600, seed=1)
+    columns = [
+        table[name]
+        for query in ALL_QUERIES
+        for table in query.dataset_builder(tables).values()
+        for name in table.column_names()
+    ]
+    assert len(columns) == 66
+    columns += [
+        np.array([np.int64(3), "x", None, np.float32(1.5)], dtype=object),
+        np.array([True, False]),
+        np.array([1.5, -2.25], dtype=np.float16),
+        np.array([2**63 + 1], dtype=np.uint64),
+        np.array(["2020-01-01"], dtype="datetime64[D]"),
+    ]
+    for values in columns:
+        expected = [raw.item() if hasattr(raw, "item") else raw for raw in values]
+        assert _exact(fletcher._python_values(values)) == _exact(expected)

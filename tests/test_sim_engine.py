@@ -1,5 +1,7 @@
 """Unit tests for the event-driven simulation engine."""
 
+import pickle
+
 import pytest
 
 from repro.errors import TydiSimulationError
@@ -125,6 +127,17 @@ class TestExecution:
         trace = simulator.run()
         add_input = next(c for c in trace.channels.values() if c.sink == ("add", "lhs"))
         assert add_input.stats.packets_transferred == 10
+
+    def test_trace_pickles_without_the_simulator(self, pipeline_project):
+        simulator = Simulator(pipeline_project)
+        simulator.drive("values", [1, 2, 3])
+        trace = simulator.run()
+        copy = pickle.loads(pickle.dumps(trace))
+        assert copy.output_values("total") == trace.output_values("total")
+        for name, channel in trace.channels.items():
+            assert copy.channels[name].stats == channel.stats
+            assert copy.channels[name].source_component is None
+            assert copy.channels[name].sink_component is None
 
     def test_behavior_override_by_instance_path(self):
         source = """

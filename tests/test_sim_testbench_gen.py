@@ -3,8 +3,9 @@
 import pytest
 
 from repro.lang.compile import compile_project
-from repro.sim import Simulator
+from repro.sim import SimulationTrace, Simulator
 from repro.sim import testbench_from_trace as make_testbench
+from repro.sim.testbench_gen import coverage_of
 from repro.vhdl.testbench import generate_vhdl_testbench
 from repro.utils.text import count_loc
 
@@ -57,6 +58,29 @@ class TestTydiTestbench:
         assert _encode_value(None) == 0
         assert _encode_value("AB") == (ord("A") << 8) | ord("B")
         assert _encode_value(("a", 2)) != _encode_value(("a", 3))
+
+
+class TestCoverage:
+    def test_unhashable_state_is_keyed_by_text(self):
+        trace = SimulationTrace(
+            state_logs={
+                "acc": [
+                    (0, "values", []),
+                    (1, "values", [3]),
+                    (2, "values", [3]),
+                    (3, "groups", {"a": 1}),
+                    (4, "n", 1),
+                    (5, "n", True),
+                    (6, "n", 2.5),
+                ]
+            }
+        )
+        assert coverage_of(trace)["states_visited"] == {
+            "acc.values": ["[3]", "[]"],
+            "acc.groups": ["{'a': 1}"],
+            # Hashable values are deduplicated by equality, as before.
+            "acc.n": ["1", "2.5"],
+        }
 
 
 class TestVhdlTestbench:
