@@ -21,11 +21,11 @@ def tpch_tables():
 
 @pytest.fixture(scope="session")
 def compiled_queries():
-    """Compile the whole suite once, through the parallel batch driver."""
-    from repro.pipeline import CompilationCache
+    """Compile the whole suite once, through the batch driver."""
+    from repro.pipeline import StageCache
     from repro.queries import compile_all
 
-    return compile_all(cache=CompilationCache(), executor="thread")
+    return compile_all(cache=StageCache(), executor="serial")
 
 
 def run_once(benchmark, func):

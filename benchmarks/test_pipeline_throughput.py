@@ -1,14 +1,15 @@
 """Benchmark: batch-pipeline throughput over the TPC-H compile suite.
 
 Not a paper artefact but an infrastructure benchmark: it drives the
-content-addressed cache and the parallel batch driver
-(:mod:`repro.pipeline`) over the full TPC-H query set (every design of
-Table IV plus a no-DRC variant of each, 12 compile jobs in total) and
-asserts the two properties the pipeline promises:
+stage cache and the batch driver (:mod:`repro.pipeline`) over the full
+TPC-H query set (every design of Table IV plus a no-DRC variant of each,
+12 compile jobs in total) and asserts the two properties the pipeline
+promises:
 
-* **warm >= 5x cold** -- recompiling the suite against a warm cache is at
-  least five times faster than the cold batch, and
-* **parallel == serial** -- the concurrently-compiled batch output is
+* **warm >= 5x cold** -- recompiling the suite against a warm cache (one
+  frontend-snapshot hit per job) is at least five times faster than the
+  cold batch, and
+* **parallel == serial** -- the process-pool batch output is
   byte-identical (textual Tydi-IR) to the serial reference.
 """
 
@@ -17,7 +18,7 @@ import time
 from conftest import run_once
 
 from repro.lang.compile import compile_sources
-from repro.pipeline import CompilationCache, StageCache, run_jobs
+from repro.pipeline import StageCache, run_jobs
 from repro.queries import ALL_QUERIES
 from repro.testing import build_chain_design
 
@@ -35,10 +36,10 @@ def suite_jobs():
 def test_pipeline_throughput_cold_vs_warm(benchmark):
     jobs = suite_jobs()
     assert len(jobs) >= 10
-    cache = CompilationCache(max_entries=64)
+    cache = StageCache()
 
     def batch():
-        return run_jobs(jobs, cache=cache, executor="thread", max_workers=4)
+        return run_jobs(jobs, cache=cache, executor="serial")
 
     def cold_batch():
         cache.clear()
@@ -47,14 +48,18 @@ def test_pipeline_throughput_cold_vs_warm(benchmark):
 
     cold = run_once(benchmark, cold_batch)
     assert cold.ok, [f.error for f in cold.failures]
-    assert all(not entry.from_cache for entry in cold.results)
+    assert cache.stats.evaluate_hits == 0
+    assert cache.stats.evaluate_misses == len(jobs)
 
+    parsed = cache.stats.parse_hits + cache.stats.parse_misses
     warm_start = time.perf_counter()
     warm = batch()
     warm_time = time.perf_counter() - warm_start
     assert warm.ok
-    assert all(entry.from_cache for entry in warm.results)
-    assert cache.stats.hits == len(jobs)
+    # Every job is one snapshot hit that runs no frontend stage.
+    assert cache.stats.evaluate_hits == len(jobs)
+    assert cache.stats.evaluate_misses == len(jobs)
+    assert cache.stats.parse_hits + cache.stats.parse_misses == parsed
 
     speedup = cold.wall_time / warm_time if warm_time > 0 else float("inf")
     print("\nBatch compile throughput over the TPC-H suite")
@@ -62,12 +67,12 @@ def test_pipeline_throughput_cold_vs_warm(benchmark):
     print(f"  cold batch:      {cold.wall_time * 1000:8.1f} ms  ({len(jobs) / cold.wall_time:7.1f} designs/s)")
     print(f"  warm batch:      {warm_time * 1000:8.1f} ms  ({len(jobs) / warm_time:7.1f} designs/s)")
     print(f"  warm speedup:    {speedup:8.1f}x")
-    print(f"  cache:           {cache.stats.as_dict()}")
+    print(f"  stage cache:     {cache.stats.as_dict()}")
 
     # Acceptance criterion: warm-cache recompilation is >= 5x faster.
     assert speedup >= 5.0, f"warm cache only {speedup:.1f}x faster than cold"
 
-    # Warm results are the very artefacts the cold batch stored.
+    # Warm results carry the very artefacts the cold batch stored.
     cold_ir = {entry.name: entry.result.ir_text() for entry in cold.results}
     for entry in warm.results:
         assert entry.result.ir_text() == cold_ir[entry.name]
@@ -149,7 +154,7 @@ def test_pipeline_parallel_matches_serial(benchmark):
     jobs = suite_jobs()
 
     def parallel_batch():
-        return run_jobs(jobs, executor="thread", max_workers=4)
+        return run_jobs(jobs, executor="process", max_workers=2)
 
     parallel = run_once(benchmark, parallel_batch)
     assert parallel.ok

@@ -8,8 +8,8 @@ property the tier promises:
 
 * **warm-remote >= 3x fully-cold** -- compiling a design whose artefacts
   are all present on the remote is at least three times faster than
-  compiling it with no cache at all, because every tier of the staged
-  pipeline is served over the wire instead of recomputed, and
+  compiling it with no cache at all, because the frontend snapshot and
+  the backend units are served over the wire instead of recomputed, and
 * **identical artefacts** -- the remote-served result is byte-identical
   to the cold compile (the same promotion/corruption discipline the unit
   tests pin down).
@@ -33,7 +33,7 @@ import time
 from conftest import run_once
 
 from repro.lang.compile import compile_sources
-from repro.pipeline import CompilationCache, RemoteCacheClient
+from repro.pipeline import RemoteCacheClient, StageCache
 from repro.server.cachesvc import CacheServerThread
 
 #: Where the JSON artifact lands (CI uploads this directory).
@@ -67,7 +67,7 @@ def test_cold_worker_with_warm_remote_speedup(benchmark, tmp_path):
     with CacheServerThread() as svc:
         # Warm the fleet store through one worker's write-behind uploads.
         with RemoteCacheClient.from_url(svc.endpoint) as warmer:
-            warm_cache = CompilationCache(cache_dir=tmp_path / "seed", remote=warmer)
+            warm_cache = StageCache(cache_dir=tmp_path / "seed", remote=warmer)
             compile_sources(sources, cache=warm_cache, **options)
             assert warmer.flush(), "write-behind queue failed to drain"
         server_stats = svc.store.stats_snapshot()
@@ -80,7 +80,7 @@ def test_cold_worker_with_warm_remote_speedup(benchmark, tmp_path):
         client_stats = None
         for round_index in range(3):
             with RemoteCacheClient.from_url(svc.endpoint) as client:
-                cold_worker = CompilationCache(
+                cold_worker = StageCache(
                     cache_dir=tmp_path / f"worker{round_index}", remote=client
                 )
                 start = time.perf_counter()

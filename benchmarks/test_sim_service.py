@@ -69,14 +69,14 @@ def _session(cache_dir, plan):
 
 def _measure(cache_dir, plan):
     cold_ws, cold_report, cold_ms = _session(cache_dir, plan)
-    assert cold_ws.cache.stages.stats.sim_misses == 1
+    assert cold_ws.cache.stats.sim_misses == 1
 
     warm_runs = []
     warm_report = None
     for _ in range(WARM_ROUNDS):
         warm_ws, warm_report, warm_ms = _session(cache_dir, plan)
-        assert warm_ws.cache.stages.stats.sim_hits == 1
-        assert warm_ws.cache.stages.stats.sim_misses == 0
+        assert warm_ws.cache.stats.sim_hits == 1
+        assert warm_ws.cache.stats.sim_misses == 0
         warm_runs.append(warm_ms)
     return cold_report, warm_report, cold_ms, warm_runs
 

@@ -70,7 +70,7 @@ def test_workspace_edit_loop_speedup(benchmark):
     workspace = Workspace(options=options)
     workspace.add_design("chain", sources)
     workspace.result("chain")
-    stage_stats = workspace.cache.stages.stats
+    stage_stats = workspace.cache.stats
     stage_stats.reset()
 
     # The edit loop: distinct one-file edits (accumulating in the session,

@@ -10,11 +10,12 @@ VHDL, mirroring the workflow of Figure 1:
 In the default mode every given file is part of *one* design.  With
 ``--batch`` each file is an *independent* design and the set is compiled
 through the pipeline batch driver (:mod:`repro.pipeline`), optionally in
-parallel and against a content-addressed cache:
+worker processes and against a content-addressed cache:
 
 .. code-block:: console
 
-    $ tydi-compile --batch --jobs 4 --cache-dir .tydi-cache --json designs/*.td
+    $ tydi-compile --batch --cache-dir .tydi-cache --json designs/*.td
+    $ tydi-compile --batch --executor process --jobs 4 designs/*.td
 
 Output backends are pluggable (:mod:`repro.backends`): ``--target`` selects
 one or more registered emitters (``--list-backends`` enumerates them),
@@ -129,13 +130,13 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         metavar="N",
-        help="worker count for --batch (default: CPU count)",
+        help="worker count for --executor process (default: CPU count)",
     )
     batch.add_argument(
         "--executor",
-        choices=("serial", "thread", "process"),
-        default="thread",
-        help="batch executor kind (default: thread)",
+        choices=("serial", "process"),
+        default="serial",
+        help="batch executor kind (default: serial)",
     )
     batch.add_argument(
         "--cache-dir",
@@ -148,8 +149,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="MB",
-        help="bound the on-disk cache (whole-result and per-stage artefacts) "
-        "to this many megabytes, evicting least-recently-used entries",
+        help="bound the on-disk cache to this many megabytes, evicting "
+        "least-recently-used entries",
     )
     batch.add_argument(
         "--remote-cache",
@@ -260,7 +261,8 @@ def _design_name(path_text: str, taken: set[str]) -> str:
 
 
 def _build_cache(args: argparse.Namespace):
-    """The compilation cache the CLI flags describe (``None`` without one).
+    """The :class:`~repro.pipeline.stages.StageCache` the CLI flags describe
+    (``None`` without one).
 
     ``--remote-cache`` alone still gets a cache (memory + remote tiers,
     no disk): the point of the shared L2 is precisely that a machine
@@ -276,9 +278,9 @@ def _build_cache(args: argparse.Namespace):
     remote = getattr(args, "remote_cache", None)
     if not args.cache_dir and not remote:
         return None
-    from repro.pipeline import CompilationCache
+    from repro.pipeline import StageCache
 
-    return CompilationCache(
+    return StageCache(
         cache_dir=args.cache_dir or None,
         max_disk_bytes=max_disk_bytes,
         remote=remote,
@@ -334,7 +336,6 @@ def _run_batch(args: argparse.Namespace) -> int:
     # One workspace session per invocation; --watch keeps it alive below,
     # feeding edited sources through update_file and re-querying.
     workspace = Workspace(cache=_build_cache(args))
-    cache = workspace.cache
 
     # An unreadable file is one failed *design*, not a reason to abort the
     # batch -- mirroring the engine's per-design compile-error isolation.
@@ -378,18 +379,18 @@ def _run_batch(args: argparse.Namespace) -> int:
         outcome.results.insert(position, unreadable[position])
 
     if args.json_output:
+        stats = workspace.stats()
         payload = {
             "designs": [entry.as_dict() for entry in outcome.results],
             "batch": outcome.stats(),
-            "cache": cache.stats_snapshot() if cache is not None else None,
-            "stage_cache": cache.stages.stats_snapshot() if cache is not None else None,
+            "cache": stats["cache"],
+            "stage_cache": stats["stage_cache"],
         }
         print(json.dumps(payload, indent=2))
     else:
         for entry in outcome.results:
             if entry.ok:
-                note = " (cached)" if entry.from_cache else ""
-                print(f"[ok] {entry.name}{note} ({entry.elapsed:.3f}s)")
+                print(f"[ok] {entry.name} ({entry.elapsed:.3f}s)")
                 if args.stats:
                     for key, value in entry.result.project.statistics().items():
                         print(f"    {key}: {value}")
@@ -399,7 +400,7 @@ def _run_batch(args: argparse.Namespace) -> int:
         stats = outcome.stats()
         print(
             f"batch: {stats['succeeded']}/{stats['jobs']} succeeded "
-            f"({stats['cached']} cached) in {stats['wall_time']:.3f}s "
+            f"in {stats['wall_time']:.3f}s "
             f"[{stats['executor']} x{stats['workers']}]"
         )
 
@@ -750,7 +751,6 @@ def _query_and_emit_single(args, workspace, targets, log_stream) -> int:
     """
     from repro.errors import TydiError
 
-    cache = workspace.cache
     try:
         result = workspace.result("design")
     except TydiError as exc:
@@ -766,12 +766,13 @@ def _query_and_emit_single(args, workspace, targets, log_stream) -> int:
             return 1
 
     if args.json_output:
+        stats = workspace.stats()
         payload = {
             "stages": [{"name": s.name, "detail": s.detail} for s in result.stages],
             "statistics": result.project.statistics(),
             "outputs": {target: sorted(files) for target, files in result.outputs.items()},
-            "cache": cache.stats_snapshot() if cache is not None else None,
-            "stage_cache": cache.stages.stats_snapshot() if cache is not None else None,
+            "cache": stats["cache"],
+            "stage_cache": stats["stage_cache"],
         }
         if sim_report is not None:
             payload["simulation"] = sim_report.as_dict()

@@ -28,13 +28,11 @@ from repro.errors import DiagnosticSink
 from repro.interchange.parse import load_ir
 from repro.ir.model import Project
 from repro.lang.compile import (
-    IR_STAGE_DETAIL,
     CompilationResult,
     CompilationStage,
     CompileOptions,
-    backend_stage,
-    drc_stage,
-    sugar_stage,
+    finish_frontend,
+    run_backends,
 )
 from repro.profiling import PROFILER
 
@@ -75,41 +73,9 @@ def compile_ir_document(
     outputs (pass a :class:`~repro.pipeline.stages.StageCache`).
     """
     resolved = CompileOptions.coerce(options)
-    diagnostics = DiagnosticSink()
-    stages: list[CompilationStage] = []
-
     project, ingest_entry = ingest_stage(text, filename=filename)
-    stages.append(ingest_entry)
-
-    sugaring_report = None
-    if resolved.sugaring:
-        sugaring_report, sugar_entry = sugar_stage(project, diagnostics)
-        stages.append(sugar_entry)
-
-    drc_report = None
-    if resolved.run_drc:
-        drc_report, drc_entry = drc_stage(project, diagnostics, strict=resolved.strict_drc)
-        stages.append(drc_entry)
-
-    stages.append(CompilationStage("ir", IR_STAGE_DETAIL))
-
-    outputs, backend_entries = backend_stage(
-        project,
-        resolved.targets,
-        backend_options=resolved.backend_options,
-        stage_cache=stage_cache,
-    )
-    stages.extend(backend_entries)
-
-    return CompilationResult(
-        project=project,
-        diagnostics=diagnostics,
-        stages=stages,
-        sugaring=sugaring_report,
-        drc=drc_report,
-        units=[],
-        outputs=outputs,
-    )
+    state = finish_frontend(project, DiagnosticSink(), [ingest_entry], resolved)
+    return run_backends(state, resolved, stage_cache=stage_cache)
 
 
 def roundtrip_document(project: Project) -> str:

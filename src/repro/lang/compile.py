@@ -22,10 +22,11 @@ Each of the four boxes is exposed as a composable function --
 :func:`parse_stage`, :func:`evaluate_stage`, :func:`sugar_stage`,
 :func:`drc_stage` -- each returning its artefact together with the
 :class:`CompilationStage` log entry it contributes.  ``compile_sources``
-is the monolithic composition of the four; the per-stage cache
-(:class:`repro.pipeline.stages.StageCache`) composes the *same* functions
-with memoised parse and evaluate artefacts, which is what makes the
-staged and monolithic pipelines provably equivalent (see
+is the monolithic composition of the four (:func:`run_frontend`, then
+:func:`run_backends`); the per-stage cache
+(:class:`repro.pipeline.stages.StageCache`) runs the *same* two functions
+with memoised ASTs and post-DRC snapshots, which is what makes the staged
+and monolithic pipelines provably equivalent (see
 ``tests/test_stage_differential.py``).
 
 The stage log recorded on the result mirrors the "code structure #1..#4"
@@ -38,7 +39,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Mapping, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import DiagnosticSink, TydiInputError, did_you_mean
 from repro.ir.emit import emit_project
@@ -50,6 +51,9 @@ from repro.lang.parser import parse_source
 from repro.lang.sugaring import SugaringReport, apply_sugaring
 from repro.profiling import PROFILER
 from repro.stdlib.source import STDLIB_SOURCE
+
+if TYPE_CHECKING:  # pragma: no cover - types only
+    from repro.pipeline.stages import StageCache
 
 
 def normalize_sources(
@@ -294,18 +298,6 @@ class CompileOptions:
         return fingerprint_sources(sources, self.as_dict())
 
 
-class ResultCache(Protocol):
-    """What :func:`compile_sources` needs from a cache (duck-typed so the
-    lang layer never imports :mod:`repro.pipeline`; pass a
-    :class:`repro.pipeline.CompilationCache`)."""
-
-    def key_for(self, sources, options) -> str: ...  # pragma: no cover
-
-    def get(self, key: str) -> Optional["CompilationResult"]: ...  # pragma: no cover
-
-    def put(self, key: str, result: "CompilationResult") -> None: ...  # pragma: no cover
-
-
 @lru_cache(maxsize=4)
 def _parsed_stdlib(source_text: str) -> SourceUnit:
     """Parse the standard library once per distinct source text.
@@ -348,7 +340,6 @@ class CompilationResult:
     stages: list[CompilationStage] = field(default_factory=list)
     sugaring: Optional[SugaringReport] = None
     drc: Optional[DRCReport] = None
-    units: list[SourceUnit] = field(default_factory=list)
     #: Backend outputs requested via ``targets``: backend name -> files.
     outputs: dict[str, dict[str, str]] = field(default_factory=dict)
 
@@ -495,37 +486,31 @@ def backend_stage(
     return outputs, entries
 
 
-def run_pipeline(
-    normalized: Sequence[tuple[str, str]],
-    options: CompileOptions,
-) -> CompilationResult:
-    """The monolithic Figure-3 pipeline: every stage from scratch, no caches.
+class FrontendState(NamedTuple):
+    """The checked, typed project every backend consumes: stages 1-5.
 
-    This is the reference composition of the stage functions above; the
-    staged pipeline (:meth:`repro.pipeline.stages.StageCache.compile`)
-    composes the *same* functions with memoised artefacts and is
-    differential-tested byte-identical against this one.  Callers that want
-    caching or session state go through :class:`repro.workspace.Workspace`
-    (or its :func:`compile_sources` shim) instead of calling this directly.
+    The post-DRC snapshot the per-stage cache stores as one entry
+    (:meth:`repro.pipeline.stages.StageCache.compile`).  Backends and the
+    simulator only read it, so one state may serve any number of results.
     """
-    diagnostics = DiagnosticSink()
-    stages: list[CompilationStage] = []
 
-    # Stage 1: parse (the stdlib AST is parsed once and shared, see
-    # :func:`_parsed_stdlib`).
-    units, parse_entry = parse_stage(normalized, include_stdlib=options.include_stdlib)
-    stages.append(parse_entry)
+    stages: tuple[CompilationStage, ...]
+    project: Project
+    diagnostics: DiagnosticSink
+    sugaring: Optional[SugaringReport]
+    drc: Optional[DRCReport]
 
-    # Stage 2: evaluation / expansion ("code expansion & evaluation").
-    project, evaluate_entry = evaluate_stage(
-        units,
-        diagnostics,
-        top=options.top,
-        top_args=options.top_args,
-        project_name=options.project_name,
-    )
-    stages.append(evaluate_entry)
 
+def finish_frontend(
+    project: Project,
+    diagnostics: DiagnosticSink,
+    stages: list[CompilationStage],
+    options: CompileOptions,
+) -> FrontendState:
+    """Stages 3-5 over an evaluated (or ingested) project: sugar, DRC, IR.
+
+    ``stages`` holds the log entries of the stages that built ``project``.
+    """
     # Stage 3: sugaring ("desugaring" box of Figure 3).
     sugaring_report: Optional[SugaringReport] = None
     if options.sugaring:
@@ -540,23 +525,70 @@ def run_pipeline(
 
     # Stage 5: Tydi-IR generation is on-demand via CompilationResult.ir_text().
     stages.append(CompilationStage("ir", IR_STAGE_DETAIL))
+    return FrontendState(tuple(stages), project, diagnostics, sugaring_report, drc_report)
 
-    # Stage 6: requested output backends (uncached on the monolithic path;
-    # the staged pipeline memoises per-implementation unit outputs).
-    outputs, backend_entries = backend_stage(
-        project, options.targets, backend_options=options.backend_options
+
+def run_frontend(
+    normalized: Sequence[tuple[str, str]],
+    options: CompileOptions,
+    *,
+    parse_file: Callable[[str, str], SourceUnit] = parse_source,
+) -> FrontendState:
+    """Stages 1-5 from source texts (``parse_file`` as in :func:`parse_stage`)."""
+    diagnostics = DiagnosticSink()
+    # Stage 1: parse (the stdlib AST is parsed once and shared, see
+    # :func:`_parsed_stdlib`).
+    units, parse_entry = parse_stage(
+        normalized, include_stdlib=options.include_stdlib, parse_file=parse_file
     )
-    stages.extend(backend_entries)
+    # Stage 2: evaluation / expansion ("code expansion & evaluation").
+    project, evaluate_entry = evaluate_stage(
+        units,
+        diagnostics,
+        top=options.top,
+        top_args=options.top_args,
+        project_name=options.project_name,
+    )
+    return finish_frontend(project, diagnostics, [parse_entry, evaluate_entry], options)
 
+
+def run_backends(
+    state: FrontendState,
+    options: CompileOptions,
+    *,
+    stage_cache: Optional["StageCache"] = None,
+) -> CompilationResult:
+    """Stage 6 over one frontend state: the requested backends, then the result."""
+    outputs, backend_entries = backend_stage(
+        state.project,
+        options.targets,
+        backend_options=options.backend_options,
+        stage_cache=stage_cache,
+    )
     return CompilationResult(
-        project=project,
-        diagnostics=diagnostics,
-        stages=stages,
-        sugaring=sugaring_report,
-        drc=drc_report,
-        units=units,
+        project=state.project,
+        diagnostics=state.diagnostics,
+        stages=[*state.stages, *backend_entries],
+        sugaring=state.sugaring,
+        drc=state.drc,
         outputs=outputs,
     )
+
+
+def run_pipeline(
+    normalized: Sequence[tuple[str, str]],
+    options: CompileOptions,
+) -> CompilationResult:
+    """The monolithic Figure-3 pipeline: every stage from scratch, no caches.
+
+    This is the reference composition of the stage functions above; the
+    staged pipeline (:meth:`repro.pipeline.stages.StageCache.compile`)
+    composes the *same* functions with memoised artefacts and is
+    differential-tested byte-identical against this one.  Callers that want
+    caching or session state go through :class:`repro.workspace.Workspace`
+    (or its :func:`compile_sources` shim) instead of calling this directly.
+    """
+    return run_backends(run_frontend(normalized, options), options)
 
 
 def compile_sources(
@@ -572,7 +604,7 @@ def compile_sources(
     project_name: str = "design",
     targets: Sequence[str] = (),
     backend_options: Sequence[tuple[str, object]] | Mapping[str, object] = (),
-    cache: Optional[ResultCache] = None,
+    cache: Optional["StageCache"] = None,
 ) -> CompilationResult:
     """Compile one or more Tydi-lang sources to Tydi-IR.
 
@@ -616,14 +648,11 @@ def compile_sources(
         Per-backend emission options, e.g. ``{"dot": {"rankdir": "TB"}}``
         (see :attr:`CompileOptions.backend_options`).
     cache:
-        Optional content-addressed result cache (see
-        :class:`repro.pipeline.CompilationCache`).  On a hit the stored
-        :class:`CompilationResult` is returned as-is (treat it as
-        immutable); on a miss the fresh result is stored before returning.
-        When the cache exposes a per-stage sub-cache as a ``stages``
-        attribute (:class:`repro.pipeline.stages.StageCache`), whole-result
-        misses compile through the staged pipeline, reusing cached per-file
-        ASTs and evaluate snapshots.
+        Optional :class:`repro.pipeline.stages.StageCache` to compile
+        through: a warm post-DRC snapshot skips every frontend stage, and
+        a miss still reuses the unchanged files' cached ASTs.  Treat a
+        result compiled through a cache as immutable (its project may be
+        shared with the cache).
     """
     from_keywords = CompileOptions(
         top=top,
@@ -660,8 +689,7 @@ def compile_sources(
         resolved = from_keywords
 
     # One-shot shim over a throwaway session: the Workspace owns the cache
-    # interaction (result cache, staged sub-pipeline) and the query memo is
-    # simply discarded with the session.
+    # interaction and the query memo is simply discarded with the session.
     from repro.workspace import Workspace
 
     workspace = Workspace(cache=cache)

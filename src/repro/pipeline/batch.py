@@ -1,11 +1,12 @@
-"""The concurrent compile-job engine.
+"""The compile-job engine.
 
 A :class:`CompileJob` is a pure-data description of one frontend run (sources
 plus a :class:`~repro.lang.compile.CompileOptions`), which makes it hashable
 into a content address and shippable to worker processes.  :func:`run_jobs`
-fans a sequence of jobs out over a ``serial``, ``thread`` or ``process``
-executor with per-job error isolation: one design failing its parse or DRC
-records a :class:`JobResult` error entry instead of aborting the batch.
+runs a sequence of jobs on a ``serial`` or ``process`` executor with
+per-job error isolation: one design failing its parse or DRC records a
+:class:`JobResult` error entry instead of aborting the batch.  (Threads
+cannot help: the frontend is pure Python and holds the GIL.)
 
 The engine is driven by :meth:`repro.workspace.Workspace.compile_all` --
 the session API that owns design state.
@@ -16,15 +17,13 @@ compiling the same jobs serially (asserted by
 
 Cache interaction
 -----------------
-* ``serial`` / ``thread``: workers share the caller's
-  :class:`~repro.pipeline.cache.CompilationCache` instance directly --
-  including its per-stage sub-cache (:class:`~repro.pipeline.stages.
-  StageCache`), so whole-result misses still reuse unchanged files' parse
-  ASTs and warm evaluate snapshots.
-* ``process``: the cache object cannot be shared, so workers get the cache's
-  *directory* and hit/populate the on-disk tiers (whole-result artefacts and
-  ``stages/``); the parent folds finished results back into its in-memory
-  tier.
+* ``serial``: jobs compile through the caller's
+  :class:`~repro.pipeline.stages.StageCache`, so a warm design is one
+  frontend-snapshot hit plus its backends.
+* ``process``: the cache object cannot be shared, so each worker opens a
+  :class:`~repro.pipeline.stages.StageCache` over the cache's *directory*
+  and hits/populates the on-disk tiers; the parent's memory tiers stay as
+  they were.
 """
 
 from __future__ import annotations
@@ -32,16 +31,17 @@ from __future__ import annotations
 import os
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.pipeline.cache import CompilationCache
+from repro.pipeline.stages import StageCache
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.lang.compile import CompilationResult, CompileOptions
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class CompileJob:
     strict_drc: bool = True
     project_name: Optional[str] = None
     #: Output backends to run for this design (see :mod:`repro.backends`);
-    #: participates in the content address, so requesting a new target is a
-    #: whole-result miss that still reuses every per-stage artefact.
+    #: participates in the content address, while a new target still reuses
+    #: the design's frontend snapshot.
     targets: tuple[str, ...] = ()
     #: Per-backend emission options in the normal form of
     #: :attr:`repro.lang.compile.CompileOptions.backend_options`.
@@ -93,7 +93,7 @@ class CompileJob:
         """A copy of this job with some option fields replaced."""
         return replace(self, **changes)
 
-    def compile(self, *, cache: Optional[CompilationCache] = None) -> "CompilationResult":
+    def compile(self, *, cache: Optional[StageCache] = None) -> "CompilationResult":
         """Compile this job directly (no executor, no error isolation)."""
         from repro.lang.compile import compile_sources
 
@@ -112,10 +112,6 @@ class JobResult:
     error_stage: Optional[str] = None
     error_type: Optional[str] = None
     elapsed: float = 0.0
-    from_cache: bool = False
-    #: Content address of the job, when a cache was in play (lets the
-    #: process-executor fold reuse the worker's hash instead of recomputing).
-    key: Optional[str] = None
 
     @property
     def name(self) -> str:
@@ -126,9 +122,7 @@ class JobResult:
         return self.error is None
 
     def status(self) -> str:
-        if not self.ok:
-            return "error"
-        return "cached" if self.from_cache else "compiled"
+        return "compiled" if self.ok else "error"
 
     def as_dict(self) -> dict[str, object]:
         """JSON-ready summary (used by ``tydi-compile --batch --json``)."""
@@ -184,14 +178,11 @@ class BatchResult:
                 raise BatchCompilationError(self)
 
     def stats(self) -> dict[str, object]:
-        compiled = sum(1 for r in self.results if r.ok and not r.from_cache)
-        cached = sum(1 for r in self.results if r.ok and r.from_cache)
+        failed = len(self.failures)
         return {
             "jobs": len(self.results),
-            "succeeded": compiled + cached,
-            "failed": len(self.failures),
-            "compiled": compiled,
-            "cached": cached,
+            "succeeded": len(self.results) - failed,
+            "failed": failed,
             "executor": self.executor,
             "workers": self.workers,
             "wall_time": round(self.wall_time, 6),
@@ -213,35 +204,11 @@ class BatchCompilationError(Exception):
         super().__init__("\n".join(lines))
 
 
-def _execute_job(job: CompileJob, cache: Optional[CompilationCache]) -> JobResult:
+def _execute_job(job: CompileJob, cache: Optional[StageCache]) -> JobResult:
     """Compile one job with error isolation; shared by every executor."""
     start = time.perf_counter()
-    key: Optional[str] = None
     try:
-        stage_cache = None
-        if cache is not None:
-            key = job.fingerprint()
-            hit = cache.get(key)
-            if hit is not None:
-                return JobResult(
-                    job=job,
-                    result=hit,
-                    elapsed=time.perf_counter() - start,
-                    from_cache=True,
-                    key=key,
-                )
-            stage_cache = getattr(cache, "stages", None)
-        if stage_cache is not None:
-            # Whole-result miss, but the per-stage tiers may still hold the
-            # unchanged files' ASTs and the design's evaluate snapshot.
-            result = stage_cache.compile(job.sources, job.options())
-        else:
-            from repro.lang.compile import compile_sources
-
-            result = compile_sources(list(job.sources), **job.options())
-        if cache is not None and key is not None:
-            cache.put(key, result)
-        return JobResult(job=job, result=result, elapsed=time.perf_counter() - start, key=key)
+        result = job.compile(cache=cache)
     except Exception as exc:  # noqa: BLE001 - isolation is the whole point
         return JobResult(
             job=job,
@@ -250,14 +217,15 @@ def _execute_job(job: CompileJob, cache: Optional[CompilationCache]) -> JobResul
             error_type=type(exc).__name__,
             elapsed=time.perf_counter() - start,
         )
+    return JobResult(job=job, result=result, elapsed=time.perf_counter() - start)
 
 
 def _process_worker(
     job: CompileJob, cache_dir: Optional[str], max_disk_bytes: Optional[int] = None
 ) -> JobResult:
-    """Process-pool entry point: rebuild a disk-backed cache in the worker."""
+    """Process-pool entry point: open a disk-backed cache in the worker."""
     cache = (
-        CompilationCache(cache_dir=cache_dir, max_disk_bytes=max_disk_bytes)
+        StageCache(cache_dir=cache_dir, max_disk_bytes=max_disk_bytes)
         if cache_dir
         else None
     )
@@ -268,28 +236,20 @@ def _worker_count(executor: str, max_workers: Optional[int], num_jobs: int) -> i
     """Resolve the effective worker count for one batch.
 
     An explicit ``max_workers`` is always respected (clamped to the job
-    count).  The *default* is executor-aware: the frontend is pure Python,
-    so threads only overlap the GIL-releasing slices (disk-cache I/O,
-    pickling) and more than a handful adds contention rather than
-    parallelism -- hence the small thread cap.  Processes sidestep the GIL
-    entirely, so their default is the full CPU count.  (Historically both
-    defaults were capped at 8, under-using wide machines for process
-    batches.)
+    count); the default is the CPU count.
     """
     if executor == "serial" or num_jobs <= 1:
         return 1
     if max_workers is not None:
         return max(1, min(max_workers, num_jobs))
-    cpus = os.cpu_count() or 2
-    workers = min(cpus, 8) if executor == "thread" else cpus
-    return max(1, min(workers, num_jobs))
+    return max(1, min(os.cpu_count() or 2, num_jobs))
 
 
 def run_jobs(
     jobs: Sequence[CompileJob],
     *,
-    cache: Optional[CompilationCache] = None,
-    executor: str = "thread",
+    cache: Optional[StageCache] = None,
+    executor: str = "serial",
     max_workers: Optional[int] = None,
 ) -> BatchResult:
     """Compile every job through one executor; failures are recorded per job.
@@ -299,17 +259,14 @@ def run_jobs(
     Parameters
     ----------
     cache:
-        A shared :class:`~repro.pipeline.cache.CompilationCache`; jobs whose
-        fingerprint hits skip compilation entirely.
+        A shared :class:`~repro.pipeline.stages.StageCache`; a job whose
+        frontend snapshot hits runs only its backends.
     executor:
-        ``"serial"``, ``"thread"`` or ``"process"``.  Threads share the
-        in-memory cache; processes share only its disk tier.
+        ``"serial"`` or ``"process"``.  Serial jobs share the cache
+        object; processes share only its disk tier.
     max_workers:
-        Worker count for the concurrent executors.  Defaults are
-        executor-aware (see :func:`_worker_count`): CPU count for
-        processes, CPU count capped at 8 for threads (the pure-Python
-        frontend holds the GIL, so extra threads add contention, not
-        parallelism).  An explicit value is always respected.
+        Worker count for the process executor (default: the CPU count;
+        an explicit value is always respected, see :func:`_worker_count`).
     """
     if executor not in EXECUTORS:
         raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
@@ -321,64 +278,17 @@ def run_jobs(
 
     start = time.perf_counter()
     workers = _worker_count(executor, max_workers, len(jobs))
-    if executor == "serial" or workers == 1:
+    if workers == 1:
         results = [_execute_job(job, cache) for job in jobs]
         executor_name = "serial"
-    elif executor == "thread":
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: _execute_job(job, cache), jobs))
-        executor_name = "thread"
     else:
-        cache_dir = (
-            str(cache.cache_dir)
-            if cache is not None and getattr(cache, "cache_dir", None) is not None
-            else None
-        )
-        # Check the parent's in-memory tier before paying pool dispatch:
-        # workers can only see the disk tier, so without this a
-        # memory-only cache would never produce a warm process batch.
-        hits: dict[int, JobResult] = {}
-        pending: list[CompileJob] = []
-        if cache is not None:
-            for index, job in enumerate(jobs):
-                key = job.fingerprint()
-                hit = cache.get(key)
-                if hit is not None:
-                    hits[index] = JobResult(job=job, result=hit, from_cache=True, key=key)
-                else:
-                    pending.append(job)
-        else:
-            pending = jobs
-        max_disk_bytes = getattr(cache, "max_disk_bytes", None) if cache is not None else None
+        cache_dir = max_disk_bytes = None
+        if cache is not None and cache.cache_dir is not None:
+            cache_dir, max_disk_bytes = str(cache.cache_dir), cache.max_disk_bytes
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            compiled = list(
-                pool.map(
-                    _process_worker,
-                    pending,
-                    [cache_dir] * len(pending),
-                    [max_disk_bytes] * len(pending),
-                )
+            results = list(
+                pool.map(_process_worker, jobs, repeat(cache_dir), repeat(max_disk_bytes))
             )
-        compiled_iter = iter(compiled)
-        results = [hits.get(i) or next(compiled_iter) for i in range(len(jobs))]
-        # Fold worker output back into the parent's cache: results into
-        # the in-memory tier (the workers already wrote the disk
-        # artefacts, so skip re-pickling those), and the workers'
-        # hit/miss activity into the parent's stats so e.g.
-        # ``tydi-compile --json`` reports a warm process batch as warm.
-        # Parent-side hits above already counted themselves via get().
-        if cache is not None:
-            for entry in compiled:
-                if not entry.ok:
-                    continue
-                key = entry.key or entry.job.fingerprint()
-                if entry.from_cache:
-                    cache.absorb_hit(key, entry.result)
-                else:
-                    cache.put(key, entry.result, disk=cache_dir is None)
-            # The disk-skipping fold above bypasses the per-store budget
-            # check, so settle the batch's disk growth in one pass here.
-            cache.enforce_disk_budget()
         executor_name = "process"
     return BatchResult(
         results=results,

@@ -24,8 +24,8 @@ Design constraints, in order:
 * **Observability.**  The client counts gets / hits / misses / skips /
   puts / drops / corrupt payloads / transport errors and bytes both ways;
   :meth:`RemoteCacheClient.stats_snapshot` surfaces them through
-  ``CompilationCache.stats_snapshot()`` -> ``Workspace.stats()`` -> the
-  service ``stats`` endpoint.
+  ``Workspace.stats()["cache"]["remote"]`` -> the service ``stats``
+  endpoint.
 
 Wire format (shared with the server, both stdlib-only): length-prefixed
 binary frames over one TCP connection, ``!I`` big-endian payload length
@@ -35,9 +35,9 @@ then the payload.  Request payloads are one opcode byte plus operands::
     b"P" + !H keylen + key + blob       -> b"O"        | b"E" + msg
     b"S"                                -> b"S" + JSON stats | b"E" + msg
 
-Keys are namespaced fingerprints (``result:<sha256>``, ``ast:<sha256>``,
-``eval:<sha256>``, ``backend:<sha256>``) so the four artefact kinds can
-never be confused; payloads are the same pickle bytes the disk tier
+Keys are namespaced fingerprints (``ast:<sha256>``, ``eval:<sha256>``,
+``iringest:<sha256>``, ``backend:<sha256>``, ``sim:<sha256>``) so the
+artefact kinds can never be confused; payloads are the same pickle bytes the disk tier
 stores.  The client never interprets payloads -- corruption is detected by
 the cache layer's unpickle guard, which reports it back through
 :meth:`RemoteCacheClient.note_corrupt`.

@@ -1,11 +1,7 @@
-"""Per-stage sub-caching for the Figure-3 frontend pipeline.
+"""The compilation cache: per-stage memoisation of the Figure-3 pipeline.
 
-The whole-result cache of :mod:`repro.pipeline.cache` only hits when an
-*entire* design -- every source file plus every option -- is byte-identical.
-Editing one file of an N-file design therefore recompiled everything from
-scratch, even though the paper's staged frontend (parse -> evaluate ->
-sugar -> DRC) produces stable intermediate artefacts that are individually
-reusable.  :class:`StageCache` exploits exactly that structure:
+Every backend consumes one checked, typed project, so that is what the
+cache snapshots.  :class:`StageCache` holds five tiers:
 
 * **Per-file parse cache** -- every source file is fingerprinted
   individually (:func:`file_fingerprint`) and its parsed
@@ -13,18 +9,14 @@ reusable.  :class:`StageCache` exploits exactly that structure:
   re-parses only the edited file.  Cached ASTs are shared (the evaluator
   only reads declarations -- the same immutability contract that lets
   ``compile_sources`` share its memoised stdlib AST).
-* **Evaluate snapshot cache** -- the post-evaluate state (the evaluated
-  :class:`~repro.ir.model.Project`, its diagnostics, the evaluate stage-log
-  entry) is pickled and keyed by the ordered sequence of contributing file
-  fingerprints plus the evaluate-relevant options.  Compilations that differ
-  only in the *downstream* options (``sugaring`` / ``run_drc`` /
-  ``strict_drc``) reuse the snapshot and re-run only sugar -> DRC on a
-  fresh deserialised copy; the snapshot itself is never mutated.  Units are
-  deliberately *not* part of the snapshot: the parse tier already holds
-  them, so a snapshot hit reconstructs the unit list through
-  :meth:`StageCache.cached_parse` (all hits) and keeps the pickled payload
-  small -- the project is typically an order of magnitude lighter than the
-  ASTs it was evaluated from.
+* **Frontend snapshot cache** -- the post-DRC state
+  (:class:`~repro.lang.compile.FrontendState`: the stage-log entries from
+  parse to DRC, the project, its diagnostics and the sugaring and DRC
+  reports) is keyed by the ordered file fingerprints plus every option
+  that parse, evaluate, sugar and DRC read (:meth:`StageCache.
+  snapshot_key`).  A hit runs no frontend stage and reads no AST; only the
+  backend stage runs.  Backends and the simulator only read the project,
+  so the snapshot is shared, never copied.
 * **Ingest snapshot cache** -- the post-ingest state of a Tydi-IR
   interchange document (:meth:`StageCache.compile_ir`) is pickled and keyed
   on the document fingerprint (``iringest-<key>.pkl``), so re-opening the
@@ -34,23 +26,23 @@ reusable.  :class:`StageCache` exploits exactly that structure:
   cluster; see :mod:`repro.backends`) are memoised under the
   implementation's emission-subgraph fingerprint + backend name + backend
   options (:meth:`StageCache.backend_unit_key`), so a one-file edit
-  re-emits only the implementations it actually changed -- the remaining
-  uncached stage left open by PR 2.
+  re-emits only the implementations it actually changed.
+* **Simulation reports**, keyed by the frontend snapshot key plus the
+  plan fingerprint (:meth:`StageCache.sim_key`).
 
 Each tier is one :class:`~repro.pipeline.store.TieredStore` (namespaces
 ``ast`` / ``eval`` / ``iringest`` / ``backend`` / ``sim``): a bounded
 memory LRU and, when ``cache_dir`` is set, ``<cache_dir>/stages/<ns>-<key>.pkl``
 on disk, then the remote L2.  A ``max_disk_bytes`` budget is enforced over
-the *whole* cache directory -- whole-result artefacts included -- via
-LRU-by-mtime eviction, so per-stage artefacts cannot grow ``.tydi-cache/``
-without bound.
+the whole cache directory via LRU-by-mtime eviction, once per compile.
 
-:meth:`StageCache.compile` composes the *same* stage functions as the
-monolithic ``compile_sources`` (:func:`repro.lang.compile.parse_stage` and
-friends), which is what makes the staged pipeline provably equivalent to a
-cold monolithic compile -- the property the differential harness
-(``tests/test_stage_differential.py``) asserts over randomized designs and
-edits.
+:meth:`StageCache.compile` runs the *same* frontend and backend functions
+as the monolithic ``compile_sources``
+(:func:`repro.lang.compile.run_frontend` and
+:func:`~repro.lang.compile.run_backends`), which is what makes the staged
+pipeline provably equivalent to a cold monolithic compile -- the property
+the differential harness (``tests/test_stage_differential.py``) asserts
+over randomized designs and edits.
 """
 
 from __future__ import annotations
@@ -63,17 +55,13 @@ from typing import Mapping, Optional, Sequence
 from repro.errors import DiagnosticSink
 from repro.lang.ast import SourceUnit
 from repro.lang.compile import (
-    IR_STAGE_DETAIL,
     CompilationResult,
-    CompilationStage,
     CompileOptions,
-    backend_stage,
-    drc_stage,
-    evaluate_stage,
+    FrontendState,
+    finish_frontend,
     normalize_sources,
-    normalize_targets,
-    parse_stage,
-    sugar_stage,
+    run_backends,
+    run_frontend,
 )
 from repro.lang.parser import parse_source
 from repro.pipeline.cache import (
@@ -84,18 +72,18 @@ from repro.pipeline.cache import (
 from repro.pipeline.store import (
     PICKLED,
     SHARED,
-    STAGE_DIR_NAME,  # noqa: F401 - part of this module's public surface
+    STAGE_DIR_NAME,
     TieredStore,
     evict_lru_files,
 )
 
 #: The five stage tiers: ``StageStats`` counter prefix, store namespace and
-#: codec.  ASTs, backend units and simulation reports are read-only and
-#: shared; evaluate and ingest snapshots are mutated by sugar/DRC, so every
-#: hit unpickles a fresh copy.
+#: codec.  ASTs, frontend snapshots, backend units and simulation reports
+#: are read-only and shared; ingest snapshots are mutated by sugar/DRC, so
+#: every hit unpickles a fresh copy.
 STAGE_TIERS = (
     ("parse", "ast", SHARED),
-    ("evaluate", "eval", PICKLED),
+    ("evaluate", "eval", SHARED),
     ("ingest", "iringest", PICKLED),
     ("backend", "backend", SHARED),
     ("sim", "sim", SHARED),
@@ -104,11 +92,12 @@ STAGE_TIERS = (
 #: In-memory LRU capacity of each stage tier, by store namespace.
 STAGE_CAPACITY = {"ast": 512, "eval": 64, "iringest": 64, "backend": 1024, "sim": 128}
 
-#: Options that change the outcome of parse+evaluate (and therefore
-#: participate in the snapshot key).  ``sugaring`` / ``run_drc`` /
-#: ``strict_drc`` / ``targets`` deliberately do not: flipping them reuses
-#: the snapshot (a new backend target re-runs sugar -> DRC -> emit only).
+#: Options that change the outcome of parse+evaluate.
 EVALUATE_OPTIONS = ("top", "top_args", "include_stdlib", "project_name")
+#: Options that sugar and DRC read; with :data:`EVALUATE_OPTIONS` they key
+#: the frontend snapshot.  ``targets`` / ``backend_options`` do not: a new
+#: backend target reuses the snapshot and runs only the backend stage.
+CHECK_OPTIONS = ("sugaring", "run_drc", "strict_drc")
 
 
 def _stage_salt() -> str:
@@ -131,6 +120,13 @@ def file_fingerprint(text: str, filename: str) -> str:
     hasher.update(b"\x00")
     hasher.update(text.encode())
     return hasher.hexdigest()
+
+
+def _options_mapping(options: "Mapping[str, object] | CompileOptions | None") -> Mapping[str, object]:
+    """The ``{option: value}`` form the key recipes read."""
+    if isinstance(options, CompileOptions):
+        return options.as_dict()
+    return options or {}
 
 
 def _backend_key_prefix(backend):
@@ -185,29 +181,26 @@ class StageStats:
 
 
 class StageCache:
-    """Memoises every frontend and backend stage artefact in five stores.
+    """The compilation cache: every stage artefact, in five tiered stores.
 
     Parameters
     ----------
     cache_dir:
-        Root of the on-disk store (shared with a
-        :class:`~repro.pipeline.cache.CompilationCache` when this instance
-        is owned by one); per-stage artefacts live under
+        Root of the on-disk store; artefacts live under
         ``<cache_dir>/stages/``.
     max_disk_bytes:
-        Byte budget enforced over ``cache_dir`` (recursively) after every
-        compile; least-recently-used ``*.pkl`` artefacts are deleted first.
+        Byte budget enforced over ``cache_dir`` (recursively) on opening
+        and after every compile; least-recently-used ``*.pkl`` artefacts
+        are deleted first.
     remote:
-        The shared remote L2 tier (a :class:`~repro.pipeline.remote.
-        RemoteCacheClient`, usually the owning
-        :class:`~repro.pipeline.cache.CompilationCache`'s).  Each tier
-        consults it after its local miss, promotes remote hits into memory
-        + disk, and uploads fresh artefacts write-behind.  A dead remote
-        degrades to local-only.
+        The shared remote L2 tier: a ``host:port`` endpoint string (a
+        :class:`~repro.pipeline.remote.RemoteCacheClient` is built from
+        it) or an existing client.  Each tier consults it after its local
+        miss, promotes remote hits into memory + disk, and uploads fresh
+        artefacts write-behind.  A dead remote degrades to local-only.
 
     The memory capacity of each tier comes from :data:`STAGE_CAPACITY`.
-    Thread-safe; one instance may serve every worker of a thread-executor
-    batch.
+    Thread-safe: one instance may serve concurrent queries.
     """
 
     def __init__(
@@ -217,6 +210,8 @@ class StageCache:
         max_disk_bytes: Optional[int] = None,
         remote: Optional[object] = None,
     ) -> None:
+        if max_disk_bytes is not None and max_disk_bytes < 0:
+            raise ValueError("max_disk_bytes must be >= 0")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
         self.max_disk_bytes = max_disk_bytes
         if isinstance(remote, str):
@@ -236,6 +231,10 @@ class StageCache:
         }
         self.stats = StageStats(self._stores)
         self._lock = threading.Lock()
+        # Apply the budget to whatever is already on disk: a store that only
+        # ever *hits* would otherwise never shrink after a budget decrease.
+        if self.cache_dir is not None and self.cache_dir.is_dir():
+            self.enforce_disk_budget()
 
     # -- keying ---------------------------------------------------------------
 
@@ -244,10 +243,9 @@ class StageCache:
         sources: Sequence[tuple[str, str]] | Sequence[str],
         options: "Mapping[str, object] | CompileOptions | None" = None,
     ) -> str:
-        """Snapshot key: ordered file fingerprints + evaluate options."""
-        if isinstance(options, CompileOptions):
-            options = options.as_dict()
-        options = dict(options or {})
+        """Ordered file fingerprints + evaluate options: what parse and
+        evaluate read (the base of :meth:`snapshot_key`)."""
+        options = _options_mapping(options)
         hasher = hashlib.sha256()
         hasher.update(_stage_salt().encode())
         for name in EVALUATE_OPTIONS:
@@ -263,6 +261,24 @@ class StageCache:
         for text, filename in normalize_sources(sources):
             hasher.update(b"\x00unit\x00")
             hasher.update(file_fingerprint(text, filename).encode())
+        return hasher.hexdigest()
+
+    def snapshot_key(
+        self,
+        sources: Sequence[tuple[str, str]] | Sequence[str],
+        options: "Mapping[str, object] | CompileOptions | None" = None,
+    ) -> str:
+        """Key of one post-DRC frontend snapshot: :meth:`evaluate_key` plus
+        :data:`CHECK_OPTIONS` (each defaulting to ``True``, as in
+        :class:`~repro.lang.compile.CompileOptions`)."""
+        options = _options_mapping(options)
+        hasher = hashlib.sha256()
+        hasher.update(self.evaluate_key(sources, options).encode())
+        for name in CHECK_OPTIONS:
+            hasher.update(b"\x00opt\x00")
+            hasher.update(name.encode())
+            hasher.update(b"=")
+            hasher.update(canonical_option_repr(options.get(name, True)).encode())
         return hasher.hexdigest()
 
     def ingest_key(self, text: str) -> str:
@@ -285,17 +301,17 @@ class StageCache:
         options: "Mapping[str, object] | CompileOptions | None",
         plan,
     ) -> str:
-        """Cache key of one simulation: the design's evaluate fingerprint
+        """Cache key of one simulation: the design's :meth:`snapshot_key`
         plus the :class:`repro.sim.harness.SimulationPlan` fingerprint.
 
-        Downstream-only options (``sugaring`` / ``targets`` / ...) do not
-        participate -- they cannot change what the simulator elaborates --
-        so recompiling for a new backend target keeps sim reports warm.
+        Sugaring changes what the simulator elaborates, so it participates;
+        ``targets`` / ``backend_options`` do not, so recompiling for a new
+        backend target keeps sim reports warm.
         """
         hasher = hashlib.sha256()
         hasher.update(_stage_salt().encode())
         hasher.update(b"\x00sim\x00")
-        hasher.update(self.evaluate_key(sources, options).encode())
+        hasher.update(self.snapshot_key(sources, options).encode())
         hasher.update(b"\x00plan\x00")
         hasher.update(plan.fingerprint().encode())
         return hasher.hexdigest()
@@ -385,85 +401,30 @@ class StageCache:
         sources: Sequence[tuple[str, str]] | Sequence[str],
         options: "Mapping[str, object] | CompileOptions | None" = None,
     ) -> CompilationResult:
-        """Run the staged pipeline: cached parse/evaluate, then sugar + DRC.
+        """Compile through the cache: a frontend snapshot, then the backends.
 
-        ``options`` is a :class:`~repro.lang.compile.CompileOptions` or the
-        legacy (possibly partial) options mapping.  Produces a
+        ``options`` is a :class:`~repro.lang.compile.CompileOptions` or a
+        (possibly partial) options mapping.  A snapshot hit runs no
+        frontend stage; a miss runs them with per-file cached parses and
+        stores the post-DRC state.  Produces a
         :class:`~repro.lang.compile.CompilationResult` that is
-        byte-identical (IR text, diagnostics, stage log) to what a cold
-        monolithic ``compile_sources`` call with the same inputs produces,
-        including raising the same exceptions on parse / evaluate / strict
-        DRC failures.
+        byte-identical (IR text, diagnostics, stage log, outputs) to what a
+        cold monolithic ``compile_sources`` call with the same inputs
+        produces, including raising the same exceptions on parse /
+        evaluate / strict DRC failures (which are never cached).
         """
         normalized = normalize_sources(sources)
-        if isinstance(options, CompileOptions):
-            options = options.as_dict()
-        options = dict(options or {})
-        include_stdlib = options.get("include_stdlib", True)
-
-        eval_key = self.evaluate_key(normalized, options)
-        snapshot = self._stores["eval"].get(eval_key, tuple)
-        # The unit list is served by the parse tier either way; on a
-        # snapshot hit every file is a parse-cache hit (shared, immutable
-        # ASTs), so only the mutable project/diagnostics ride in the pickle.
-        units, parse_entry = parse_stage(
-            normalized, include_stdlib=include_stdlib, parse_file=self.cached_parse
-        )
-        if snapshot is not None:
-            project, diagnostics, evaluate_entry = snapshot
-            stages = [parse_entry, evaluate_entry]
-        else:
-            diagnostics = DiagnosticSink()
-            # Values pass through verbatim (same defaults as compile_sources,
-            # no falsy coercion): a degenerate option like project_name=""
-            # must behave identically on the staged and monolithic paths.
-            project, evaluate_entry = evaluate_stage(
-                units,
-                diagnostics,
-                top=options.get("top"),
-                top_args=options.get("top_args", ()),
-                project_name=options.get("project_name", "design"),
-            )
-            stages = [parse_entry, evaluate_entry]
-            # Snapshot *before* sugaring: sugar/DRC mutate the project, and
-            # the stored bytes must stay the pristine post-evaluate state.
-            self._stores["eval"].put(eval_key, (project, diagnostics, evaluate_entry))
-
-        sugaring_report = None
-        if options.get("sugaring", True):
-            sugaring_report, sugar_entry = sugar_stage(project, diagnostics)
-            stages.append(sugar_entry)
-
-        drc_report = None
-        if options.get("run_drc", True):
-            drc_report, drc_entry = drc_stage(
-                project, diagnostics, strict=options.get("strict_drc", True)
-            )
-            stages.append(drc_entry)
-
-        stages.append(CompilationStage("ir", IR_STAGE_DETAIL))
-
-        # The backend stage, with per-implementation unit outputs served by
-        # this cache (the monolithic path emits the same bytes uncached).
-        outputs, backend_entries = backend_stage(
-            project,
-            normalize_targets(options.get("targets", ())),
-            backend_options=options.get("backend_options", ()),
-            stage_cache=self,
-        )
-        stages.extend(backend_entries)
+        options = CompileOptions.coerce(options)
+        key = self.snapshot_key(normalized, options)
+        state = self._stores["eval"].get(key, FrontendState)
+        if state is None:
+            state = run_frontend(normalized, options, parse_file=self.cached_parse)
+            self._stores["eval"].put(key, state)
+        result = run_backends(state, options, stage_cache=self)
         # One budget pass per compile (stores above defer theirs): a full
         # rglob scan per artefact would make eviction O(files x entries).
         self.enforce_disk_budget()
-        return CompilationResult(
-            project=project,
-            diagnostics=diagnostics,
-            stages=stages,
-            sugaring=sugaring_report,
-            drc=drc_report,
-            units=list(units),
-            outputs=outputs,
-        )
+        return result
 
     def compile_ir(
         self,
@@ -486,10 +447,7 @@ class StageCache:
         """
         from repro.interchange.pipeline import ingest_stage
 
-        if isinstance(options, CompileOptions):
-            options = options.as_dict()
-        options = dict(options or {})
-
+        options = CompileOptions.coerce(options)
         key = self.ingest_key(text)
         snapshot = self._stores["iringest"].get(key, tuple)
         if snapshot is not None:
@@ -499,48 +457,27 @@ class StageCache:
             # Snapshot *before* sugaring: sugar/DRC mutate the project, and
             # the stored bytes must stay the pristine post-ingest state.
             self._stores["iringest"].put(key, (project, ingest_entry))
-
-        diagnostics = DiagnosticSink()
-        stages: list[CompilationStage] = [ingest_entry]
-
-        sugaring_report = None
-        if options.get("sugaring", True):
-            sugaring_report, sugar_entry = sugar_stage(project, diagnostics)
-            stages.append(sugar_entry)
-
-        drc_report = None
-        if options.get("run_drc", True):
-            drc_report, drc_entry = drc_stage(
-                project, diagnostics, strict=options.get("strict_drc", True)
-            )
-            stages.append(drc_entry)
-
-        stages.append(CompilationStage("ir", IR_STAGE_DETAIL))
-
-        outputs, backend_entries = backend_stage(
-            project,
-            normalize_targets(options.get("targets", ())),
-            backend_options=options.get("backend_options", ()),
-            stage_cache=self,
-        )
-        stages.extend(backend_entries)
+        state = finish_frontend(project, DiagnosticSink(), [ingest_entry], options)
+        result = run_backends(state, options, stage_cache=self)
         self.enforce_disk_budget()
-        return CompilationResult(
-            project=project,
-            diagnostics=diagnostics,
-            stages=stages,
-            sugaring=sugaring_report,
-            drc=drc_report,
-            units=[],
-            outputs=outputs,
-        )
+        return result
 
     # -- maintenance ----------------------------------------------------------
 
     def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory tiers (and, optionally, the on-disk artefacts)."""
+        """Drop the in-memory tiers and, with ``disk``, the ``*.pkl``
+        artefacts (plus ``*.tmp`` leaked by a crashed writer) in
+        ``<cache_dir>/stages/`` and, from older layouts, ``cache_dir``."""
         for store in self._stores.values():
-            store.clear(disk=disk)
+            store.clear()
+        if disk and self.cache_dir is not None:
+            for directory in (self.cache_dir, self.cache_dir / STAGE_DIR_NAME):
+                for pattern in ("*.pkl", "*.tmp"):
+                    for path in directory.glob(pattern):
+                        try:
+                            path.unlink()
+                        except OSError:
+                            pass
 
     def __len__(self) -> int:
         return sum(len(store) for store in self._stores.values())
@@ -558,8 +495,7 @@ class StageCache:
     def stats_snapshot(self) -> dict[str, int]:
         """A copy of the counters, each store's read under its own lock.
 
-        The per-stage sibling of :meth:`repro.pipeline.cache.
-        CompilationCache.stats_snapshot`: status endpoints read the
-        counters through this snapshot, never a torn set of one tier's.
+        Status endpoints read the counters through this snapshot, never a
+        torn set of one tier's.
         """
         return self.stats.as_dict()

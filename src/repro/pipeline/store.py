@@ -1,11 +1,8 @@
 """The one tiered store behind every cache tier.
 
-Both caches of this package -- the whole-result
-:class:`~repro.pipeline.cache.CompilationCache` and the per-stage
-:class:`~repro.pipeline.stages.StageCache` -- are built from
-:class:`TieredStore` instances, one per namespace (``result``, ``ast``,
-``eval``, ``iringest``, ``backend``, ``sim``).  A store owns the whole
-lookup policy:
+:class:`~repro.pipeline.stages.StageCache` is built from
+:class:`TieredStore` instances, one per namespace (``ast``, ``eval``,
+``iringest``, ``backend``, ``sim``).  A store owns the whole lookup policy:
 
 * ``get`` walks a bounded in-memory LRU, then the file under
   ``cache_dir``, then the remote L2 (:class:`~repro.pipeline.remote.
@@ -21,10 +18,9 @@ lookup policy:
 The *codec* says what memory holds.  ``shared`` keeps the object itself,
 so every hit returns that same object and callers treat it as immutable.
 ``pickled`` keeps the pickle bytes, so every hit unpickles a fresh copy
-that the caller may mutate (sugar and DRC mutate evaluate snapshots).
+that the caller may mutate (sugar and DRC mutate ingest snapshots).
 
-On disk the whole-result tier is flat (``<cache_dir>/<key>.pkl``); the
-stage tiers live under ``<cache_dir>/stages/<namespace>-<key>.pkl``.
+On disk every namespace lives under ``<cache_dir>/stages/<namespace>-<key>.pkl``.
 """
 
 from __future__ import annotations
@@ -44,9 +40,6 @@ SHARED = "shared"
 #: Memory holds pickle bytes; every hit unpickles a fresh copy.
 PICKLED = "pickled"
 CODECS = (SHARED, PICKLED)
-
-#: The whole-result namespace, the only one stored flat in ``cache_dir``.
-RESULT_NAMESPACE = "result"
 
 #: Subdirectory of the cache dir holding the stage tiers' artefacts.
 STAGE_DIR_NAME = "stages"
@@ -82,8 +75,8 @@ def evict_lru_files(
 ) -> int:
     """Delete the least-recently-used ``*.pkl`` artefacts under ``root``.
 
-    Scans recursively (the stage tiers live in a ``stages/`` subdirectory
-    of the whole-result store), sums artefact sizes, and unlinks
+    Scans recursively (the tiers live in a ``stages/`` subdirectory of
+    the cache dir), sums artefact sizes, and unlinks
     oldest-mtime-first until the total is within ``max_bytes``.  Loads
     refresh mtimes, so mtime order *is* recency order.  Returns the number
     of files deleted; unreadable or already-gone files are skipped.
@@ -140,8 +133,7 @@ class CacheStats:
     memory-LRU evictions.  ``disk_hits`` counts lookups the disk answered,
     ``disk_stores`` files written (remote promotions included) and
     ``disk_errors`` unreadable, unwritable, corrupt or unpicklable
-    artefacts.  ``disk_evictions`` is charged by the owning cache's
-    directory budget pass (:meth:`TieredStore.count`).
+    artefacts.
     """
 
     hits: int = 0
@@ -151,7 +143,6 @@ class CacheStats:
     disk_hits: int = 0
     disk_stores: int = 0
     disk_errors: int = 0
-    disk_evictions: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return asdict(self)
@@ -175,8 +166,7 @@ class TieredStore:
     ----------
     namespace:
         Names the remote keys (``"<namespace>:<key>"``) and the files
-        (``<cache_dir>/<key>.pkl`` for ``result``, else
-        ``<cache_dir>/stages/<namespace>-<key>.pkl``).
+        (``<cache_dir>/stages/<namespace>-<key>.pkl``).
     codec:
         :data:`SHARED` or :data:`PICKLED` (see the module docstring).
     capacity:
@@ -206,13 +196,8 @@ class TieredStore:
         self.codec = codec
         self.capacity = capacity
         self.remote = remote
-        self._dir: Optional[Path] = None
-        self._prefix = ""
-        if cache_dir is not None:
-            self._dir = Path(cache_dir)
-            if namespace != RESULT_NAMESPACE:
-                self._dir = self._dir / STAGE_DIR_NAME
-                self._prefix = f"{namespace}-"
+        self._dir = Path(cache_dir) / STAGE_DIR_NAME if cache_dir is not None else None
+        self._prefix = f"{namespace}-"
         self.stats = CacheStats()
         self._memory: OrderedDict[str, object] = OrderedDict()
         self._lock = threading.Lock()
@@ -250,14 +235,9 @@ class TieredStore:
             self._write_file(key, payload)  # promote; the remote already has it
         return value
 
-    def put(self, key: str, value: object, *, disk: bool = True) -> None:
-        """Store ``value`` in memory and, with ``disk``, the durable tiers.
-
-        ``disk=False`` fills memory only: the caller knows the file exists
-        already (a process-pool worker wrote it), so nothing is re-pickled
-        or re-uploaded.
-        """
-        durable = disk and (self._dir is not None or self.remote is not None)
+    def put(self, key: str, value: object) -> None:
+        """Store ``value`` in memory and the durable tiers."""
+        durable = self._dir is not None or self.remote is not None
         payload = None
         if durable or self.codec == PICKLED:
             try:
@@ -275,43 +255,13 @@ class TieredStore:
             if self.remote is not None:
                 self.remote.put(self._remote_key(key), payload)
 
-    def absorb(self, key: str, value: object) -> None:
-        """Count a disk hit another process made over this store's files,
-        and keep ``value`` warm in memory."""
-        held = value
-        if self.codec == PICKLED:
-            held = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        with self._lock:
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._remember(key, held)
-
-    def contains(self, key: str) -> bool:
-        """Whether memory or disk holds ``key``, without touching stats or LRU order."""
-        with self._lock:
-            if key in self._memory:
-                return True
-        return self._dir is not None and self._path(key).exists()
-
-    def clear(self, *, disk: bool = False) -> None:
-        """Drop the memory tier and, with ``disk``, this namespace's files
-        (plus any leaked ``*.tmp`` beside them)."""
+    def clear(self) -> None:
+        """Drop the memory tier (the owning cache clears the directory)."""
         with self._lock:
             self._memory.clear()
-        if not disk or self._dir is None or not self._dir.is_dir():
-            return
-        for pattern in (f"{self._prefix}*.pkl", "*.tmp"):
-            for path in self._dir.glob(pattern):
-                try:
-                    path.unlink()
-                except FileNotFoundError:
-                    pass
-                except OSError:
-                    self.count("disk_errors")
 
     def count(self, counter: str, amount: int = 1) -> None:
-        """Add to one counter under the store lock (for the owning cache's
-        directory-wide work, such as its budget pass)."""
+        """Add to one counter under the store lock."""
         with self._lock:
             setattr(self.stats, counter, getattr(self.stats, counter) + amount)
 

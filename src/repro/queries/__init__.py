@@ -42,7 +42,7 @@ def compile_all(
     queries=None,
     *,
     cache=None,
-    executor: str = "thread",
+    executor: str = "serial",
     max_workers=None,
     strict: bool = True,
 ):

@@ -74,7 +74,7 @@ class TpchQuery:
     def compile(self, *, force: bool = False, cache=None) -> CompilationResult:
         """Compile the full design (stdlib + Fletcher interface + query logic).
 
-        ``cache`` is an optional :class:`repro.pipeline.CompilationCache`;
+        ``cache`` is an optional :class:`repro.pipeline.StageCache`;
         the per-query memo (``_compiled``) sits in front of it.  ``force``
         guarantees a real recompilation, so it bypasses both the memo and
         the cache.

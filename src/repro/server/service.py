@@ -4,8 +4,8 @@
 execution modes behind one request surface:
 
 * ``workers=0`` (default): one shared :class:`~repro.workspace.Workspace`
-  -- the whole-result cache, the per-stage parse / evaluate / backend
-  tiers and the per-design memos all live in one session -- with every
+  -- the cache's parse / frontend-snapshot / backend tiers and the
+  per-design memos all live in one session -- with every
   workspace-touching request running in a bounded
   :class:`~concurrent.futures.ThreadPoolExecutor`.  Inside the pool the
   workspace's per-design locks do the scheduling: different designs

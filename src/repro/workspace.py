@@ -11,9 +11,8 @@ Hardcaml exposes the design as a durable host-language object simulation
 and emission are queries over):
 
 * it owns a default :class:`~repro.lang.compile.CompileOptions` and the
-  cache stack (a :class:`~repro.pipeline.cache.CompilationCache` with its
-  per-stage :class:`~repro.pipeline.stages.StageCache`, built internally
-  from one ``cache_dir=`` / ``max_cache_mb=`` pair),
+  cache (a :class:`~repro.pipeline.stages.StageCache`, built internally
+  from one ``cache_dir=`` / ``max_cache_mb=`` / ``remote_cache=`` set),
 * it holds a named set of **designs**, each a ``{filename: source_text}``
   store plus options, mutated at file granularity --
   :meth:`~Workspace.add_design`, :meth:`~Workspace.update_file`,
@@ -26,8 +25,8 @@ and emission are queries over):
   one-file edit recompiles through the warm stage cache (re-parsing only
   that file),
 * :meth:`~Workspace.compile_all` brings every design up to date through
-  the concurrent job engine (serial / thread / process executors with
-  per-design error isolation).
+  the job engine (serial / process executors with per-design error
+  isolation).
 
 Thread-safety contract: every query takes a per-design lock, so concurrent
 queries (including against the same design) are safe; mutation methods take
@@ -78,7 +77,7 @@ class BuildReport:
     #: parse artefacts are served from the stage cache, not re-parsed).
     unchanged_files: dict[str, list[str]] = field(default_factory=dict)
     #: The underlying engine outcome for the dirty subset (per-design
-    #: timing, cache provenance, executor/worker accounting).
+    #: timing, executor/worker accounting).
     batch: Optional["BatchResult"] = None
 
     @property
@@ -182,10 +181,9 @@ class Workspace:
     Parameters
     ----------
     cache:
-        The result cache to compile through.  Omit it (the default) to have
-        the workspace build its own cache stack; pass an existing
-        :class:`~repro.pipeline.cache.CompilationCache` (or any duck-typed
-        result cache) to share one across sessions; pass ``None`` to run
+        The :class:`~repro.pipeline.stages.StageCache` to compile through.
+        Omit it (the default) to have the workspace build its own; pass an
+        existing one to share it across sessions; pass ``None`` to run
         with no cache at all (every stale query recompiles from scratch --
         the session memo still serves repeated queries).
     cache_dir / max_cache_mb:
@@ -203,8 +201,8 @@ class Workspace:
         Default :class:`~repro.lang.compile.CompileOptions` (or mapping)
         for designs added without their own.
     executor / jobs:
-        Defaults for :meth:`compile_all` (``"serial"`` / ``"thread"`` /
-        ``"process"``, and the worker count).
+        Defaults for :meth:`compile_all` (``"serial"`` / ``"process"``,
+        and the worker count).
     label:
         Optional human-readable name for this session, echoed by
         :meth:`stats` and :meth:`report` when set.  The worker pool labels
@@ -220,7 +218,7 @@ class Workspace:
         max_cache_mb: Optional[float] = None,
         remote_cache=None,
         options: CompileOptions | Mapping[str, object] | None = None,
-        executor: str = "thread",
+        executor: str = "serial",
         jobs: Optional[int] = None,
         label: Optional[str] = None,
     ) -> None:
@@ -236,7 +234,7 @@ class Workspace:
                 "cache_dir=/max_cache_mb=/remote_cache=, not both"
             )
         if cache is _AUTO_CACHE:
-            from repro.pipeline.cache import CompilationCache
+            from repro.pipeline.stages import StageCache
 
             max_disk_bytes = None
             if max_cache_mb is not None:
@@ -245,7 +243,7 @@ class Workspace:
                 if cache_dir is None:
                     raise TydiWorkspaceError("max_cache_mb requires cache_dir")
                 max_disk_bytes = int(max_cache_mb * 1024 * 1024)
-            cache = CompilationCache(
+            cache = StageCache(
                 cache_dir=cache_dir,
                 max_disk_bytes=max_disk_bytes,
                 remote=remote_cache,
@@ -491,8 +489,8 @@ class Workspace:
         Targets named in the design's options are served from the compiled
         result; any *other* registered backend is emitted lazily on first
         demand (through the per-implementation backend-output cache when
-        the workspace owns a stage cache) and memoised until the design
-        changes.  The design's ``backend_options`` apply either way.
+        the workspace has a cache) and memoised until the design changes.
+        The design's ``backend_options`` apply either way.
         """
         entry = self._design(name)
         result = self.result(name)  # takes/releases the design lock
@@ -505,10 +503,9 @@ class Workspace:
             from repro.backends import get_backend
 
             backend = get_backend(target, entry.options.backend_options_for(target))
-            stage_cache = getattr(self.cache, "stages", None)
-            if stage_cache is not None:
-                files = stage_cache.emit_backend(result.project, backend)
-                stage_cache.enforce_disk_budget()
+            if self.cache is not None:
+                files = self.cache.emit_backend(result.project, backend)
+                self.cache.enforce_disk_budget()
             else:
                 files = backend.emit(result.project)
             entry.extra_outputs[target] = files
@@ -520,9 +517,9 @@ class Workspace:
 
         A lazy memoised query like :meth:`ir`/:meth:`outputs`: computed on
         first demand per (design content, plan) pair, memoised until the
-        design's fingerprint moves, and -- when the workspace owns a stage
-        cache -- served through the ``sim:`` cache tier (memory -> disk ->
-        remote L2, keyed on evaluate fingerprint + plan fingerprint), so a
+        design's fingerprint moves, and -- when the workspace has a cache --
+        served through the ``sim:`` cache tier (memory -> disk -> remote
+        L2, keyed on the frontend snapshot key + plan fingerprint), so a
         repeat simulation of an unchanged design is a cache hit fleet-wide.
 
         ``plan`` is a :class:`~repro.sim.harness.SimulationPlan`, a mapping
@@ -541,15 +538,12 @@ class Workspace:
             cached = entry.sim_reports.get(plan_fp)
             if cached is not None:
                 return cached
-            stage_cache = getattr(self.cache, "stages", None)
-            if stage_cache is not None:
-                key = stage_cache.sim_key(
-                    entry.normalized_sources(), entry.options.as_dict(), plan
-                )
-                report = stage_cache.cached_simulation(
+            if self.cache is not None:
+                key = self.cache.sim_key(entry.normalized_sources(), entry.options, plan)
+                report = self.cache.cached_simulation(
                     key, lambda: run_simulation(result.project, plan)
                 )
-                stage_cache.enforce_disk_budget()
+                self.cache.enforce_disk_budget()
             else:
                 report = run_simulation(result.project, plan)
             entry.sim_reports[plan_fp] = report
@@ -607,8 +601,8 @@ class Workspace:
         The lighter-weight sibling of :meth:`report` behind the compile
         service's ``stats`` endpoint: per-status design counts instead of
         the per-design listing, and every cache counter read through the
-        owning cache's locked ``stats_snapshot()`` so concurrent compiles
-        can never be observed as a torn counter set.
+        cache's locked ``stats_snapshot()`` so concurrent compiles can never
+        be observed as a torn counter set.
         """
         counts = {"total": 0, "fresh": 0, "stale": 0, "error": 0}
         for name in self.design_names:
@@ -642,30 +636,16 @@ class Workspace:
         return snapshot
 
     def _cache_snapshots(self) -> tuple[Optional[dict], Optional[dict]]:
-        """Locked counter snapshots of the cache stack (each may be None).
-
-        Prefers the cache's ``stats_snapshot()`` (counters copied under the
-        cache's own lock -- never torn); duck-typed caches without one fall
-        back to their raw ``stats.as_dict()``.
-        """
-        cache_stats = None
-        if self.cache is not None:
-            snapshot = getattr(self.cache, "stats_snapshot", None)
-            if snapshot is not None:
-                cache_stats = snapshot()
-            else:
-                stats = getattr(self.cache, "stats", None)
-                cache_stats = stats.as_dict() if stats is not None else None
-        stage_stats = None
-        stage_cache = getattr(self.cache, "stages", None)
-        if stage_cache is not None:
-            snapshot = getattr(stage_cache, "stats_snapshot", None)
-            if snapshot is not None:
-                stage_stats = snapshot()
-            else:
-                stats = getattr(stage_cache, "stats", None)
-                stage_stats = stats.as_dict() if stats is not None else None
-        return cache_stats, stage_stats
+        """The ``cache`` and ``stage_cache`` sections of :meth:`stats` and
+        :meth:`report` (both None without a cache): the remote L2 client's
+        counters under ``remote``, and the per-stage counters."""
+        if self.cache is None:
+            return None, None
+        remote = self.cache.remote
+        return (
+            {"remote": remote.stats_snapshot() if remote is not None else None},
+            self.cache.stats_snapshot(),
+        )
 
     def invalidate(self, name: Optional[str] = None) -> None:
         """Drop memoised artefacts (one design, or all of them).
@@ -698,8 +678,8 @@ class Workspace:
 
         Fresh designs are *reused* (their memoised result is handed back
         untouched); stale or failed ones are compiled through the shared
-        job engine (:func:`repro.pipeline.batch.run_jobs`) -- concurrently
-        for ``executor="thread"``/``"process"`` -- and their memos updated.
+        job engine (:func:`repro.pipeline.batch.run_jobs`) -- in worker
+        processes for ``executor="process"`` -- and their memos updated.
         A design that fails records an entry in :attr:`BuildReport.failed`
         instead of raising, and is retried by the next ``compile_all``.
         """
@@ -834,52 +814,32 @@ class Workspace:
         )
 
     def _compute(self, entry: _Design) -> "CompilationResult":
-        """One design's compile through the cache stack (design lock held).
+        """One design's compile through the cache (design lock held).
 
-        Mirrors exactly what the engine's ``_execute_job`` does for
-        ``compile_all``, so single-design queries and bulk builds produce
-        the same artefacts through the same tiers: whole-result cache
-        first, then the staged pipeline (when the cache carries one), then
-        the monolithic reference pipeline.
+        The same call the engine's ``_execute_job`` makes for
+        ``compile_all`` (via ``compile_sources``), so single-design queries
+        and bulk builds produce the same artefacts through the same tiers.
         """
         if entry.kind == "ir":
             return self._compute_ir(entry)
         normalized = entry.normalized_sources()
-        options_dict = entry.options.as_dict()
-        cache = self.cache
-        if cache is not None:
-            cache_key = cache.key_for(normalized, options_dict)
-            hit = cache.get(cache_key)
-            if hit is not None:
-                return hit
-            stage_cache = getattr(cache, "stages", None)
-            if stage_cache is not None:
-                result = stage_cache.compile(normalized, options_dict)
-                cache.put(cache_key, result)
-                return result
-        result = run_pipeline(normalized, entry.options)
-        if cache is not None:
-            cache.put(cache_key, result)
-        return result
+        if self.cache is not None:
+            return self.cache.compile(normalized, entry.options)
+        return run_pipeline(normalized, entry.options)
 
     def _compute_ir(self, entry: _Design) -> "CompilationResult":
         """One IR design's compile through the ingest pipeline (lock held).
 
-        Goes through the stage cache's memoised ingest tier when the
-        workspace owns one (:meth:`repro.pipeline.stages.StageCache.
-        compile_ir`); the whole-result cache is deliberately bypassed --
-        the ingest snapshot plus the backend-unit tier already cover
-        everything reusable, and the session memo serves repeat queries.
+        Goes through the cache's memoised ingest tier when the workspace
+        has a cache (:meth:`repro.pipeline.stages.StageCache.compile_ir`).
         """
         if not entry.files:
             raise TydiWorkspaceError(
                 f"IR design {entry.name!r} has no document (was its file removed?)"
             )
         filename, text = next(iter(entry.files.items()))
-        options_dict = entry.options.as_dict()
-        stage_cache = getattr(self.cache, "stages", None) if self.cache is not None else None
-        if stage_cache is not None:
-            return stage_cache.compile_ir(text, options_dict, filename=filename)
+        if self.cache is not None:
+            return self.cache.compile_ir(text, entry.options, filename=filename)
         from repro.interchange.pipeline import compile_ir_document
 
         return compile_ir_document(text, entry.options, filename=filename)

@@ -90,13 +90,14 @@ class TestCliCache:
     def test_cache_dir_single_design(self, design_file, tmp_path, capsys):
         cache_dir = tmp_path / ".tydi-cache"
         assert main([str(design_file), "--cache-dir", str(cache_dir)]) == 0
-        assert list(cache_dir.glob("*.pkl"))
+        assert list((cache_dir / "stages").glob("eval-*.pkl"))
         capsys.readouterr()
         # Warm run: same design served from the on-disk store.
         assert main([str(design_file), "--cache-dir", str(cache_dir), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"]["hits"] == 1
-        assert payload["cache"]["disk_hits"] == 1
+        assert payload["cache"] == {"remote": None}
+        assert payload["stage_cache"]["evaluate_hits"] == 1
+        assert payload["stage_cache"]["disk_hits"] == 1
 
     def test_json_output_single_design(self, design_file, capsys):
         assert main([str(design_file), "--json"]) == 0
@@ -171,12 +172,16 @@ class TestCliBatch:
         cold = json.loads(capsys.readouterr().out)
         assert cold["batch"]["jobs"] == 3
         assert cold["batch"]["failed"] == 0
-        assert cold["cache"]["stores"] == 3
+        assert cold["stage_cache"]["evaluate_misses"] == 3
 
+        # Warm run: every design is one snapshot hit from disk.
         assert main(argv) == 0
         warm = json.loads(capsys.readouterr().out)
-        assert warm["batch"]["cached"] == 3
-        assert all(d["status"] == "cached" for d in warm["designs"])
+        assert warm["batch"]["succeeded"] == 3
+        assert warm["stage_cache"]["evaluate_hits"] == 3
+        assert warm["stage_cache"]["disk_hits"] == 3
+        assert warm["stage_cache"]["parse_misses"] == 0
+        assert all(d["status"] == "compiled" for d in warm["designs"])
 
     def test_batch_vhdl_dir_per_design(self, design_dir, tmp_path, capsys):
         vhdl_dir = tmp_path / "vhdl"
@@ -444,7 +449,9 @@ class TestCliBackendOpts:
         json.loads(capsys.readouterr().out)
         assert main(base + ["--backend-opt", "dot.rankdir=LR"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"]["hits"] == 0  # a different content address
+        assert payload["stage_cache"]["evaluate_hits"] == 1  # the frontend is shared
+        assert payload["stage_cache"]["backend_hits"] == 0  # a different unit address
         assert main(base + ["--backend-opt", "dot.rankdir=LR"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["cache"]["hits"] == 1  # same options, warm
+        assert payload["stage_cache"]["backend_hits"] >= 1  # same options, warm
+        assert payload["stage_cache"]["backend_misses"] == 0

@@ -191,10 +191,10 @@ def test_stage_cache_compile_ir_matches_uncached_and_memoises(tmp_path):
 
 class TestWorkspaceIrDesigns:
     def _workspace(self, tmp_path):
-        from repro.pipeline import CompilationCache
+        from repro.pipeline import StageCache
         from repro.workspace import Workspace
 
-        return Workspace(cache=CompilationCache(cache_dir=tmp_path))
+        return Workspace(cache=StageCache(cache_dir=tmp_path))
 
     def test_outputs_match_direct_emission(self, tmp_path):
         project = _fuzzed_project(5)

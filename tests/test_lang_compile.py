@@ -52,8 +52,10 @@ class TestCompileDriver:
 
     def test_stdlib_included_by_default(self):
         result = compile_project(SIMPLE)
-        # The stdlib declares its templates but only used ones are instantiated.
-        assert result.units[0].package == "std"
+        # The stdlib is parsed as a second source file ahead of the design.
+        assert result.stages[0].detail.startswith("parsed 2 source file(s)")
+        alone = compile_project(SIMPLE, include_stdlib=False)
+        assert alone.stages[0].detail.startswith("parsed 1 source file(s)")
 
     def test_ir_text_available(self):
         result = compile_project(SIMPLE, include_stdlib=False)

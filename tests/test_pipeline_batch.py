@@ -4,8 +4,8 @@ import pytest
 
 from repro.pipeline import (
     BatchCompilationError,
-    CompilationCache,
     CompileJob,
+    StageCache,
     run_jobs,
 )
 
@@ -52,7 +52,7 @@ class TestCompileJob:
 class TestBatchCompiler:
     """The job engine itself: :func:`run_jobs`."""
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_all_jobs_compile(self, executor):
         jobs = make_jobs(4)
         outcome = run_jobs(jobs, executor=executor, max_workers=2)
@@ -61,7 +61,7 @@ class TestBatchCompiler:
         assert len(outcome.result_map()) == 4
         assert outcome.stats()["failed"] == 0
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_failing_design_is_isolated(self, executor):
         jobs = make_jobs(3)
         jobs.insert(1, CompileJob(name="broken", sources=((BAD_SOURCE, "broken.td"),)))
@@ -78,8 +78,9 @@ class TestBatchCompiler:
     def test_parallel_output_identical_to_serial(self):
         jobs = make_jobs(6)
         serial = run_jobs(jobs, executor="serial")
-        threaded = run_jobs(jobs, executor="thread", max_workers=4)
-        for a, b in zip(serial.results, threaded.results):
+        parallel = run_jobs(jobs, executor="process", max_workers=2)
+        assert parallel.executor == "process" and parallel.workers == 2
+        for a, b in zip(serial.results, parallel.results):
             assert a.result.ir_text() == b.result.ir_text()
 
     def test_process_output_identical_to_serial(self):
@@ -95,8 +96,9 @@ class TestBatchCompiler:
             run_jobs([jobs[0], jobs[0]])
 
     def test_unknown_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
-            run_jobs(make_jobs(1), executor="carrier-pigeon")
+        for executor in ("carrier-pigeon", "thread"):
+            with pytest.raises(ValueError, match="executor"):
+                run_jobs(make_jobs(1), executor=executor)
 
     def test_empty_batch(self):
         outcome = run_jobs([])
@@ -105,66 +107,60 @@ class TestBatchCompiler:
 
 class TestBatchWithCache:
     def test_second_batch_hits_cache(self):
-        cache = CompilationCache()
+        cache = StageCache()
         jobs = make_jobs(4)
-        cold = run_jobs(jobs, cache=cache, executor="thread", max_workers=3)
-        warm = run_jobs(jobs, cache=cache, executor="thread", max_workers=3)
-        assert all(not entry.from_cache for entry in cold.results)
-        assert all(entry.from_cache for entry in warm.results)
-        assert warm.stats()["cached"] == 4
+        cold = run_jobs(jobs, cache=cache, executor="serial")
+        assert cache.stats.evaluate_hits == 0
+        assert cache.stats.evaluate_misses == 4
+        parsed = cache.stats.parse_hits + cache.stats.parse_misses
+        warm = run_jobs(jobs, cache=cache, executor="serial")
+        # One snapshot hit per job, and no frontend stage ran.
+        assert cache.stats.evaluate_hits == 4
+        assert cache.stats.evaluate_misses == 4
+        assert cache.stats.parse_hits + cache.stats.parse_misses == parsed
         for a, b in zip(cold.results, warm.results):
             assert a.result.ir_text() == b.result.ir_text()
 
     def test_process_foldback_does_not_rewrite_disk(self, tmp_path):
-        """Workers already pickled fresh results to disk; the parent folds
-        them into memory without re-serialising."""
-        cache = CompilationCache(cache_dir=tmp_path)
+        """Workers pickle their artefacts to disk; the parent re-serialises
+        none of them, and a later batch reads them back from disk."""
+        cache = StageCache(cache_dir=tmp_path)
         jobs = make_jobs(3)
         cold = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
-        assert cold.ok and all(not e.from_cache for e in cold.results)
-        assert len(list(tmp_path.glob("*.pkl"))) == 3  # written by the workers
+        assert cold.ok and cold.executor == "process"
+        snapshots = sorted((tmp_path / "stages").glob("eval-*.pkl"))
+        assert len(snapshots) == 3  # written by the workers
         assert cache.stats.disk_stores == 0  # ... not by the parent
-        # ... but the parent's memory tier is warm.
         warm = run_jobs(jobs, cache=cache, executor="serial")
-        assert all(e.from_cache for e in warm.results)
-        assert cache.stats.disk_hits == 0
-
-    def test_process_workers_share_disk_cache(self, tmp_path):
-        cache = CompilationCache(cache_dir=tmp_path)
-        jobs = make_jobs(3)
-        run_jobs(jobs, cache=cache, executor="serial")
-
-        # A fresh batch over the same directory: workers hit the disk tier,
-        # and the parent's stats absorb those hits (so --json output of a
-        # warm process batch actually reports hits).
-        warm_cache = CompilationCache(cache_dir=tmp_path)
-        warm = run_jobs(jobs, cache=warm_cache, executor="process", max_workers=2)
-        assert all(entry.from_cache for entry in warm.results)
-        assert warm_cache.stats.hits == 3
-        assert warm_cache.stats.disk_hits == 3
-        # ... and its memory tier is warm for follow-up serial/thread batches.
-        assert len(warm_cache) == 3
-
-    def test_process_batch_warms_from_memory_only_cache(self):
-        """Without a disk tier the parent's in-memory cache still makes the
-        second process batch warm (pre-checked before pool dispatch)."""
-        cache = CompilationCache()  # no cache_dir
-        jobs = make_jobs(3)
-        cold = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
-        assert all(not e.from_cache for e in cold.results)
-        warm = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
-        assert all(e.from_cache for e in warm.results)
-        assert cache.stats.hits == 3
+        assert cache.stats.evaluate_hits == 3
+        assert cache.stats.disk_hits >= 3
+        assert cache.stats.disk_stores == 0
         for a, b in zip(cold.results, warm.results):
             assert a.result.ir_text() == b.result.ir_text()
 
+    def test_process_workers_share_disk_cache(self, tmp_path):
+        cache = StageCache(cache_dir=tmp_path)
+        jobs = make_jobs(3)
+        serial = run_jobs(jobs, cache=cache, executor="serial")
+        written = {path: path.stat().st_mtime_ns for path in tmp_path.rglob("*.pkl")}
+
+        # A fresh batch over the same directory: workers hit the disk tier,
+        # so they store nothing new.
+        warm_cache = StageCache(cache_dir=tmp_path)
+        warm = run_jobs(jobs, cache=warm_cache, executor="process", max_workers=2)
+        assert warm.ok and warm.executor == "process"
+        assert set(tmp_path.rglob("*.pkl")) == set(written)
+        for a, b in zip(serial.results, warm.results):
+            assert a.result.ir_text() == b.result.ir_text()
+
     def test_failed_jobs_are_not_cached(self):
-        cache = CompilationCache()
+        cache = StageCache()
         jobs = [CompileJob(name="broken", sources=((BAD_SOURCE, "broken.td"),))]
         run_jobs(jobs, cache=cache, executor="serial")
         again = run_jobs(jobs, cache=cache, executor="serial")
-        assert not again.results[0].from_cache
-        assert cache.stats.stores == 0
+        assert not again.results[0].ok
+        assert cache.stats.evaluate_hits == 0
+        assert cache.stats.evaluate_misses == 0
 
 
 class TestTpchSuiteBatch:
@@ -173,12 +169,11 @@ class TestTpchSuiteBatch:
         from repro.queries import QUERIES
 
         query = QUERIES["q6"]
-        cache = CompilationCache()
-        first = query.compile(force=True, cache=cache)
-        cache.put(cache.key_for(query.sources(), query.compile_job().options()), first)
+        cache = StageCache()
+        warm = query.compile_job().compile(cache=cache)
         forced = query.compile(force=True, cache=cache)
-        assert forced is not first  # a fresh compile, not the cached object
-        assert cache.stats.hits == 0
+        assert forced.project is not warm.project  # a fresh compile
+        assert cache.stats.evaluate_hits == 0
 
     def test_compile_all_through_batch_driver(self):
         from repro.queries import ALL_QUERIES, compile_all
@@ -186,7 +181,7 @@ class TestTpchSuiteBatch:
         fresh = [q for q in ALL_QUERIES]
         for query in fresh:
             query._compiled = None  # force a real batch compile
-        results = compile_all(executor="thread", max_workers=4)
+        results = compile_all(executor="process", max_workers=2)
         assert set(results) == {q.name for q in ALL_QUERIES}
         # The batch results are memoised onto the query objects.
         for query in ALL_QUERIES:
@@ -211,7 +206,7 @@ class TestBackendTargets:
         )
 
     def test_batch_carries_backend_outputs_and_caches_them(self):
-        cache = CompilationCache()
+        cache = StageCache()
         jobs = [job.with_options(targets=("vhdl", "ir")) for job in make_jobs(3)]
         cold = run_jobs(jobs, cache=cache, executor="serial")
         assert cold.ok
@@ -221,8 +216,10 @@ class TestBackendTargets:
                 "vhdl": len(entry.result.outputs["vhdl"]),
                 "ir": len(entry.result.outputs["ir"]),
             }
+        misses = cache.stats.backend_misses
         warm = run_jobs(jobs, cache=cache, executor="serial")
-        assert all(entry.from_cache for entry in warm.results)
+        assert cache.stats.evaluate_hits == 3
+        assert cache.stats.backend_misses == misses
         for cold_entry, warm_entry in zip(cold.results, warm.results):
             assert warm_entry.result.outputs == cold_entry.result.outputs
 
@@ -240,7 +237,6 @@ class TestWorkerCount:
         from repro.pipeline.batch import _worker_count
 
         assert _worker_count("process", 32, 64) == 32
-        assert _worker_count("thread", 32, 64) == 32
         assert _worker_count("process", 32, 4) == 4  # clamped to job count
 
     def test_defaults_are_executor_aware(self):
@@ -249,7 +245,7 @@ class TestWorkerCount:
         from repro.pipeline.batch import _worker_count
 
         cpus = os.cpu_count() or 2
-        assert _worker_count("thread", None, 1000) == min(cpus, 8)
+        assert _worker_count("serial", None, 1000) == 1
         assert _worker_count("process", None, 1000) == cpus
 
     def test_serial_and_tiny_batches(self):

@@ -1,15 +1,19 @@
-"""Tests for the content-addressed compilation cache."""
+"""Tests for the content-addressed compilation cache (:class:`StageCache`)
+through its ``compile_sources`` front door, and the fingerprint recipe."""
 
 import pickle
 
 import pytest
 
 from repro.lang import compile_sources
+from repro.lang.compile import FrontendState
 from repro.pipeline import (
-    CompilationCache,
+    StageCache,
     fingerprint_sources,
     normalize_sources,
 )
+from repro.pipeline import stages as stages_module
+from repro.pipeline.store import SHARED, TieredStore
 
 SOURCE = """
 type byte_t = Stream(Bit(8), d=1);
@@ -67,9 +71,9 @@ class TestFingerprint:
     def test_stage_schema_version_changes_key(self, monkeypatch):
         """Keys from a different per-stage layout can never collide.
 
-        ``key_for`` mixes ``STAGE_SCHEMA_VERSION`` into the salt, so entries
-        written by the PR-1 whole-result-only layout (or any future layout)
-        address different files and are simply never deserialised.
+        The fingerprint mixes ``STAGE_SCHEMA_VERSION`` into the salt, so
+        entries written by an older (or any future) layout address
+        different files and are simply never deserialised.
         """
         from repro.pipeline import cache as cache_module
 
@@ -87,162 +91,183 @@ class TestFingerprint:
 
 class TestCompileSourcesCacheHook:
     def test_miss_then_hit(self):
-        cache = CompilationCache()
+        cache = StageCache()
         first = compile_sources([(SOURCE, "a.td")], cache=cache)
         second = compile_sources([(SOURCE, "a.td")], cache=cache)
-        assert second is first  # in-memory hit returns the stored artefact
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == 1
+        # An in-memory hit serves the stored frontend snapshot itself.
+        assert second.project is first.project
+        assert cache.stats.evaluate_hits == 1
+        assert cache.stats.evaluate_misses == 1
 
     def test_source_change_invalidates(self):
-        cache = CompilationCache()
+        cache = StageCache()
         first = compile_sources([(SOURCE, "a.td")], cache=cache)
         changed = compile_sources([(OTHER_SOURCE, "a.td")], cache=cache)
-        assert changed is not first
-        assert cache.stats.misses == 2
+        assert changed.project is not first.project
+        assert cache.stats.evaluate_misses == 2
 
     def test_option_change_invalidates(self):
-        cache = CompilationCache()
+        cache = StageCache()
         compile_sources([(SOURCE, "a.td")], cache=cache)
         no_sugar = compile_sources([(SOURCE, "a.td")], sugaring=False, cache=cache)
-        assert cache.stats.misses == 2
+        assert cache.stats.evaluate_misses == 2
         assert "sugaring" not in no_sugar.stage_names()
 
     def test_cached_result_ir_identical(self):
-        cache = CompilationCache()
+        cache = StageCache()
         cold = compile_sources([(SOURCE, "a.td")], cache=cache)
         warm = compile_sources([(SOURCE, "a.td")], cache=cache)
         assert warm.ir_text() == cold.ir_text()
 
 
-class TestLru:
-    def test_eviction_of_least_recently_used(self):
-        cache = CompilationCache(max_entries=2)
-        r = compile_sources([SOURCE])
-        cache.put("k1", r)
-        cache.put("k2", r)
-        assert cache.get("k1") is r  # k1 is now most recent
-        cache.put("k3", r)  # evicts k2
-        assert cache.get("k2") is None
-        assert cache.get("k1") is r
-        assert cache.get("k3") is r
-        assert cache.stats.evictions == 1
-        assert len(cache) == 2
+def _design(width: int) -> list[tuple[str, str]]:
+    return [(SOURCE.replace("Bit(8)", f"Bit({width})"), "a.td")]
 
-    def test_max_entries_validation(self):
+
+class TestLru:
+    def test_eviction_of_least_recently_used(self, monkeypatch):
+        monkeypatch.setitem(stages_module.STAGE_CAPACITY, "eval", 2)
+        cache = StageCache()
+        compile_sources(_design(1), cache=cache)
+        compile_sources(_design(2), cache=cache)
+        compile_sources(_design(1), cache=cache)  # design 1 is now most recent
+        compile_sources(_design(3), cache=cache)  # evicts design 2
+        assert cache.stats.evaluate_hits == 1
+        compile_sources(_design(1), cache=cache)
+        compile_sources(_design(3), cache=cache)
+        assert cache.stats.evaluate_hits == 3
+        compile_sources(_design(2), cache=cache)  # recompiled
+        assert cache.stats.evaluate_misses == 4
+
+    def test_max_entries_validation(self, monkeypatch):
         with pytest.raises(ValueError):
-            CompilationCache(max_entries=0)
+            StageCache(max_disk_bytes=-1)
+        monkeypatch.setitem(stages_module.STAGE_CAPACITY, "eval", 0)
+        with pytest.raises(ValueError):
+            StageCache()
+
+
+def _snapshots(cache_dir) -> list:
+    return sorted((cache_dir / "stages").glob("eval-*.pkl"))
 
 
 class TestDiskTier:
     def test_persists_across_instances(self, tmp_path):
         cache_dir = tmp_path / ".tydi-cache"
-        writer = CompilationCache(cache_dir=cache_dir)
+        writer = StageCache(cache_dir=cache_dir)
         cold = compile_sources([(SOURCE, "a.td")], cache=writer)
-        assert writer.stats.disk_stores == 1
-        assert list(cache_dir.glob("*.pkl"))
+        assert writer.stats.disk_stores >= 2  # the AST and the snapshot
+        assert len(_snapshots(cache_dir)) == 1
 
-        reader = CompilationCache(cache_dir=cache_dir)
+        reader = StageCache(cache_dir=cache_dir)
         warm = compile_sources([(SOURCE, "a.td")], cache=reader)
-        assert reader.stats.disk_hits == 1
-        assert warm is not cold  # pickle round-trip, not an alias
+        assert reader.stats.evaluate_hits == 1
+        assert reader.stats.disk_hits == 1  # the snapshot alone
+        assert warm.project is not cold.project  # pickle round-trip, not an alias
         assert warm.ir_text() == cold.ir_text()
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = CompilationCache(cache_dir=tmp_path)
+        cache = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=cache)
-        entry = next(tmp_path.glob("*.pkl"))
-        entry.write_bytes(b"definitely not a pickle")
+        _snapshots(tmp_path)[0].write_bytes(b"definitely not a pickle")
 
-        fresh = CompilationCache(cache_dir=tmp_path)
+        fresh = StageCache(cache_dir=tmp_path)
         result = compile_sources([(SOURCE, "a.td")], cache=fresh)
         assert result is not None
         assert fresh.stats.disk_errors == 1
-        assert fresh.stats.misses == 1
+        assert fresh.stats.evaluate_hits == 0
+        assert fresh.stats.evaluate_misses == 1
         # The corrupt artefact was dropped and replaced by the recompile.
-        reloaded = pickle.loads(next(tmp_path.glob("*.pkl")).read_bytes())
-        assert reloaded.ir_text() == result.ir_text()
+        reloaded = pickle.loads(_snapshots(tmp_path)[0].read_bytes())
+        assert isinstance(reloaded, FrontendState)
+        assert compile_sources([(SOURCE, "a.td")]).ir_text() == result.ir_text()
+        assert [str(s) for s in reloaded.stages] == [str(s) for s in result.stages]
 
     def test_old_layout_entry_is_never_deserialized(self, tmp_path, monkeypatch):
-        """A PR-1-era store (older stage schema) misses instead of loading.
+        """An older store layout misses instead of loading.
 
-        The old entry addresses a different key, so the new layout recompiles
-        and stores under its own key; the stale artefact is left untouched
-        until disk eviction (or a manual clear) reaps it -- it is never
+        The old entries address different keys (and, for the retired
+        whole-result tier, different paths), so the new layout recompiles
+        and stores under its own key; the stale artefacts are left untouched
+        until disk eviction (or a manual clear) reaps them -- they are never
         loaded into the new layout.
         """
-        from repro.pipeline import cache as cache_module
-
-        # Write an artefact under the key an *older* schema would compute --
-        # with a payload that would blow up if it were ever unpickled.
-        monkeypatch.setattr(cache_module, "STAGE_SCHEMA_VERSION", 0)
-        old_key = fingerprint_sources([(SOURCE, "a.td")], _default_options())
+        # Write artefacts under the keys an *older* schema would compute --
+        # with payloads that would blow up if they were ever unpickled.
+        monkeypatch.setattr(stages_module, "STAGE_SCHEMA_VERSION", 0)
+        old_snapshot = StageCache().snapshot_key([(SOURCE, "a.td")], _default_options())
         monkeypatch.undo()
-        tmp_path.mkdir(exist_ok=True)
-        (tmp_path / f"{old_key}.pkl").write_bytes(b"stale layout, do not load")
+        old_result = fingerprint_sources([(SOURCE, "a.td")], _default_options())
+        stale = [
+            tmp_path / "stages" / f"eval-{old_snapshot}.pkl",
+            tmp_path / f"{old_result}.pkl",
+        ]
+        stale[0].parent.mkdir(parents=True)
+        for path in stale:
+            path.write_bytes(b"stale layout, do not load")
 
-        cache = CompilationCache(cache_dir=tmp_path)
+        cache = StageCache(cache_dir=tmp_path)
         result = compile_sources([(SOURCE, "a.td")], cache=cache)
         assert result.project.top == "echo_i"
-        assert cache.stats.disk_errors == 0  # the stale entry was never opened
-        assert cache.stats.misses == 1
-        assert (tmp_path / f"{old_key}.pkl").exists()
+        assert cache.stats.disk_errors == 0  # the stale entries were never opened
+        assert cache.stats.evaluate_misses == 1
+        assert all(path.exists() for path in stale)
 
     def test_unreadable_stage_entry_is_a_miss(self, tmp_path):
-        """Corrupt per-stage artefacts recover exactly like whole-result ones."""
-        cache = CompilationCache(cache_dir=tmp_path)
+        """Corrupt artefacts of every tier recover as misses."""
+        cache = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=cache)
         stage_pkls = list((tmp_path / "stages").glob("*.pkl"))
-        assert stage_pkls
+        assert len(stage_pkls) >= 2
         for path in stage_pkls:
             path.write_bytes(b"truncated garbage")
-        for path in tmp_path.glob("*.pkl"):
-            path.unlink()  # force a whole-result miss into the staged path
 
-        fresh = CompilationCache(cache_dir=tmp_path)
+        fresh = StageCache(cache_dir=tmp_path)
         result = compile_sources([(SOURCE, "a.td")], cache=fresh)
         assert result.project.top == "echo_i"
-        assert fresh.stages.stats.disk_errors >= 1
+        assert fresh.stats.disk_errors == 2  # the snapshot, then the AST
 
     def test_clear_disk(self, tmp_path):
-        cache = CompilationCache(cache_dir=tmp_path)
+        cache = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=cache)
         cache.clear(disk=True)
         assert len(cache) == 0
-        assert not list(tmp_path.glob("*.pkl"))
+        assert not list(tmp_path.rglob("*.pkl"))
 
-    def test_eviction_keeps_disk_copy(self, tmp_path):
-        cache = CompilationCache(max_entries=1, cache_dir=tmp_path)
+    def test_eviction_keeps_disk_copy(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(stages_module.STAGE_CAPACITY, "eval", 1)
+        cache = StageCache(cache_dir=tmp_path)
         a = compile_sources([(SOURCE, "a.td")], cache=cache)
         compile_sources([(OTHER_SOURCE, "b.td")], cache=cache)  # evicts a from memory
-        assert cache.stats.evictions == 1
         again = compile_sources([(SOURCE, "a.td")], cache=cache)
+        assert cache.stats.evaluate_hits == 1
         assert cache.stats.disk_hits == 1
         assert again.ir_text() == a.ir_text()
 
 
 class TestStats:
     def test_hit_rate(self):
-        cache = CompilationCache()
-        compile_sources([SOURCE], cache=cache)
-        compile_sources([SOURCE], cache=cache)
-        compile_sources([SOURCE], cache=cache)
-        assert cache.stats.lookups == 3
-        assert cache.stats.hit_rate() == pytest.approx(2 / 3)
-        assert cache.stats.as_dict()["hits"] == 2
+        store = TieredStore("eval", SHARED, 4)
+        assert store.get("k") is None
+        store.put("k", "v")
+        assert store.get("k") == "v"
+        assert store.get("k") == "v"
+        assert store.stats.lookups == 3
+        assert store.stats.hit_rate() == pytest.approx(2 / 3)
+        assert store.stats.as_dict()["hits"] == 2
 
 
 class TestClearRecursive:
     def test_clear_disk_removes_stage_artefacts_without_stage_caching(self, tmp_path):
         """Regression: clear(disk=True) from an instance that never staged
-        anything itself used to glob only top-level *.pkl, orphaning stages/
-        artefacts on disk (where they still counted against max_disk_bytes)."""
-        warm = CompilationCache(cache_dir=tmp_path)
+        anything itself must still reclaim every artefact on disk (which
+        would otherwise count against max_disk_bytes)."""
+        warm = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=warm)
         assert list((tmp_path / "stages").glob("*.pkl"))
+        (tmp_path / "retired-layout.pkl").write_bytes(b"x")
 
-        cache = CompilationCache(cache_dir=tmp_path)
+        cache = StageCache(cache_dir=tmp_path)
         cache.clear(disk=True)
         assert not list(tmp_path.rglob("*.pkl"))
 
@@ -250,7 +275,7 @@ class TestClearRecursive:
         (tmp_path / "stages").mkdir()
         (tmp_path / "dead.pkl.tmp").write_bytes(b"x")
         (tmp_path / "stages" / "dead.pkl.tmp").write_bytes(b"x")
-        cache = CompilationCache(cache_dir=tmp_path)
+        cache = StageCache(cache_dir=tmp_path)
         cache.clear(disk=True)
         assert not list(tmp_path.rglob("*.tmp"))
 
@@ -261,7 +286,7 @@ class TestTmpSweep:
         *.tmp file that eviction neither counted nor ever deleted."""
         import os
 
-        from repro.pipeline.cache import evict_lru_files
+        from repro.pipeline.store import evict_lru_files
 
         stale = tmp_path / "orphan.pkl.tmp"
         stale.write_bytes(b"x" * 100)
@@ -274,7 +299,7 @@ class TestTmpSweep:
     def test_fresh_tmp_files_survive_but_count_against_budget(self, tmp_path):
         """An in-flight writer's .tmp must not be deleted under it, but its
         bytes are real disk usage the budget has to see."""
-        from repro.pipeline.cache import evict_lru_files
+        from repro.pipeline.store import evict_lru_files
 
         fresh = tmp_path / "inflight.pkl.tmp"
         fresh.write_bytes(b"x" * 600)

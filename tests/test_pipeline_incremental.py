@@ -8,7 +8,7 @@ the designs whose fingerprint changed and reports the diff.
 import pytest
 
 from repro.errors import TydiWorkspaceError
-from repro.pipeline import CompilationCache, CompileJob
+from repro.pipeline import CompileJob, StageCache
 from repro.workspace import Workspace
 
 
@@ -110,12 +110,12 @@ class TestIncrementalCompiler:
         assert fixed.compiled == ["broken"] and fixed.ok
 
     def test_shares_cache_with_other_drivers(self):
-        cache = CompilationCache()
+        cache = StageCache()
         workspace_with(job("a", 8), cache=cache).compile_all()
         # A second, state-less workspace still hits the cache.
         report = workspace_with(job("a", 8), cache=cache).compile_all()
         assert report.compiled == ["a"]
-        assert cache.stats.hits == 1
+        assert cache.stats.evaluate_hits == 1
 
     def test_summary_line(self):
         report = workspace_with(job("a", 8)).compile_all()
@@ -164,14 +164,14 @@ class TestFileGranularity:
 
     def test_stage_cache_reuses_unchanged_files_across_update(self):
         """The recompile after a one-file edit re-parses only that file."""
-        cache = CompilationCache()
+        cache = StageCache()
         workspace = workspace_with(multi_file_job("a"), cache=cache)
         workspace.compile_all()
-        assert cache.stages.stats.parse_misses == 3
+        assert cache.stats.parse_misses == 3
         workspace.add_job(multi_file_job("a", top_note="// edited"), replace=True)
         workspace.compile_all()
-        assert cache.stages.stats.parse_misses == 4  # only top.td re-parsed
-        assert cache.stages.stats.parse_hits == 2
+        assert cache.stats.parse_misses == 4  # only top.td re-parsed
+        assert cache.stats.parse_hits == 2
 
     def test_failed_design_drops_file_memory(self):
         workspace = workspace_with(multi_file_job("a"))
@@ -191,7 +191,7 @@ class TestFileGranularity:
 
 class TestBackendTargets:
     def test_new_target_dirties_and_outputs_for(self):
-        workspace = workspace_with(job("a", 8), cache=CompilationCache())
+        workspace = workspace_with(job("a", 8), cache=StageCache())
         first = workspace.compile_all()
         assert first.compiled == ["a"]
         assert workspace.cached_result("a").outputs.get("vhdl") is None

@@ -9,13 +9,14 @@ concurrent sharing.
 
 from __future__ import annotations
 
+import pickle
 import random
 import threading
 
 import pytest
 
+from repro.lang.compile import compile_sources
 from repro.pipeline import (
-    CompilationCache,
     CompileJob,
     StageCache,
     file_fingerprint,
@@ -109,26 +110,57 @@ class TestParseTier:
 
 class TestEvaluateTier:
     def test_snapshot_reused_across_downstream_option_changes(self):
+        """A new backend target reuses the post-DRC snapshot; the options
+        sugar and DRC read key a snapshot of their own (re-parsing nothing),
+        which is reused in turn."""
         cache = StageCache()
         full = cache.compile([TYPES, DESIGN], OPTIONS)
-        relaxed = cache.compile([TYPES, DESIGN], {**OPTIONS, "run_drc": False})
+        with_vhdl = cache.compile([TYPES, DESIGN], {**OPTIONS, "targets": ("vhdl",)})
         assert cache.stats.evaluate_misses == 1
         assert cache.stats.evaluate_hits == 1
+        assert with_vhdl.project is full.project
+        assert with_vhdl.outputs["vhdl"]
+
+        relaxed = cache.compile([TYPES, DESIGN], {**OPTIONS, "run_drc": False})
+        assert cache.stats.evaluate_misses == 2
+        assert cache.stats.parse_misses == 2
         assert relaxed.drc is None
         assert full.ir_text() == relaxed.ir_text()
+        again = cache.compile([TYPES, DESIGN], {**OPTIONS, "run_drc": False})
+        assert cache.stats.evaluate_hits == 2
+        assert again.project is relaxed.project
 
     def test_snapshot_is_immutable_across_reuse(self):
-        """Sugaring mutates the project -- the stored snapshot must not see it."""
+        """Every hit serves the stored post-DRC state as is: sugar and DRC
+        are not replayed, and the backends run over it leave it unchanged."""
         rng = random.Random(5)
         sources = build_random_design(rng)
         cache = StageCache()
         first = cache.compile(sources, OPTIONS)
-        second = cache.compile(sources, OPTIONS)
+        before = pickle.dumps(first.project)
+        targets = ("vhdl", "verilog", "ir", "dot", "tydi-ir")
+        second = cache.compile(sources, {**OPTIONS, "targets": targets})
         third = cache.compile(sources, OPTIONS)
+        assert first.project is second.project is third.project
+        assert pickle.dumps(third.project) == before
         assert first.ir_text() == second.ir_text() == third.ir_text()
-        # Each reuse starts from the pristine post-evaluate state, so the
-        # sugaring report is rebuilt identically, never doubled.
-        assert first.sugaring.summary() == second.sugaring.summary() == third.sugaring.summary()
+        assert first.sugaring is second.sugaring is third.sugaring
+
+    def test_snapshot_hit_runs_no_stage(self, tmp_path):
+        """A warm compile of an unchanged design runs no frontend stage and
+        reads no AST, and its outputs equal a cold compile's."""
+        targets = {**OPTIONS, "targets": ("vhdl", "dot")}
+        StageCache(cache_dir=tmp_path).compile([TYPES, DESIGN], targets)
+        for cache in (StageCache(cache_dir=tmp_path), StageCache(cache_dir=tmp_path)):
+            cache.compile([TYPES, DESIGN], targets)  # first: from disk
+            warm = cache.compile([TYPES, DESIGN], targets)  # second: from memory
+            counts = cache.stats_snapshot()
+            assert counts["evaluate_hits"] == 2 and counts["evaluate_misses"] == 0
+            assert counts["parse_hits"] == 0 and counts["parse_misses"] == 0
+        cold = compile_sources([TYPES, DESIGN], **targets)
+        assert warm.outputs == cold.outputs
+        assert warm.ir_text() == cold.ir_text()
+        assert [str(s) for s in warm.stages] == [str(s) for s in cold.stages]
 
 
 class TestDiskTier:
@@ -195,9 +227,9 @@ class TestDiskEviction:
         assert paths[1].exists()
 
     def test_process_batch_respects_disk_budget(self, tmp_path):
-        """--max-cache-mb shape: workers and the parent fold both enforce."""
+        """--max-cache-mb shape: every worker enforces the budget."""
         budget = 8 * 1024
-        cache = CompilationCache(cache_dir=tmp_path, max_disk_bytes=budget)
+        cache = StageCache(cache_dir=tmp_path, max_disk_bytes=budget)
         jobs = [
             CompileJob(
                 name=f"d{index}",
@@ -212,31 +244,28 @@ class TestDiskEviction:
         assert total <= budget
 
     def test_clear_cascades_to_stage_tiers(self, tmp_path):
-        from repro.lang.compile import compile_sources
-
-        cache = CompilationCache(cache_dir=tmp_path)
+        cache = StageCache(cache_dir=tmp_path)
         compile_sources([TYPES, DESIGN], include_stdlib=False, cache=cache)
-        assert len(cache.stages) > 0
+        assert len(cache) > 0
         cache.clear(disk=True)
-        assert len(cache.stages) == 0
+        assert len(cache) == 0
         assert not list(tmp_path.rglob("*.pkl"))
 
     def test_whole_cache_budget_covers_both_tiers(self, tmp_path):
-        """CompilationCache(max_disk_bytes=...) bounds result + stage pkls."""
-        cache = CompilationCache(cache_dir=tmp_path, max_disk_bytes=16 * 1024)
-        from repro.lang.compile import compile_sources
-
+        """StageCache(max_disk_bytes=...) bounds the snapshot and AST pkls
+        of the compile_sources front door."""
+        cache = StageCache(cache_dir=tmp_path, max_disk_bytes=8 * 1024)
         for index in range(6):
             sources = [(TYPES[0] + f"const v{index} = {index};\n", TYPES[1]), DESIGN]
             compile_sources(sources, include_stdlib=False, cache=cache)
         total = sum(p.stat().st_size for p in tmp_path.rglob("*.pkl"))
-        assert total <= 16 * 1024
-        assert cache.stats.disk_evictions + cache.stages.stats.disk_evictions > 0
+        assert total <= 8 * 1024
+        assert cache.stats.disk_evictions > 0
 
 
 class TestConcurrency:
     def test_two_batch_runs_share_one_cache_and_disk(self, tmp_path):
-        """Two thread-executor batches racing on one cache + one disk dir.
+        """Two batches on two threads racing on one cache + one disk dir.
 
         Both must succeed with byte-identical results and leave only whole,
         loadable artefacts behind (atomic write-to-temp-then-rename: no
@@ -248,13 +277,13 @@ class TestConcurrency:
             CompileJob(name=f"d{index}", sources=tuple(sources), include_stdlib=False)
             for index, sources in enumerate(designs)
         ]
-        cache = CompilationCache(cache_dir=tmp_path)
+        cache = StageCache(cache_dir=tmp_path)
         outcomes = [None, None]
         errors = []
 
         def run(slot: int) -> None:
             try:
-                outcomes[slot] = run_jobs(jobs, cache=cache, executor="thread", max_workers=4)
+                outcomes[slot] = run_jobs(jobs, cache=cache, executor="serial")
             except Exception as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
 
@@ -279,10 +308,10 @@ class TestConcurrency:
         assert not list(tmp_path.rglob("*.tmp"))
 
         # A cold instance over the same store serves every design warm.
-        fresh = CompilationCache(cache_dir=tmp_path)
+        fresh = StageCache(cache_dir=tmp_path)
         warm = run_jobs(jobs, cache=fresh, executor="serial")
         assert warm.ok
-        assert all(entry.from_cache for entry in warm.results)
+        assert fresh.stats.evaluate_hits == len(jobs)
 
     def test_concurrent_stage_compiles_on_one_stage_cache(self):
         """Raw StageCache sharing: concurrent compiles of overlapping designs."""
@@ -305,8 +334,6 @@ class TestConcurrency:
         for thread in threads:
             thread.join()
         assert not errors
-
-        from repro.lang.compile import compile_sources
 
         for slot, ir in results.items():
             reference = compile_sources(variants[slot % len(variants)], include_stdlib=False)

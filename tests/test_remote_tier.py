@@ -8,7 +8,7 @@ import threading
 import pytest
 
 from repro.lang import compile_sources
-from repro.pipeline import CompilationCache, RemoteCacheClient, parse_endpoint
+from repro.pipeline import RemoteCacheClient, StageCache, parse_endpoint
 from repro.pipeline.remote import (
     DEFAULT_CACHE_PORT,
     pack_put,
@@ -71,7 +71,7 @@ class TestWireFormat:
             parse_endpoint(bad)
 
     def test_put_roundtrip(self):
-        key, blob = "result:" + "a" * 64, b"\x00\xffpayload"
+        key, blob = "eval:" + "a" * 64, b"\x00\xffpayload"
         assert unpack_put(pack_put(key, blob)) == (key, blob)
 
     def test_put_roundtrip_empty_payload(self):
@@ -142,10 +142,10 @@ class TestCacheStore:
 class TestClientServer:
     def test_get_put_roundtrip(self, server):
         with _client(server) as client:
-            assert client.get("result:deadbeef") is None
-            client.put("result:deadbeef", b"payload")
+            assert client.get("eval:deadbeef") is None
+            client.put("eval:deadbeef", b"payload")
             assert client.flush()
-            assert client.get("result:deadbeef") == b"payload"
+            assert client.get("eval:deadbeef") == b"payload"
             snap = client.stats_snapshot()
             assert snap["hits"] == 1
             assert snap["misses"] == 1
@@ -215,78 +215,82 @@ class TestClientServer:
 
 class TestCacheIntegration:
     def test_cold_cache_hits_warm_remote_whole_result(self, server, tmp_path):
+        """A cold cache over a warm remote runs no stage at all: the
+        frontend snapshot and every backend unit come over the wire."""
         with _client(server) as writer:
-            warm = CompilationCache(cache_dir=tmp_path / "w", remote=writer)
-            expected = compile_sources([(SOURCE, "a.td")], cache=warm)
+            warm = StageCache(cache_dir=tmp_path / "w", remote=writer)
+            expected = compile_sources([(SOURCE, "a.td")], cache=warm, targets=["vhdl"])
             assert writer.flush()
 
         with _client(server) as reader:
-            cold = CompilationCache(cache_dir=tmp_path / "c", remote=reader)
-            result = compile_sources([(SOURCE, "a.td")], cache=cold)
+            cold = StageCache(cache_dir=tmp_path / "c", remote=reader)
+            result = compile_sources([(SOURCE, "a.td")], cache=cold, targets=["vhdl"])
             assert result.ir_text() == expected.ir_text()
-            assert cold.stats.hits == 1
-            assert cold.stats.misses == 0
-            snap = cold.stats_snapshot()
-            assert snap["remote"]["hits"] == 1
-            # The hit was promoted to local disk: a rebuilt local-only cache
-            # serves it without the remote.
-            local = CompilationCache(cache_dir=tmp_path / "c")
-            compile_sources([(SOURCE, "a.td")], cache=local)
-            assert local.stats.disk_hits == 1
-            assert local.stats.misses == 0
+            assert result.outputs == expected.outputs
+            counts = cold.stats_snapshot()
+            assert counts["evaluate_hits"] == 1 and counts["evaluate_misses"] == 0
+            assert counts["backend_misses"] == 0
+            assert counts["parse_hits"] == counts["parse_misses"] == 0
+            assert reader.stats_snapshot()["hits"] == 1 + counts["backend_hits"]
+            # The hits were promoted to local disk: a rebuilt local-only
+            # cache serves them without the remote.
+            local = StageCache(cache_dir=tmp_path / "c")
+            compile_sources([(SOURCE, "a.td")], cache=local, targets=["vhdl"])
+            assert local.stats.disk_hits == 1 + local.stats.backend_hits
+            assert local.stats.evaluate_misses == local.stats.backend_misses == 0
 
     def test_stage_tiers_hit_warm_remote(self, server):
         with _client(server) as writer:
-            warm = CompilationCache(remote=writer)
+            warm = StageCache(remote=writer)
             compile_sources([(SOURCE, "a.td")], cache=warm, targets=["vhdl"])
             assert writer.flush()
-            # Drop the whole-result entry so the staged path must run.
-            assert _drop_namespace(server.store, "result:") >= 1
+            # Drop the frontend snapshot so the frontend must run.
+            assert _drop_namespace(server.store, "eval:") >= 1
 
         with _client(server) as reader:
-            cold = CompilationCache(remote=reader)
+            cold = StageCache(remote=reader)
             result = compile_sources([(SOURCE, "a.td")], cache=cold, targets=["vhdl"])
             assert result.outputs["vhdl"]
-            stage_stats = cold.stages.stats
+            stage_stats = cold.stats
             assert stage_stats.parse_misses == 0
             assert stage_stats.parse_hits >= 1
-            assert stage_stats.evaluate_hits == 1
+            assert stage_stats.evaluate_misses == 1
             assert stage_stats.backend_hits >= 1
             assert reader.stats_snapshot()["corrupt"] == 0
 
-    def test_corrupt_remote_result_is_a_miss(self, server, tmp_path):
+    def test_corrupt_remote_result_is_a_miss(self, server):
         from repro.lang.compile import CompileOptions
 
-        cache = CompilationCache(cache_dir=tmp_path)
-        key = cache.key_for([(SOURCE, "a.td")], CompileOptions())
-        server.store.put(f"result:{key}", b"not a pickle")
+        key = StageCache().snapshot_key([(SOURCE, "a.td")], CompileOptions())
+        server.store.put(f"eval:{key}", b"not a pickle")
         with _client(server) as client:
-            cold = CompilationCache(remote=client)
+            cold = StageCache(remote=client)
             result = compile_sources([(SOURCE, "a.td")], cache=cold)
             assert result.project.top == "echo_i"
+            assert cold.stats.evaluate_misses == 1
             snap = client.stats_snapshot()
             assert snap["corrupt"] >= 1
             assert snap["errors"] >= 1
 
     def test_corrupt_remote_snapshot_is_a_miss(self, server):
         with _client(server) as writer:
-            warm = CompilationCache(remote=writer)
+            warm = StageCache(remote=writer)
             compile_sources([(SOURCE, "a.td")], cache=warm)
             assert writer.flush()
         # Corrupt every eval snapshot in place; asts stay valid.
         corrupted = _replace_namespace(server.store, "eval:", b"not a pickle")
         assert corrupted >= 1
-        _drop_namespace(server.store, "result:")
         with _client(server) as reader:
-            cold = CompilationCache(remote=reader)
+            cold = StageCache(remote=reader)
             result = compile_sources([(SOURCE, "a.td")], cache=cold)
             assert result.project.top == "echo_i"
             assert reader.stats_snapshot()["corrupt"] >= 1
-            assert cold.stages.stats.evaluate_misses == 1
+            assert cold.stats.evaluate_misses == 1
+            assert cold.stats.parse_misses == 0
 
     def test_wrong_typed_remote_ast_is_a_miss(self, server):
         with _client(server) as writer:
-            warm = CompilationCache(remote=writer)
+            warm = StageCache(remote=writer)
             compile_sources([(SOURCE, "a.td")], cache=warm)
             assert writer.flush()
         # Replace every ast blob with a validly-pickled wrong type.
@@ -294,15 +298,15 @@ class TestCacheIntegration:
             server.store, "ast:", pickle.dumps({"not": "a SourceUnit"})
         )
         assert swapped >= 1
-        _drop_namespace(server.store, "result:")
+        _drop_namespace(server.store, "eval:")
         with _client(server) as reader:
-            cold = CompilationCache(remote=reader)
+            cold = StageCache(remote=reader)
             result = compile_sources([(SOURCE, "a.td")], cache=cold)
             assert result.project.top == "echo_i"
             assert reader.stats_snapshot()["corrupt"] >= 1
 
     def test_compile_succeeds_with_dead_remote(self, tmp_path):
-        cache = CompilationCache(
+        cache = StageCache(
             cache_dir=tmp_path,
             remote=RemoteCacheClient.from_url(_dead_endpoint(), connect_timeout=0.2),
         )
@@ -311,7 +315,7 @@ class TestCacheIntegration:
             assert result.project.top == "echo_i"
             again = compile_sources([(SOURCE, "a.td")], cache=cache)
             assert again.ir_text() == result.ir_text()
-            assert cache.stats.hits == 1
+            assert cache.stats.evaluate_hits == 1
         finally:
             cache.remote.close()
 
@@ -320,7 +324,7 @@ class TestCacheIntegration:
         from repro.workspace import Workspace
 
         with pytest.raises(TydiWorkspaceError):
-            Workspace(cache=CompilationCache(), remote_cache="127.0.0.1:4781")
+            Workspace(cache=StageCache(), remote_cache="127.0.0.1:4781")
 
 
 class TestConcurrency:

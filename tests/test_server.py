@@ -243,7 +243,7 @@ class TestService:
         try:
             call(service, "open_design", design="d", files={"d.td": GOOD_SOURCE})
             assert call(service, "get_ir", design="d")["ok"]
-            assert list((tmp_path / "cache").glob("*.pkl"))
+            assert list((tmp_path / "cache" / "stages").glob("eval-*.pkl"))
         finally:
             service.close()
 

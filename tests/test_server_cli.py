@@ -53,7 +53,7 @@ class TestServeCommand:
         assert not daemon.is_alive(), "serve did not exit after shutdown"
         assert exit_codes == [0]
         # The served session left warm on-disk artefacts behind.
-        assert list((tmp_path / "cache").glob("*.pkl"))
+        assert list((tmp_path / "cache" / "stages").glob("eval-*.pkl"))
 
     def test_serve_rejects_bad_cache_wiring(self, capsys):
         assert main(["serve", "--max-cache-mb", "10"]) == 1

@@ -35,6 +35,23 @@ top top_i;
 """
 
 
+#: The top input feeds both adder operands: sugaring inserts a duplicator;
+#: without it the simulator refuses to elaborate the fan-out.
+FAN_OUT = """
+type num = Stream(Bit(32), d=1);
+streamlet top_s { values: num in, total: num out, }
+impl top_i of top_s {
+    instance add(adder_i<type num, type num>),
+    instance acc(sum_i<type num, type num>),
+    values => add.lhs,
+    values => add.rhs,
+    add.output => acc.input,
+    acc.output => total,
+}
+top top_i;
+"""
+
+
 @pytest.fixture(scope="module")
 def pipeline_project():
     return compile_project(ADD_TEN_PIPELINE).project
@@ -190,25 +207,56 @@ class TestSimReportCacheTiers:
         assert key != other
 
     def test_downstream_options_keep_reports_warm(self):
-        # sugaring/targets cannot change what the simulator elaborates, so
-        # they must not participate in the sim key.
+        # Backend targets and their options cannot change what the
+        # simulator elaborates, so they do not participate in the sim key.
         cache = StageCache()
-        assert cache.sim_key(
-            self.SOURCES, {"sugaring": True}, self.PLAN
-        ) == cache.sim_key(self.SOURCES, {"sugaring": False}, self.PLAN)
+        key = cache.sim_key(self.SOURCES, {"sugaring": True}, self.PLAN)
+        assert key == cache.sim_key(
+            self.SOURCES,
+            {"sugaring": True, "targets": ("vhdl",), "backend_options": {"dot": {}}},
+            self.PLAN,
+        )
+
+    def test_check_options_split_the_sim_key(self):
+        # Sugaring inserts duplicators/voiders and DRC gates the design:
+        # both change what (and whether) the simulator elaborates.
+        cache = StageCache()
+        key = cache.sim_key(self.SOURCES, {"sugaring": True}, self.PLAN)
+        for option in ("sugaring", "run_drc", "strict_drc"):
+            assert cache.sim_key(self.SOURCES, {option: False}, self.PLAN) != key
+
+    def test_unsugared_twin_is_not_served_the_sugared_report(self):
+        """Regression: the sim key ignored ``sugaring``, so an unsugared
+        fan-out design was served its sugared twin's cached report instead
+        of failing to elaborate."""
+        from repro.errors import TydiSimulationError
+        from repro.lang.compile import CompileOptions
+
+        raw = CompileOptions(sugaring=False, run_drc=False)
+        uncached = Workspace(cache=None)
+        uncached.add_design("raw", {"f.td": FAN_OUT}, raw)
+        with pytest.raises(TydiSimulationError, match="more than one connection"):
+            uncached.simulate("raw", self.PLAN)
+
+        workspace = Workspace()
+        workspace.add_design("sugared", {"f.td": FAN_OUT})
+        workspace.add_design("raw", {"f.td": FAN_OUT}, raw)
+        assert workspace.simulate("sugared", self.PLAN).outputs == {"total": [12]}
+        with pytest.raises(TydiSimulationError, match="more than one connection"):
+            workspace.simulate("raw", self.PLAN)
 
     def test_workspace_disk_tier_survives_sessions(self, tmp_path):
         first = Workspace(cache_dir=tmp_path)
         first.add_design("pipe", {"pipe.td": ADD_TEN_PIPELINE})
         report = first.simulate("pipe", self.PLAN)
         assert report.outputs == {"total": [36]}
-        assert first.cache.stages.stats.sim_misses == 1
+        assert first.cache.stats.sim_misses == 1
 
         second = Workspace(cache_dir=tmp_path)
         second.add_design("pipe", {"pipe.td": ADD_TEN_PIPELINE})
         served = second.simulate("pipe", self.PLAN)
-        assert second.cache.stages.stats.sim_hits == 1
-        assert second.cache.stages.stats.sim_misses == 0
+        assert second.cache.stats.sim_hits == 1
+        assert second.cache.stats.sim_misses == 0
         assert json.dumps(served.as_dict(), sort_keys=True) == json.dumps(
             report.as_dict(), sort_keys=True
         )

@@ -13,11 +13,12 @@ equivalence across 50+ seeded cases, in every cache temperature that can
 occur in practice:
 
 * cold stage cache (first compile of a design),
-* warm per-file ASTs + warm evaluate snapshot (recompile, nothing changed
-  at whole-result level but the whole-result tier was bypassed),
+* a warm frontend snapshot (recompile, nothing changed),
 * warm ASTs for N-1 files after a one-file edit (the motivating case),
-* warm evaluate snapshot reused across downstream-option changes
-  (``run_drc`` / ``sugaring`` flipped).
+* a downstream-option change (``run_drc`` flipped: a new snapshot, built
+  from warm ASTs),
+* a warm restart (a new cache over the same directory) and a warm remote
+  (a fresh directory behind a warm cache server).
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import pytest
 from repro.testing import build_random_design, mutate_design
 
 from repro.lang.compile import compile_sources
-from repro.pipeline import CompilationCache, StageCache
+from repro.pipeline import RemoteCacheClient, StageCache
+from repro.server.cachesvc import CacheServerThread
 
 
 def observable(result) -> dict:
@@ -42,7 +44,7 @@ def observable(result) -> dict:
         "statistics": result.project.statistics(),
         "sugaring": result.sugaring.summary() if result.sugaring else None,
         "drc": result.drc.summary() if result.drc else None,
-        "units": [(u.filename, u.package, len(u.declarations)) for u in result.units],
+        "outputs": result.outputs,
     }
 
 
@@ -72,9 +74,11 @@ def test_staged_equals_monolithic_across_edits(seed):
     monolithic = compile_sources(sources, **options)
     assert_equivalent(staged, monolithic, f"seed {seed} cold")
 
-    # Case 2: fully warm staged recompile (ASTs + evaluate snapshot hit).
+    # Case 2: fully warm staged recompile (a snapshot hit: no stage runs).
+    parsed = stage_cache.stats.parse_hits + stage_cache.stats.parse_misses
     warm = stage_cache.compile(sources, options)
     assert stage_cache.stats.evaluate_hits == 1
+    assert stage_cache.stats.parse_hits + stage_cache.stats.parse_misses == parsed
     assert_equivalent(warm, monolithic, f"seed {seed} warm")
 
     # Case 3: a randomized single-file edit -- N-1 parse artefacts stay warm.
@@ -87,37 +91,50 @@ def test_staged_equals_monolithic_across_edits(seed):
     assert stage_cache.stats.parse_hits == hits_before + len(sources) - 1
     assert stage_cache.stats.parse_misses == len(sources) + 1
 
-    # Case 4: downstream-option change reuses the evaluate snapshot.
-    eval_hits_before = stage_cache.stats.evaluate_hits
+    # Case 4: a downstream-option change keys a new snapshot, built from
+    # warm ASTs only.
     relaxed_options = {**options, "run_drc": False}
     staged_relaxed = stage_cache.compile(edited, relaxed_options)
     mono_relaxed = compile_sources(edited, **relaxed_options)
     assert_equivalent(staged_relaxed, mono_relaxed, f"seed {seed} relaxed drc")
-    assert stage_cache.stats.evaluate_hits == eval_hits_before + 1
+    assert stage_cache.stats.evaluate_misses == 3
+    assert stage_cache.stats.parse_misses == len(sources) + 1
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_staged_equals_monolithic_through_compilation_cache(seed, tmp_path):
-    """End-to-end: the CompilationCache front door (what BatchCompiler uses)."""
+    """End-to-end through ``compile_sources(cache=)``, cold, after an edit,
+    after a warm restart and from a warm remote alone."""
     rng = random.Random(1000 + seed)
     sources = build_random_design(rng)
+    options = {"include_stdlib": False, "targets": ("vhdl", "dot")}
 
-    cache = CompilationCache(cache_dir=tmp_path / "cache")
-    first = compile_sources(sources, include_stdlib=False, cache=cache)
-    reference = compile_sources(sources, include_stdlib=False)
-    assert_equivalent(first, reference, f"seed {seed} via cache, cold")
+    with CacheServerThread() as server:
+        with RemoteCacheClient.from_url(server.endpoint) as writer:
+            cache = StageCache(cache_dir=tmp_path / "cache", remote=writer)
+            first = compile_sources(sources, cache=cache, **options)
+            reference = compile_sources(sources, **options)
+            assert_equivalent(first, reference, f"seed {seed} via cache, cold")
 
-    edited, _ = mutate_design(rng, sources)
-    staged_edited = compile_sources(edited, include_stdlib=False, cache=cache)
-    mono_edited = compile_sources(edited, include_stdlib=False)
-    assert_equivalent(staged_edited, mono_edited, f"seed {seed} via cache, edited")
+            edited, _ = mutate_design(rng, sources)
+            staged_edited = compile_sources(edited, cache=cache, **options)
+            mono_edited = compile_sources(edited, **options)
+            assert_equivalent(staged_edited, mono_edited, f"seed {seed} via cache, edited")
+            assert writer.flush()
 
-    # A second process over the same disk store: only the stage tiers are
-    # warm in the new instance, the whole-result get() precedes them.
-    fresh_cache = CompilationCache(cache_dir=tmp_path / "cache", max_entries=1)
-    fresh_cache.clear()  # in-memory only; disk artefacts survive
-    again = compile_sources(edited, include_stdlib=False, cache=fresh_cache)
-    assert_equivalent(again, mono_edited, f"seed {seed} fresh instance")
+        # A warm restart: a new cache over the same directory.
+        restarted = StageCache(cache_dir=tmp_path / "cache")
+        again = compile_sources(edited, cache=restarted, **options)
+        assert_equivalent(again, mono_edited, f"seed {seed} warm restart")
+        assert restarted.stats.evaluate_hits == 1
+
+        # A warm remote: a fresh directory behind the warm cache server.
+        with RemoteCacheClient.from_url(server.endpoint) as reader:
+            remote = StageCache(cache_dir=tmp_path / "fresh", remote=reader)
+            served = compile_sources(edited, cache=remote, **options)
+            assert_equivalent(served, mono_edited, f"seed {seed} warm remote")
+            assert remote.stats.evaluate_hits == 1
+            assert remote.stats.evaluate_misses == remote.stats.backend_misses == 0
 
 
 def test_degenerate_options_pass_through_verbatim():
@@ -158,10 +175,13 @@ def test_staged_pipeline_raises_identical_errors():
             compile_sources([(source, "bad.td")], **options)
         assert str(staged_exc.value) == str(mono_exc.value)
 
-    # And a *repeat* of the DRC failure reuses the evaluate snapshot while
-    # still raising the identical error (snapshot immutability in action).
-    assert stage_cache.stats.evaluate_misses >= 1
-    source, _ = cases[2][0], cases[2][1]
-    with pytest.raises(TydiDRCError):
+    # Failures are never snapshotted: a *repeat* of the DRC failure runs
+    # the frontend again (from the cached AST) and raises the identical error.
+    assert stage_cache.stats.evaluate_misses == 0
+    source = cases[2][0]
+    parse_hits = stage_cache.stats.parse_hits
+    with pytest.raises(TydiDRCError) as repeat_exc:
         stage_cache.compile([(source, "bad.td")], {"include_stdlib": False, "sugaring": False})
-    assert stage_cache.stats.evaluate_hits >= 1
+    assert str(repeat_exc.value) == str(staged_exc.value)
+    assert stage_cache.stats.evaluate_hits == stage_cache.stats.evaluate_misses == 0
+    assert stage_cache.stats.parse_hits == parse_hits + 1

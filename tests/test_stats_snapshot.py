@@ -15,7 +15,8 @@ from __future__ import annotations
 import threading
 
 from repro.lang.compile import compile_sources
-from repro.pipeline.cache import CompilationCache
+from repro.pipeline import StageCache
+from repro.pipeline.store import SHARED, TieredStore
 from repro.server import CompileService
 from repro.workspace import Workspace
 
@@ -29,7 +30,7 @@ GOOD = (
 
 class TestCacheStatsSnapshot:
     def test_snapshot_matches_as_dict_when_quiescent(self):
-        cache = CompilationCache()
+        cache = StageCache()
         result = compile_sources([GOOD], cache=cache)
         assert result is not None
         assert cache.stats_snapshot() == cache.stats.as_dict()
@@ -37,10 +38,10 @@ class TestCacheStatsSnapshot:
     def test_concurrent_readers_never_see_torn_counters(self):
         """Writers churn get/put; every snapshot must be internally
         consistent: each lookup bumps exactly one of hits/misses *before*
-        the next lookup starts (both mutations happen under the cache
+        the next lookup starts (both mutations happen under the store
         lock), so hits + misses can never exceed the writers' progress nor
         run backwards between snapshots."""
-        cache = CompilationCache(max_entries=4)
+        cache = TieredStore("eval", SHARED, 4)
         result = compile_sources([GOOD], cache=None)
         rounds = 300
         writers = 4
@@ -50,7 +51,7 @@ class TestCacheStatsSnapshot:
             for round_index in range(rounds):
                 key = f"key-{index}-{round_index % 8}"
                 if cache.get(key) is None:
-                    cache.put(key, result, disk=False)
+                    cache.put(key, result)
                 progress[index] += 1
 
         stop = threading.Event()
@@ -97,7 +98,7 @@ class TestCacheStatsSnapshot:
         assert final["stores"] == final["misses"]
 
     def test_stage_cache_snapshot_under_churn(self):
-        cache = CompilationCache()
+        cache = StageCache()
         second = (
             "type other_t = Stream(Bit(4));\n"
             "streamlet other_s { i: other_t in, o: other_t out, }\n"
@@ -107,7 +108,7 @@ class TestCacheStatsSnapshot:
 
         def compile_loop() -> None:
             for _ in range(10):
-                cache.stages.compile(sources, {"include_stdlib": False})
+                cache.compile(sources, {"include_stdlib": False})
 
         stop = threading.Event()
         failures: list[str] = []
@@ -115,7 +116,7 @@ class TestCacheStatsSnapshot:
         def reader() -> None:
             previous = None
             while not stop.is_set():
-                snapshot = cache.stages.stats_snapshot()
+                snapshot = cache.stats_snapshot()
                 if previous is not None:
                     for key, value in previous.items():
                         if snapshot[key] < value:
@@ -135,8 +136,9 @@ class TestCacheStatsSnapshot:
         watcher.join(timeout=60)
         assert not watcher.is_alive()
         assert not failures, failures
-        final = cache.stages.stats_snapshot()
-        assert final["parse_hits"] + final["parse_misses"] == 3 * 10 * len(sources)
+        final = cache.stats_snapshot()
+        # One snapshot lookup per compile: each either hit or stored.
+        assert final["evaluate_hits"] + final["evaluate_misses"] == 3 * 10
 
 
 class TestWorkspaceStats:
@@ -152,9 +154,9 @@ class TestWorkspaceStats:
             pass
         stats = workspace.stats()
         assert stats["designs"] == {"total": 3, "fresh": 1, "stale": 1, "error": 1}
-        assert stats["cache"] is not None and stats["stage_cache"] is not None
-        # The cache sections are the locked snapshots (same shape).
-        assert set(stats["cache"]) == set(workspace.cache.stats.as_dict())
+        assert stats["cache"] == {"remote": None}
+        # The stage section is the locked snapshot (same shape).
+        assert set(stats["stage_cache"]) == set(workspace.cache.stats.as_dict())
 
     def test_stats_without_cache(self):
         workspace = Workspace(cache=None)
@@ -167,31 +169,23 @@ class TestWorkspaceStats:
         workspace.add_design("d", [(GOOD, "d.td")])
         workspace.result("d")
         report = workspace.report()
-        assert report["cache"] == workspace.cache.stats_snapshot()
-        assert report["stage_cache"] == workspace.cache.stages.stats_snapshot()
+        assert report["cache"] == {"remote": None}
+        assert report["stage_cache"] == workspace.cache.stats_snapshot()
 
-    def test_duck_typed_cache_without_snapshot_still_reports(self):
-        class DuckCache:
-            def __init__(self) -> None:
-                self.calls = 0
+    def test_remote_counters_ride_under_cache_remote(self):
+        from repro.server.cachesvc import CacheServerThread
 
-            def key_for(self, sources, options):
-                from repro.pipeline.cache import fingerprint_sources
-
-                return fingerprint_sources(sources, options)
-
-            def get(self, key):
-                return None
-
-            def put(self, key, result):
-                self.calls += 1
-
-        workspace = Workspace(cache=DuckCache())
-        workspace.add_design("d", [(GOOD, "d.td")])
-        workspace.result("d")
-        stats = workspace.stats()
-        assert stats["cache"] is None  # no stats attribute: reported as absent
-        assert stats["designs"]["fresh"] == 1
+        with CacheServerThread() as server:
+            workspace = Workspace(remote_cache=server.endpoint)
+            try:
+                workspace.add_design("d", [(GOOD, "d.td")])
+                workspace.result("d")
+                assert workspace.cache.remote.flush()  # settle the uploads
+                remote = workspace.stats()["cache"]["remote"]
+                assert remote == workspace.cache.remote.stats_snapshot()
+                assert remote["gets"] >= 2  # the snapshot and the AST missed
+            finally:
+                workspace.cache.remote.close()
 
     def test_server_stats_under_concurrent_compiles(self):
         """The server-side regression: `stats` answered while other pool

@@ -15,7 +15,7 @@ import pytest
 
 from repro.errors import TydiDRCError, TydiWorkspaceError
 from repro.lang.compile import CompileOptions, compile_sources
-from repro.pipeline import CompilationCache, run_jobs
+from repro.pipeline import StageCache, run_jobs
 from repro.pipeline.batch import CompileJob
 from repro.testing import build_chain_design
 from repro.workspace import Workspace
@@ -189,15 +189,15 @@ class TestQueries:
         assert 'rankdir="TB"' in dot
 
     def test_error_is_memoised_and_retried_after_fix(self):
-        cache = CompilationCache()
+        cache = StageCache()
         ws = make_workspace(cache=cache)
         ws.add_design("bad", {"a.td": BROKEN})
         with pytest.raises(Exception, match="Mystery"):
             ws.result("bad")
-        misses = cache.stats.misses
+        counts = cache.stats_snapshot()
         with pytest.raises(Exception, match="Mystery"):
             ws.result("bad")  # re-raised from the memo, no recompile
-        assert cache.stats.misses == misses
+        assert cache.stats_snapshot() == counts
         assert ws.report()["designs"]["bad"]["status"] == "error"
         assert ws.cached_result("bad") is None
         ws.update_file("bad", "a.td", SOURCE)
@@ -218,20 +218,20 @@ class TestQueries:
             ws.result("d")
 
     def test_invalidate_forces_recompute_but_keeps_cache(self):
-        cache = CompilationCache()
+        cache = StageCache()
         ws = make_workspace(cache=cache)
         ws.add_design("echo", {"a.td": SOURCE})
         first = ws.result("echo")
         ws.invalidate("echo")
         again = ws.result("echo")
-        assert again is first  # served by the whole-result cache
-        assert cache.stats.hits >= 1
+        assert again.project is first.project  # served by the frontend snapshot
+        assert cache.stats.evaluate_hits == 1
 
 
 class TestCacheStack:
     def test_default_workspace_owns_a_stage_cache(self):
         ws = make_workspace()
-        assert ws.cache is not None and ws.cache.stages is not None
+        assert isinstance(ws.cache, StageCache)
 
     def test_explicit_none_disables_caching(self):
         ws = make_workspace(cache=None)
@@ -255,13 +255,34 @@ class TestCacheStack:
         sources = build_chain_design(6)  # 7 files
         ws.add_design("chain", sources)
         ws.result("chain")
-        stats = ws.cache.stages.stats
+        stats = ws.cache.stats
         assert stats.parse_misses == len(sources)
         text, filename = sources[2]
         ws.update_file("chain", filename, text + "// tweak\n")
         ws.result("chain")
         assert stats.parse_misses == len(sources) + 1
         assert stats.parse_hits >= len(sources) - 1
+
+    def test_one_budget_pass_per_budgeted_edit(self, tmp_path, monkeypatch):
+        """A budgeted edit pays one budget pass (evict_lru_files), and each
+        pass is a full ``rglob("*.pkl")`` of the cache dir."""
+        import pathlib
+
+        ws = make_workspace(cache_dir=tmp_path / "cache", max_cache_mb=64)
+        ws.add_design("echo", {"a.td": SOURCE})
+        ws.result("echo")
+        scans = []
+        rglob = pathlib.Path.rglob
+
+        def counting_rglob(self, pattern, *args, **kwargs):
+            if pattern == "*.pkl":
+                scans.append(self)
+            return rglob(self, pattern, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "rglob", counting_rglob)
+        ws.update_file("echo", "a.td", OTHER)
+        ws.result("echo")
+        assert scans == [tmp_path / "cache"]
 
     def test_max_cache_mb_requires_cache_dir(self):
         with pytest.raises(TydiWorkspaceError, match="requires cache_dir"):
@@ -271,7 +292,7 @@ class TestCacheStack:
 
     def test_cache_and_cache_dir_conflict(self):
         with pytest.raises(TydiWorkspaceError, match="not both"):
-            make_workspace(cache=CompilationCache(), cache_dir="x")
+            make_workspace(cache=StageCache(), cache_dir="x")
 
     def test_shim_equivalence_with_compile_sources(self):
         ws = make_workspace(cache=None)
@@ -321,7 +342,7 @@ class TestCompileAll:
             fn for _, fn in sources[1:]
         )
 
-    @pytest.mark.parametrize("executor", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executors_produce_identical_ir(self, executor):
         serial = make_workspace(cache=None)
         concurrent = make_workspace(cache=None, executor=executor, jobs=2)
@@ -339,13 +360,13 @@ class TestCompileAll:
         assert report.ok and report.batch is not None and len(report.batch) == 0
 
     def test_queries_after_compile_all_hit_the_memo(self):
-        cache = CompilationCache()
+        cache = StageCache()
         ws = make_workspace(cache=cache)
         ws.add_design("echo", {"a.td": SOURCE})
         report = ws.compile_all()
-        lookups = cache.stats.lookups
+        counts = cache.stats_snapshot()
         assert ws.result("echo") is report.results["echo"]
-        assert cache.stats.lookups == lookups  # memo, not cache
+        assert cache.stats_snapshot() == counts  # memo, not cache
 
 
 class TestThreadSafety:
