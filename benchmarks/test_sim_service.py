@@ -11,9 +11,10 @@ session pays the event-driven engine plus both analyses over a
 is the disk tier.  The resulting ``speedup`` metric is gated by
 ``compare_artifacts.py`` against ``benchmarks/baselines/sim-service.json``.
 
-Measured on a 2-vCPU box: 12.7-15.8x over 5 runs (cold ~60-84 ms, warm
-~4-7 ms).  The ratio was 16-26x with the previous engine, which spent
-more time per event (cold ~103-114 ms); a faster cold run shrinks it.
+Measured on a 2-vCPU box: 9.5-17.6x over 17 runs, median 12.0x (cold
+~32-57 ms, warm ~2.5-6 ms).  The ratio was 14-25x with the previous
+primitive behaviours (cold ~70-83 ms) and 16-26x before that (cold
+~103-114 ms): a faster cold run shrinks it.
 """
 
 from __future__ import annotations

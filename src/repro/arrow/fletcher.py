@@ -136,13 +136,12 @@ class FletcherReaderBehavior:
         push = ctx.simulator.push
         progressed = False
         for channel, key, values in self._lanes:
+            if len(channel.queue) >= channel.capacity or channel.pending:
+                continue  # no space: the channel's pop wakes the reader again
             position = state.get(key, 0)
             if position >= len(values):
                 continue
-            if len(channel.queue) >= channel.capacity or channel.pending:
-                continue  # no space: the channel's pop wakes the reader again
-            is_last = position == len(values) - 1
-            push(channel, Packet(value=values[position], last=(is_last,)))
+            push(channel, Packet(values[position], (position == len(values) - 1,)))
             ctx.set_state(key, position + 1)
             progressed = True
         return progressed

@@ -20,6 +20,7 @@ engine will call ``fire`` again within the same delta cycle.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Optional
 
 from repro.errors import TydiSimulationError
@@ -99,21 +100,31 @@ class BehaviorContext:
             return
         if not isinstance(packet, Packet):
             packet = Packet(value=packet)
-        simulator = self.simulator
         if delay <= 0:
-            simulator.push(channel, packet)
+            self.simulator.push(channel, packet)
         else:
-            simulator.schedule(delay, lambda: simulator.push(channel, packet))
+            self.simulator.push_later(delay, channel, packet)
 
     def output_ports(self) -> list[str]:
         return list(self._outputs)
 
 
 class PrimitiveBehavior:
-    """Base class of hard-coded primitive behaviours."""
+    """Base class of hard-coded primitive behaviours.
+
+    A primitive binds what its fires use -- its channels in port order, the
+    simulator's ``pop``/``push`` and its constant arguments -- from the
+    context it fires with.  It binds again whenever a fire brings another
+    context, since one behaviour object may serve several components or
+    several simulators.  A fire then tests ``channel.queue`` and the
+    channel's space (``Channel.can_accept``) inline and calls
+    ``pop``/``push`` directly, with no lookup by port name.
+    """
 
     #: Cycles between consuming the inputs and producing the output.
     latency: int = 1
+    #: The context the bound channels and operations were taken from.
+    _ctx: Optional[BehaviorContext] = None
 
     def __init__(self, implementation: Implementation) -> None:
         self.implementation = implementation
@@ -125,12 +136,33 @@ class PrimitiveBehavior:
             return arguments[index]
         return default
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        """Bind the simulator's channel operations for ``ctx``; each
+        primitive extends this with its channels."""
+        simulator = ctx.simulator
+        self._ctx = ctx
+        self._pop = simulator.pop
+        self._push = simulator.push
+        # ``_send(channel, packet)`` delivers ``latency`` cycles after the fire.
+        if self.latency > 0:
+            self._send = partial(simulator.push_later, self.latency)
+        else:
+            self._send = simulator.push
+
     def fire(self, ctx: BehaviorContext) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError
 
 
 def _merge_last(*packets: Packet) -> tuple[bool, ...]:
     """Combine last flags of synchronised inputs (element-wise or)."""
+    if len(packets) == 2:
+        first = packets[0].last
+        second = packets[1].last
+        if len(first) <= 1 and len(second) <= 1:
+            # One dimension, or a constant's empty ``last``: no generators.
+            if (first and first[0]) or (second and second[0]):
+                return (True,)
+            return (False,) if first or second else ()
     longest = max((len(p.last) for p in packets), default=0)
     merged = []
     for index in range(longest):
@@ -143,14 +175,25 @@ class DuplicatorBehavior(PrimitiveBehavior):
 
     latency = 0
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._input = ctx.component.inputs.get("input")
+        self._outputs = tuple(ctx.component.outputs.values())
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not ctx.has_input("input"):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        source = self._input
+        if source is None or not source.queue:
             return False
-        if not all(ctx.can_send(port) for port in ctx.output_ports()):
-            return False
-        packet = ctx.take("input")
-        for port in ctx.output_ports():
-            ctx.send(port, packet)
+        outputs = self._outputs
+        for channel in outputs:
+            if len(channel.queue) >= channel.capacity or channel.pending:
+                return False
+        packet = self._pop(source)
+        push = self._push
+        for channel in outputs:
+            push(channel, packet)
         return True
 
 
@@ -159,11 +202,17 @@ class VoiderBehavior(PrimitiveBehavior):
 
     latency = 0
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._inputs = tuple(ctx.component.inputs.values())
+
     def fire(self, ctx: BehaviorContext) -> bool:
+        if ctx is not self._ctx:
+            self._bind(ctx)
         progressed = False
-        for port in ctx.input_ports():
-            if ctx.has_input(port):
-                ctx.take(port)
+        for channel in self._inputs:
+            if channel.queue:
+                self._pop(channel)
                 progressed = True
         return progressed
 
@@ -171,18 +220,26 @@ class VoiderBehavior(PrimitiveBehavior):
 class DemuxBehavior(PrimitiveBehavior):
     """Round-robin distribution of input packets over the output channels."""
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        outputs = ctx.component.outputs
+        self._input = ctx.component.inputs.get("input")
+        self._outputs = tuple(outputs[port] for port in sorted(outputs))
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not ctx.has_input("input"):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        source = self._input
+        if source is None or not source.queue:
             return False
-        outputs = sorted(ctx.output_ports())
+        outputs = self._outputs
         if not outputs:
             return False
         index = int(ctx.get_state("selected", 0))
-        port = outputs[index % len(outputs)]
-        if not ctx.can_send(port):
+        channel = outputs[index % len(outputs)]
+        if len(channel.queue) >= channel.capacity or channel.pending:
             return False
-        packet = ctx.take("input")
-        ctx.send(port, packet, delay=self.latency)
+        self._send(channel, self._pop(source))
         ctx.set_state("selected", (index + 1) % len(outputs))
         return True
 
@@ -190,19 +247,28 @@ class DemuxBehavior(PrimitiveBehavior):
 class MuxBehavior(PrimitiveBehavior):
     """Round-robin arbitration of the input channels onto the output."""
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        inputs = ctx.component.inputs
+        self._inputs = tuple(inputs[port] for port in sorted(inputs))
+        self._output = ctx.component.outputs.get("output")
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not ctx.can_send("output"):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        output = self._output
+        if output is None or len(output.queue) >= output.capacity or output.pending:
             return False
-        inputs = sorted(ctx.input_ports())
+        inputs = self._inputs
         if not inputs:
             return False
         index = int(ctx.get_state("selected", 0))
-        for offset in range(len(inputs)):
-            port = inputs[(index + offset) % len(inputs)]
-            if ctx.has_input(port):
-                packet = ctx.take(port)
-                ctx.send("output", packet, delay=self.latency)
-                ctx.set_state("selected", (index + offset + 1) % len(inputs))
+        count = len(inputs)
+        for offset in range(count):
+            channel = inputs[(index + offset) % count]
+            if channel.queue:
+                self._send(output, self._pop(channel))
+                ctx.set_state("selected", (index + offset + 1) % count)
                 return True
         return False
 
@@ -212,13 +278,21 @@ class ConstGeneratorBehavior(PrimitiveBehavior):
 
     latency = 0
 
-    def fire(self, ctx: BehaviorContext) -> bool:
-        if not ctx.can_send("output"):
-            return False
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._output = ctx.component.outputs.get("output")
         value = self.argument(1, 0)
         if hasattr(value, "logical_type"):
             value = 0
-        ctx.send("output", Packet(value=value))
+        self._packet = Packet(value)
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        output = self._output
+        if output is None or len(output.queue) >= output.capacity or output.pending:
+            return False
+        self._push(output, self._packet)
         return True
 
 
@@ -229,25 +303,45 @@ class BinaryOpBehavior(PrimitiveBehavior):
         super().__init__(implementation)
         self.operator = operator
 
-    def fire(self, ctx: BehaviorContext) -> bool:
-        if not (ctx.has_input("lhs") and ctx.has_input("rhs")):
-            return False
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        inputs = ctx.component.inputs
+        self._lhs = inputs.get("lhs")
+        self._rhs = inputs.get("rhs")
         # Arithmetic primitives name their output "output", comparators name
         # it "result"; use whichever single output port the streamlet has.
-        outputs = ctx.output_ports()
-        out_port = outputs[0] if outputs else "output"
-        if outputs and not ctx.can_send(out_port):
+        self._output = next(iter(ctx.component.outputs.values()), None)
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        lhs_channel = self._lhs
+        rhs_channel = self._rhs
+        if lhs_channel is None or not lhs_channel.queue or rhs_channel is None or not rhs_channel.queue:
             return False
-        lhs = ctx.take("lhs")
-        rhs = ctx.take("rhs")
+        output = self._output
+        if output is not None and (len(output.queue) >= output.capacity or output.pending):
+            return False
+        lhs = self._pop(lhs_channel)
+        rhs = self._pop(rhs_channel)
         last = _merge_last(lhs, rhs)
         if lhs.value is None or rhs.value is None:
             # A pure close packet: propagate the sequence delimiter.
-            ctx.send(out_port, Packet(value=None, last=last), delay=self.latency)
-            return True
-        result = self.operator(lhs.value, rhs.value)
-        ctx.send(out_port, Packet(value=result, last=last), delay=self.latency)
+            packet = Packet(None, last)
+        else:
+            packet = Packet(self.operator(lhs.value, rhs.value), last)
+        if output is not None:
+            self._send(output, packet)
         return True
+
+
+def _output_channel(ctx: BehaviorContext, port: str) -> tuple[Optional[object], bool]:
+    """The channel of output ``port`` (None when unconnected), and whether
+    the primitive is blocked for good: it has other outputs but no ``port``
+    channel, so it can never send and never fires."""
+    outputs = ctx.component.outputs
+    channel = outputs.get(port)
+    return channel, channel is None and bool(outputs)
 
 
 class ConstCompareBehavior(PrimitiveBehavior):
@@ -257,18 +351,32 @@ class ConstCompareBehavior(PrimitiveBehavior):
         super().__init__(implementation)
         self.reference = self.argument(1, 0)
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._output, blocked = _output_channel(ctx, "result")
+        self._input = None if blocked else ctx.component.inputs.get("input")
+        reference = self.reference
+        self._textual = isinstance(reference, str)
+        self._reference = str(reference) if self._textual else reference
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not ctx.has_input("input"):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        source = self._input
+        if source is None or not source.queue:
             return False
-        if not ctx.can_send("result") and ctx.output_ports():
+        output = self._output
+        if output is not None and (len(output.queue) >= output.capacity or output.pending):
             return False
-        packet = ctx.take("input")
-        if packet.value is None:
-            ctx.send("result", Packet(value=None, last=packet.last), delay=self.latency)
-            return True
+        packet = self._pop(source)
         value = packet.value
-        equal = str(value) == str(self.reference) if isinstance(self.reference, str) else value == self.reference
-        ctx.send("result", Packet(value=bool(equal), last=packet.last), delay=self.latency)
+        if value is None:
+            result = Packet(None, packet.last)
+        else:
+            equal = str(value) == self._reference if self._textual else value == self._reference
+            result = Packet(bool(equal), packet.last)
+        if output is not None:
+            self._send(output, result)
         return True
 
 
@@ -279,64 +387,110 @@ class LogicOpBehavior(PrimitiveBehavior):
         super().__init__(implementation)
         self.op = op
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._output, blocked = _output_channel(ctx, "output")
+        inputs = ctx.component.inputs
+        self._inputs = () if blocked else tuple(inputs[port] for port in sorted(inputs))
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        inputs = sorted(ctx.input_ports())
-        if not inputs or not all(ctx.has_input(p) for p in inputs):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        inputs = self._inputs
+        if not inputs:
             return False
-        if not ctx.can_send("output") and ctx.output_ports():
+        for channel in inputs:
+            if not channel.queue:
+                return False
+        output = self._output
+        if output is not None and (len(output.queue) >= output.capacity or output.pending):
             return False
-        packets = [ctx.take(p) for p in inputs]
+        packets = []
+        for channel in inputs:
+            packets.append(self._pop(channel))
         last = _merge_last(*packets)
-        values = [p.value for p in packets]
-        if all(v is None for v in values):
-            ctx.send("output", Packet(value=None, last=last), delay=self.latency)
-            return True
-        bools = [bool(v) for v in values if v is not None]
-        if self.op == "and":
+        bools = []
+        for packet in packets:
+            if packet.value is not None:
+                bools.append(bool(packet.value))
+        if not bools:
+            result = None
+        elif self.op == "and":
             result = all(bools)
         elif self.op == "or":
             result = any(bools)
         else:  # "not"
             result = not bools[0]
-        ctx.send("output", Packet(value=result, last=last), delay=self.latency)
+        if output is not None:
+            self._send(output, Packet(result, last))
         return True
 
 
 class Combine2Behavior(PrimitiveBehavior):
     """Combine two synchronised element streams into one tuple-valued stream."""
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._output, blocked = _output_channel(ctx, "output")
+        inputs = ctx.component.inputs
+        self._first = None if blocked else inputs.get("in0")
+        self._second = inputs.get("in1")
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not (ctx.has_input("in0") and ctx.has_input("in1")):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        first_channel = self._first
+        second_channel = self._second
+        if first_channel is None or not first_channel.queue or second_channel is None or not second_channel.queue:
             return False
-        if not ctx.can_send("output") and ctx.output_ports():
+        output = self._output
+        if output is not None and (len(output.queue) >= output.capacity or output.pending):
             return False
-        first = ctx.take("in0")
-        second = ctx.take("in1")
+        first = self._pop(first_channel)
+        second = self._pop(second_channel)
         last = _merge_last(first, second)
         if first.value is None and second.value is None:
-            ctx.send("output", Packet(value=None, last=last), delay=self.latency)
-            return True
-        ctx.send("output", Packet(value=(first.value, second.value), last=last), delay=self.latency)
+            packet = Packet(None, last)
+        else:
+            packet = Packet((first.value, second.value), last)
+        if output is not None:
+            self._send(output, packet)
         return True
 
 
 class FilterBehavior(PrimitiveBehavior):
     """Forward the data packet only when the keep bit is true."""
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._output, blocked = _output_channel(ctx, "output")
+        inputs = ctx.component.inputs
+        self._data = None if blocked else inputs.get("input")
+        self._keep = inputs.get("keep")
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not (ctx.has_input("input") and ctx.has_input("keep")):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        data_channel = self._data
+        keep_channel = self._keep
+        if data_channel is None or not data_channel.queue or keep_channel is None or not keep_channel.queue:
             return False
-        if not ctx.can_send("output") and ctx.output_ports():
+        output = self._output
+        if output is not None and (len(output.queue) >= output.capacity or output.pending):
             return False
-        data = ctx.take("input")
-        keep = ctx.take("keep")
+        data = self._pop(data_channel)
+        keep = self._pop(keep_channel)
         last = _merge_last(data, keep)
         if data.value is not None and keep.value:
-            ctx.send("output", Packet(value=data.value, last=last), delay=self.latency)
+            packet = Packet(data.value, last)
         elif any(last):
             # The dropped packet closed a sequence: forward an empty close
             # packet so downstream aggregators still terminate.
-            ctx.send("output", Packet(value=None, last=last), delay=self.latency)
+            packet = Packet(None, last)
+        else:
+            return True
+        if output is not None:
+            self._send(output, packet)
         return True
 
 
@@ -347,17 +501,26 @@ class AccumulatorBehavior(PrimitiveBehavior):
         super().__init__(implementation)
         self.kind = kind
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        self._input = ctx.component.inputs.get("input")
+        self._output = ctx.component.outputs.get("output")
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not ctx.has_input("input"):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        source = self._input
+        if source is None or not source.queue:
             return False
-        packet = ctx.take("input")
+        packet = self._pop(source)
         values: list[object] = ctx.get_state("values", None) or []
         if packet.value is not None:
             values = values + [packet.value]
         ctx.set_state("values", values)
         if packet.closes_outermost():
             result = self._reduce(values)
-            ctx.send("output", Packet(value=result, last=(True,)), delay=self.latency)
+            if self._output is not None:
+                self._send(self._output, Packet(result, (True,)))
             ctx.set_state("values", [])
         return True
 
@@ -377,6 +540,11 @@ class AccumulatorBehavior(PrimitiveBehavior):
         raise TydiSimulationError(f"unknown accumulator kind {self.kind!r}")
 
 
+def _group_order(item: tuple[object, object]) -> str:
+    """Groups leave a keyed aggregator in the order of their keys' text."""
+    return str(item[0])
+
+
 class GroupAggregateBehavior(PrimitiveBehavior):
     """Keyed aggregation: reduce the value stream per key (SQL GROUP BY)."""
 
@@ -384,11 +552,23 @@ class GroupAggregateBehavior(PrimitiveBehavior):
         super().__init__(implementation)
         self.kind = kind
 
+    def _bind(self, ctx: BehaviorContext) -> None:
+        super()._bind(ctx)
+        inputs = ctx.component.inputs
+        self._key = inputs.get("key")
+        self._value = inputs.get("value")
+        self._output = ctx.component.outputs.get("output")
+        self._push_later = ctx.simulator.push_later
+
     def fire(self, ctx: BehaviorContext) -> bool:
-        if not (ctx.has_input("key") and ctx.has_input("value")):
+        if ctx is not self._ctx:
+            self._bind(ctx)
+        key_channel = self._key
+        value_channel = self._value
+        if key_channel is None or not key_channel.queue or value_channel is None or not value_channel.queue:
             return False
-        key_packet = ctx.take("key")
-        value_packet = ctx.take("value")
+        key_packet = self._pop(key_channel)
+        value_packet = self._pop(value_channel)
         last = _merge_last(key_packet, value_packet)
         groups: dict = ctx.get_state("groups", None) or {}
         if key_packet.value is not None and value_packet.value is not None:
@@ -405,17 +585,21 @@ class GroupAggregateBehavior(PrimitiveBehavior):
                 else:  # group_avg
                     aggregated = sum(values) / len(values) if values else 0
                 results.append((key, aggregated))
-            for index, (key, aggregated) in enumerate(sorted(results, key=lambda kv: str(kv[0]))):
+            output = self._output
+            for index, (key, aggregated) in enumerate(sorted(results, key=_group_order)):
                 is_final = index == len(results) - 1
-                ctx.send(
-                    "output",
-                    Packet(value=(key, aggregated), last=(is_final,)),
-                    delay=self.latency + index,
-                )
-            if not results:
-                ctx.send("output", Packet(value=None, last=(True,)), delay=self.latency)
+                if output is not None:
+                    self._send_after(self.latency + index, output, Packet((key, aggregated), (is_final,)))
+            if not results and output is not None:
+                self._send(output, Packet(None, (True,)))
             ctx.set_state("groups", {})
         return True
+
+    def _send_after(self, delay: int, channel, packet: Packet) -> None:
+        if delay > 0:
+            self._push_later(delay, channel, packet)
+        else:
+            self._push(channel, packet)
 
 
 # ---------------------------------------------------------------------------

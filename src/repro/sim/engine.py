@@ -13,10 +13,13 @@ acknowledge) and produces packets with ``ctx.send`` (optionally after a
 latency).  Every transfer is recorded so that bottleneck analysis and
 testbench generation can replay the run.
 
-Elaboration gives every component one :class:`BehaviorContext` and one
-wake-up callable, and links every channel to the components at its ends.
-Waking a component is then one heap push of its wake-up: no closure or
-context is built, and no component is looked up by path, per event.
+Elaboration gives every component one :class:`BehaviorContext` and links
+every channel to the components at its ends.  An event is a heap entry
+``(time, sequence number, action, argument)``, run as ``action(argument)``:
+waking a component is ``(now, seq, _fire, component)``, a delayed push
+carries its channel and packet, and a stimulus feeder carries the index of
+its next packet.  No closure or context is built, and no component is
+looked up by path, per event.
 """
 
 from __future__ import annotations
@@ -119,11 +122,28 @@ class Component:
     state_log: list[tuple[int, str, object]] = field(default_factory=list)
     #: The one context every ``fire`` of this component receives.
     ctx: Optional[BehaviorContext] = field(default=None, compare=False)
-    #: The event the engine enqueues to fire this component.
-    wake: Optional[Callable[[], None]] = field(default=None, compare=False)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Component({self.path}, {self.implementation.name})"
+
+
+def _fire(component: Component) -> None:
+    """The event that wakes ``component``: keep firing its behaviour while
+    it makes progress in this delta cycle."""
+    fire = component.behavior.fire
+    ctx = component.ctx
+    fires = 0
+    while fire(ctx):
+        fires += 1
+        if fires == _MAX_FIRES_PER_WAKE:  # pragma: no cover - defensive guard
+            raise TydiSimulationError(
+                f"component {component.path} fired {_MAX_FIRES_PER_WAKE} times "
+                f"at t={ctx.simulator.now}; behaviour is likely not consuming its inputs"
+            )
+
+
+def _call(action: Callable[[], None]) -> None:
+    action()
 
 
 @dataclass
@@ -170,7 +190,7 @@ class Simulator:
         self.output_channels: dict[str, Channel] = {}
 
         self.now = 0
-        self._event_queue: list[tuple[int, int, Callable[[], None]]] = []
+        self._event_queue: list[tuple[int, int, Callable[[object], None], object]] = []
         self._event_seq = 0
         self._events_processed = 0
         self.trace = SimulationTrace()
@@ -268,7 +288,6 @@ class Simulator:
                     )
                 component = Component(path=inner_path, implementation=inner, behavior=behavior)
                 component.ctx = BehaviorContext(self, component)
-                component.wake = self._wake_up(component)
                 self.components[inner_path] = component
             else:
                 self._collect(inner_path, inner, edges)
@@ -313,35 +332,31 @@ class Simulator:
     # -- event queue -------------------------------------------------------------
 
     def schedule(self, delay: int, action: Callable[[], None]) -> None:
+        """Run the zero-argument ``action`` ``delay`` cycles from now."""
+        self._enqueue(delay, _call, action)
+
+    def push_later(self, delay: int, channel: Channel, packet: Packet) -> None:
+        """Push ``packet`` into ``channel`` ``delay`` cycles from now.
+
+        The event carries the channel and the packet, so a delayed push
+        builds no closure."""
+        self._enqueue(delay, self._push_entry, (channel, packet))
+
+    def _push_entry(self, entry: tuple[Channel, Packet]) -> None:
+        self.push(entry[0], entry[1])
+
+    def _enqueue(self, delay: int, action: Callable[[object], None], argument: object) -> None:
         if delay < 0:
             raise TydiSimulationError(f"cannot schedule an event {delay} cycles in the past")
         self._event_seq += 1
-        heapq.heappush(self._event_queue, (self.now + delay, self._event_seq, action))
-
-    def _wake_up(self, component: Component) -> Callable[[], None]:
-        """The event that fires ``component``: keep firing its behaviour
-        while it makes progress in this delta cycle."""
-        ctx = component.ctx
-
-        def wake() -> None:
-            fire = component.behavior.fire
-            fires = 0
-            while fire(ctx):
-                fires += 1
-                if fires == _MAX_FIRES_PER_WAKE:  # pragma: no cover - defensive guard
-                    raise TydiSimulationError(
-                        f"component {component.path} fired {_MAX_FIRES_PER_WAKE} times "
-                        f"at t={self.now}; behaviour is likely not consuming its inputs"
-                    )
-
-        return wake
+        heapq.heappush(self._event_queue, (self.now + delay, self._event_seq, action, argument))
 
     # -- channel operations --------------------------------------------------------
 
     def push(self, channel: Channel, packet: Packet, *, from_source: bool = True) -> None:
         """Deliver a packet into a channel (or its pending queue when full)."""
         now = self.now
-        stamped = Packet(value=packet.value, last=packet.last, produced_at=now)
+        stamped = Packet(packet.value, packet.last, now)
         if len(channel.queue) < channel.capacity and not channel.pending:
             channel.queue.append((stamped, now))
             channel.stats.last_activity = now
@@ -370,14 +385,14 @@ class Simulator:
         source = channel.source_component
         if source is not None:
             self._event_seq += 1
-            heapq.heappush(self._event_queue, (now, self._event_seq, source.wake))
+            heapq.heappush(self._event_queue, (now, self._event_seq, _fire, source))
         return packet
 
     def _on_data_available(self, channel: Channel) -> None:
         sink = channel.sink_component
         if sink is not None:
             self._event_seq += 1
-            heapq.heappush(self._event_queue, (self.now, self._event_seq, sink.wake))
+            heapq.heappush(self._event_queue, (self.now, self._event_seq, _fire, sink))
             return
         # Top-level output: record and consume immediately (the testbench
         # environment is always ready).
@@ -391,11 +406,11 @@ class Simulator:
             pending_packet, produced_at = channel.pending.popleft()
             stats.total_blocked_time += now - produced_at
             channel.queue.append((pending_packet, now))
-            self.schedule(0, lambda: self._on_data_available(channel))
+            self._enqueue(0, self._on_data_available, channel)
         source = channel.source_component
         if source is not None:
             self._event_seq += 1
-            heapq.heappush(self._event_queue, (now, self._event_seq, source.wake))
+            heapq.heappush(self._event_queue, (now, self._event_seq, _fire, source))
 
     # -- stimulus and execution -------------------------------------------------------
 
@@ -423,20 +438,20 @@ class Simulator:
             )
         packets = sequence_to_packets(values, dimensions)
 
-        def feeder(index: int = 0) -> None:
+        def feeder(index: int) -> None:
             if index >= len(packets):
                 return
             if channel.can_accept():
                 packet = packets[index]
                 self.trace.inputs.setdefault(port, []).append((self.now, packet))
                 self.push(channel, packet)
-                self.schedule(max(1, interval), lambda: feeder(index + 1))
+                self._enqueue(max(1, interval), feeder, index + 1)
             else:
                 # Backpressure from the design: retry next cycle.
                 channel.stats.blocked_sends += 1
-                self.schedule(1, lambda: feeder(index))
+                self._enqueue(1, feeder, index)
 
-        self.schedule(start_time, feeder)
+        self._enqueue(start_time, feeder, 0)
 
     def drive_packets(self, port: str, packets: Iterable[Packet], interval: int = 1) -> None:
         """Queue explicit packets (with custom last flags) on an input port."""
@@ -445,17 +460,17 @@ class Simulator:
         channel = self.input_channels[port]
         packet_list = list(packets)
 
-        def feeder(index: int = 0) -> None:
+        def feeder(index: int) -> None:
             if index >= len(packet_list):
                 return
             if channel.can_accept():
                 self.trace.inputs.setdefault(port, []).append((self.now, packet_list[index]))
                 self.push(channel, packet_list[index])
-                self.schedule(max(1, interval), lambda: feeder(index + 1))
+                self._enqueue(max(1, interval), feeder, index + 1)
             else:
-                self.schedule(1, lambda: feeder(index))
+                self._enqueue(1, feeder, index)
 
-        self.schedule(0, feeder)
+        self._enqueue(0, feeder, 0)
 
     def run(
         self,
@@ -480,7 +495,7 @@ class Simulator:
             start = getattr(component.behavior, "start", None)
             if callable(start):
                 start(component.ctx)
-            self.schedule(0, component.wake)
+            self._enqueue(0, _fire, component)
 
         queue = self._event_queue
         heappop = heapq.heappop
@@ -488,11 +503,11 @@ class Simulator:
         exhausted = False
         try:
             while queue:
-                time, _, action = heappop(queue)
+                time, _, action, argument = heappop(queue)
                 if time > max_time:
                     break
                 self.now = time
-                action()
+                action(argument)
                 processed += 1
                 if processed > max_events:
                     exhausted = True

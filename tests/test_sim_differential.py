@@ -1,40 +1,46 @@
 """Differential test: the simulator against the engine it replaced.
 
-The engine builds one :class:`~repro.sim.behavior.BehaviorContext` and one
-wake-up callable per component at elaboration, links every channel to the
-components at its ends, and enqueues those wake-ups directly; the Fletcher
-reader converts each connected column to Python values once and walks
-precomputed lanes.  None of that may change what a simulation computes.
-The previous engine, context and reader are kept verbatim below as the
-reference (renamed, and with the context class named directly where the
-engine imported it inside ``_fire`` and ``run``).  Both must produce the
-same full trace: the same events with the same sequence numbers (every
-``fire`` is logged with the number of events scheduled so far), hence
-the same ``events_processed`` and ``end_time``, the same input and output
-packets with their arrival times and ``produced_at``, the same per-channel
-statistics and final queue contents, the same state logs and component
-states, and the same :meth:`SimulationReport.as_dict` -- also when a run
-is truncated by ``max_time`` or stopped by ``max_events``, where the
-partial ``exc.trace`` must match too.
+The engine builds one :class:`~repro.sim.behavior.BehaviorContext` per
+component at elaboration, links every channel to the components at its
+ends, and enqueues closure-free ``(time, seq, action, argument)`` events;
+the Fletcher reader converts each connected column to Python values once
+and walks precomputed lanes; the primitive behaviours bind their channels
+per context and fire without port lookups.  None of that may change what a
+simulation computes.  The previous engine, context, reader and primitive
+behaviours (with ``_merge_last`` and ``behavior_for``) are kept verbatim
+below as the reference (renamed, and with the context class and the
+reference ``behavior_for`` named directly where the engine imported them
+inside ``__init__``, ``_fire`` and ``run``).  Both must produce the same
+full trace: the same events with the same sequence numbers (every ``fire``
+is logged with the number of events scheduled so far), hence the same
+``events_processed`` and ``end_time``, the same input and output packets
+with their arrival times, ``produced_at`` and ``last`` flags (compared by
+type, so a ``bool`` is not an ``int``), the same per-channel statistics
+and final queue contents, the same state logs and component states, and
+the same :meth:`SimulationReport.as_dict` -- also when a run is truncated
+by ``max_time`` or stopped by ``max_events``, where the partial
+``exc.trace`` must match too.
 
 The designs: the six TPC-H queries over three seeded datasets (plus
 empty tables, and reader objects reused across runs), fuzzed
 :func:`~repro.testing.build_random_design` chains driven through
 :class:`~repro.sim.SimulationPlan` stimuli at channel capacity 1 and 4,
-the scripted-behaviour designs of ``test_sim_scripted.py``, a design that
-deadlocks and ends by ``max_time``, and runs that exhaust ``max_events``.
-Two call-count tests pin what the engine no longer repeats: a tpch-sim
-benchmark pass builds one context per component, and each reader converts
-each connected column once.
+the scripted-behaviour designs of ``test_sim_scripted.py``, a design with
+every primitive kind driven by ``drive_packets`` with ``last`` flags of
+every spelling, primitive objects shared across components and runs, a
+design that deadlocks and ends by ``max_time`` (driven both ways), and
+runs that exhaust ``max_events``.  Three call-count tests pin what the
+engine no longer repeats: a tpch-sim benchmark pass builds one context
+per component, binds each primitive once and never asks the context for
+a port, and each reader converts each connected column once.
 """
-
 from __future__ import annotations
 
 import functools
 import heapq
 import json
 import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import astuple, dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -46,13 +52,21 @@ from repro.arrow.fletcher import reader_behaviors, reader_name
 from repro.arrow.tpch import generate_tpch_data
 from repro.errors import TydiSimulationError
 from repro.ir.model import Implementation, PortDirection, Project
+from repro.lang import ast
 from repro.lang.compile import compile_project, compile_sources
 from repro.queries import ALL_QUERIES
 from repro.sim import SimulationPlan, Simulator, Stimulus, report_from_trace
-from repro.sim.behavior import BehaviorContext
-from repro.sim.engine import ChannelStats, SimulationTrace
+from repro.sim.behavior import (
+    _USER_BEHAVIORS,
+    BehaviorContext,
+    PrimitiveBehavior,
+    ScriptedBehavior,
+    behavior_for,
+)
+from repro.sim.engine import Channel, ChannelStats, SimulationTrace
 from repro.sim.packets import Packet, sequence_to_packets
 from repro.spec.logical_types import Stream
+from repro.stdlib.components import primitive_kind
 from repro.testing import build_random_design
 from test_sim_scripted import CLAMP, DOUBLER, MERGE, SLOW, TAP, TOGGLER
 
@@ -125,8 +139,6 @@ class ReferenceSimulator:
         channel_capacity: int = 2,
         behaviors: Optional[dict[str, object]] = None,
     ) -> None:
-        from repro.sim.behavior import behavior_for  # local import avoids a cycle
-
         self.project = project
         self.top_name = top or project.top
         if self.top_name is None:
@@ -136,7 +148,7 @@ class ReferenceSimulator:
             raise TydiSimulationError("the top-level implementation must be structural")
         self.channel_capacity = channel_capacity
         self._behavior_overrides = behaviors or {}
-        self._behavior_for = behavior_for
+        self._behavior_for = reference_behavior_for
 
         self.components: dict[str, ReferenceComponent] = {}
         self.channels: list[ReferenceChannel] = []
@@ -587,6 +599,391 @@ def reference_reader_behaviors(schemas, tables) -> dict[str, object]:
     }
 
 
+# -- the reference primitives: the previous behaviours, verbatim ----------------
+
+
+class ReferencePrimitiveBehavior:
+    """Base class of hard-coded primitive behaviours."""
+
+    #: Cycles between consuming the inputs and producing the output.
+    latency: int = 1
+
+    def __init__(self, implementation: Implementation) -> None:
+        self.implementation = implementation
+        self.metadata = implementation.metadata
+
+    def argument(self, index: int, default: object = None) -> object:
+        arguments = self.metadata.get("arguments", ())
+        if index < len(arguments):
+            return arguments[index]
+        return default
+
+    def fire(self, ctx: BehaviorContext) -> bool:  # pragma: no cover - abstract
+        raise NotImplementedError
+
+
+def _reference_merge_last(*packets: Packet) -> tuple[bool, ...]:
+    """Combine last flags of synchronised inputs (element-wise or)."""
+    longest = max((len(p.last) for p in packets), default=0)
+    merged = []
+    for index in range(longest):
+        merged.append(any(index < len(p.last) and p.last[index] for p in packets))
+    return tuple(merged)
+
+
+class ReferenceDuplicatorBehavior(ReferencePrimitiveBehavior):
+    """Copy each input packet to every output; all outputs must have space."""
+
+    latency = 0
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not ctx.has_input("input"):
+            return False
+        if not all(ctx.can_send(port) for port in ctx.output_ports()):
+            return False
+        packet = ctx.take("input")
+        for port in ctx.output_ports():
+            ctx.send(port, packet)
+        return True
+
+
+class ReferenceVoiderBehavior(ReferencePrimitiveBehavior):
+    """Always ready: consume and discard everything."""
+
+    latency = 0
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        progressed = False
+        for port in ctx.input_ports():
+            if ctx.has_input(port):
+                ctx.take(port)
+                progressed = True
+        return progressed
+
+
+class ReferenceDemuxBehavior(ReferencePrimitiveBehavior):
+    """Round-robin distribution of input packets over the output channels."""
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not ctx.has_input("input"):
+            return False
+        outputs = sorted(ctx.output_ports())
+        if not outputs:
+            return False
+        index = int(ctx.get_state("selected", 0))
+        port = outputs[index % len(outputs)]
+        if not ctx.can_send(port):
+            return False
+        packet = ctx.take("input")
+        ctx.send(port, packet, delay=self.latency)
+        ctx.set_state("selected", (index + 1) % len(outputs))
+        return True
+
+
+class ReferenceMuxBehavior(ReferencePrimitiveBehavior):
+    """Round-robin arbitration of the input channels onto the output."""
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not ctx.can_send("output"):
+            return False
+        inputs = sorted(ctx.input_ports())
+        if not inputs:
+            return False
+        index = int(ctx.get_state("selected", 0))
+        for offset in range(len(inputs)):
+            port = inputs[(index + offset) % len(inputs)]
+            if ctx.has_input(port):
+                packet = ctx.take(port)
+                ctx.send("output", packet, delay=self.latency)
+                ctx.set_state("selected", (index + offset + 1) % len(inputs))
+                return True
+        return False
+
+
+class ReferenceConstGeneratorBehavior(ReferencePrimitiveBehavior):
+    """Emit the configured constant whenever the consumer has space."""
+
+    latency = 0
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not ctx.can_send("output"):
+            return False
+        value = self.argument(1, 0)
+        if hasattr(value, "logical_type"):
+            value = 0
+        ctx.send("output", Packet(value=value))
+        return True
+
+
+class ReferenceBinaryOpBehavior(ReferencePrimitiveBehavior):
+    """Two-input synchronised operator (arithmetic or comparison)."""
+
+    def __init__(self, implementation: Implementation, operator: Callable[[object, object], object]) -> None:
+        super().__init__(implementation)
+        self.operator = operator
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not (ctx.has_input("lhs") and ctx.has_input("rhs")):
+            return False
+        # Arithmetic primitives name their output "output", comparators name
+        # it "result"; use whichever single output port the streamlet has.
+        outputs = ctx.output_ports()
+        out_port = outputs[0] if outputs else "output"
+        if outputs and not ctx.can_send(out_port):
+            return False
+        lhs = ctx.take("lhs")
+        rhs = ctx.take("rhs")
+        last = _reference_merge_last(lhs, rhs)
+        if lhs.value is None or rhs.value is None:
+            # A pure close packet: propagate the sequence delimiter.
+            ctx.send(out_port, Packet(value=None, last=last), delay=self.latency)
+            return True
+        result = self.operator(lhs.value, rhs.value)
+        ctx.send(out_port, Packet(value=result, last=last), delay=self.latency)
+        return True
+
+
+class ReferenceConstCompareBehavior(ReferencePrimitiveBehavior):
+    """Compare each input element against a compile-time constant."""
+
+    def __init__(self, implementation: Implementation) -> None:
+        super().__init__(implementation)
+        self.reference = self.argument(1, 0)
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not ctx.has_input("input"):
+            return False
+        if not ctx.can_send("result") and ctx.output_ports():
+            return False
+        packet = ctx.take("input")
+        if packet.value is None:
+            ctx.send("result", Packet(value=None, last=packet.last), delay=self.latency)
+            return True
+        value = packet.value
+        equal = str(value) == str(self.reference) if isinstance(self.reference, str) else value == self.reference
+        ctx.send("result", Packet(value=bool(equal), last=packet.last), delay=self.latency)
+        return True
+
+
+class ReferenceLogicOpBehavior(ReferencePrimitiveBehavior):
+    """N-input boolean combinator (and / or / not)."""
+
+    def __init__(self, implementation: Implementation, op: str) -> None:
+        super().__init__(implementation)
+        self.op = op
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        inputs = sorted(ctx.input_ports())
+        if not inputs or not all(ctx.has_input(p) for p in inputs):
+            return False
+        if not ctx.can_send("output") and ctx.output_ports():
+            return False
+        packets = [ctx.take(p) for p in inputs]
+        last = _reference_merge_last(*packets)
+        values = [p.value for p in packets]
+        if all(v is None for v in values):
+            ctx.send("output", Packet(value=None, last=last), delay=self.latency)
+            return True
+        bools = [bool(v) for v in values if v is not None]
+        if self.op == "and":
+            result = all(bools)
+        elif self.op == "or":
+            result = any(bools)
+        else:  # "not"
+            result = not bools[0]
+        ctx.send("output", Packet(value=result, last=last), delay=self.latency)
+        return True
+
+
+class ReferenceCombine2Behavior(ReferencePrimitiveBehavior):
+    """Combine two synchronised element streams into one tuple-valued stream."""
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not (ctx.has_input("in0") and ctx.has_input("in1")):
+            return False
+        if not ctx.can_send("output") and ctx.output_ports():
+            return False
+        first = ctx.take("in0")
+        second = ctx.take("in1")
+        last = _reference_merge_last(first, second)
+        if first.value is None and second.value is None:
+            ctx.send("output", Packet(value=None, last=last), delay=self.latency)
+            return True
+        ctx.send("output", Packet(value=(first.value, second.value), last=last), delay=self.latency)
+        return True
+
+
+class ReferenceFilterBehavior(ReferencePrimitiveBehavior):
+    """Forward the data packet only when the keep bit is true."""
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not (ctx.has_input("input") and ctx.has_input("keep")):
+            return False
+        if not ctx.can_send("output") and ctx.output_ports():
+            return False
+        data = ctx.take("input")
+        keep = ctx.take("keep")
+        last = _reference_merge_last(data, keep)
+        if data.value is not None and keep.value:
+            ctx.send("output", Packet(value=data.value, last=last), delay=self.latency)
+        elif any(last):
+            # The dropped packet closed a sequence: forward an empty close
+            # packet so downstream aggregators still terminate.
+            ctx.send("output", Packet(value=None, last=last), delay=self.latency)
+        return True
+
+
+class ReferenceAccumulatorBehavior(ReferencePrimitiveBehavior):
+    """Reduce the input sequence to one result packet (sum/count/avg/min/max)."""
+
+    def __init__(self, implementation: Implementation, kind: str) -> None:
+        super().__init__(implementation)
+        self.kind = kind
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not ctx.has_input("input"):
+            return False
+        packet = ctx.take("input")
+        values: list[object] = ctx.get_state("values", None) or []
+        if packet.value is not None:
+            values = values + [packet.value]
+        ctx.set_state("values", values)
+        if packet.closes_outermost():
+            result = self._reduce(values)
+            ctx.send("output", Packet(value=result, last=(True,)), delay=self.latency)
+            ctx.set_state("values", [])
+        return True
+
+    def _reduce(self, values: list[object]) -> object:
+        if self.kind == "count":
+            return len(values)
+        if not values:
+            return 0
+        if self.kind == "sum":
+            return sum(values)
+        if self.kind == "avg":
+            return sum(values) / len(values)
+        if self.kind == "min_acc":
+            return min(values)
+        if self.kind == "max_acc":
+            return max(values)
+        raise TydiSimulationError(f"unknown accumulator kind {self.kind!r}")
+
+
+class ReferenceGroupAggregateBehavior(ReferencePrimitiveBehavior):
+    """Keyed aggregation: reduce the value stream per key (SQL GROUP BY)."""
+
+    def __init__(self, implementation: Implementation, kind: str) -> None:
+        super().__init__(implementation)
+        self.kind = kind
+
+    def fire(self, ctx: BehaviorContext) -> bool:
+        if not (ctx.has_input("key") and ctx.has_input("value")):
+            return False
+        key_packet = ctx.take("key")
+        value_packet = ctx.take("value")
+        last = _reference_merge_last(key_packet, value_packet)
+        groups: dict = ctx.get_state("groups", None) or {}
+        if key_packet.value is not None and value_packet.value is not None:
+            bucket = groups.setdefault(key_packet.value, [])
+            bucket.append(value_packet.value)
+        ctx.set_state("groups", groups)
+        if last and last[-1]:
+            results = []
+            for key, values in groups.items():
+                if self.kind == "group_sum":
+                    aggregated: object = sum(values)
+                elif self.kind == "group_count":
+                    aggregated = len(values)
+                else:  # group_avg
+                    aggregated = sum(values) / len(values) if values else 0
+                results.append((key, aggregated))
+            for index, (key, aggregated) in enumerate(sorted(results, key=lambda kv: str(kv[0]))):
+                is_final = index == len(results) - 1
+                ctx.send(
+                    "output",
+                    Packet(value=(key, aggregated), last=(is_final,)),
+                    delay=self.latency + index,
+                )
+            if not results:
+                ctx.send("output", Packet(value=None, last=(True,)), delay=self.latency)
+            ctx.set_state("groups", {})
+        return True
+
+
+def _reference_comparison(op: str) -> Callable[[object, object], object]:
+    import operator
+
+    table = {
+        "compare_eq": operator.eq,
+        "compare_ne": operator.ne,
+        "compare_lt": operator.lt,
+        "compare_le": operator.le,
+        "compare_gt": operator.gt,
+        "compare_ge": operator.ge,
+    }
+    return table[op]
+
+
+def reference_behavior_for(implementation: Implementation) -> object:
+    """Select the behaviour for an external implementation."""
+    # Explicit user registration wins.
+    factory = _USER_BEHAVIORS.get(implementation.name)
+    if factory is None:
+        template = implementation.metadata.get("template")
+        if isinstance(template, str):
+            factory = _USER_BEHAVIORS.get(template)
+    if factory is not None:
+        return factory(implementation)
+
+    # In-source simulation block.
+    if isinstance(implementation.simulation, ast.SimulationBlock):
+        return ScriptedBehavior(implementation, implementation.simulation)
+
+    # Standard-library primitive.
+    kind = primitive_kind(implementation)
+    if kind is not None:
+        import operator
+
+        if kind == "duplicator":
+            return ReferenceDuplicatorBehavior(implementation)
+        if kind == "voider":
+            return ReferenceVoiderBehavior(implementation)
+        if kind == "demux":
+            return ReferenceDemuxBehavior(implementation)
+        if kind == "mux":
+            return ReferenceMuxBehavior(implementation)
+        if kind in ("const_int_generator", "const_float_generator", "const_str_generator"):
+            return ReferenceConstGeneratorBehavior(implementation)
+        if kind == "adder":
+            return ReferenceBinaryOpBehavior(implementation, operator.add)
+        if kind == "subtractor":
+            return ReferenceBinaryOpBehavior(implementation, operator.sub)
+        if kind == "multiplier":
+            return ReferenceBinaryOpBehavior(implementation, operator.mul)
+        if kind == "divider":
+            return ReferenceBinaryOpBehavior(implementation, lambda a, b: a / b if b else 0)
+        if kind.startswith("compare_") and kind != "compare_const_eq":
+            return ReferenceBinaryOpBehavior(implementation, _reference_comparison(kind))
+        if kind == "compare_const_eq":
+            return ReferenceConstCompareBehavior(implementation)
+        if kind in ("and", "or", "not"):
+            return ReferenceLogicOpBehavior(implementation, kind)
+        if kind == "filter":
+            return ReferenceFilterBehavior(implementation)
+        if kind in ("sum", "count", "avg", "min_acc", "max_acc"):
+            return ReferenceAccumulatorBehavior(implementation, kind)
+        if kind in ("group_sum", "group_avg", "group_count"):
+            return ReferenceGroupAggregateBehavior(implementation, kind)
+        if kind == "combine2":
+            return ReferenceCombine2Behavior(implementation)
+
+    raise TydiSimulationError(
+        f"no behaviour available for external implementation {implementation.name!r}; "
+        "register one with repro.sim.register_behavior or add a simulation block"
+    )
+
+
 # -- running one plan on either engine ------------------------------------------
 
 
@@ -601,7 +998,7 @@ def _exact(value: object) -> object:
 
 
 def _packet(packet: Packet) -> tuple:
-    return (_exact(packet.value), packet.last, packet.produced_at)
+    return (_exact(packet.value), _exact(packet.last), packet.produced_at)
 
 
 def full_trace(simulator, trace: SimulationTrace, plan: SimulationPlan) -> dict[str, object]:
@@ -670,9 +1067,12 @@ class FireLog:
         return progressed
 
 
-def simulate(simulator_class, project, plan: SimulationPlan, behaviors=None) -> dict[str, object]:
+def simulate(
+    simulator_class, project, plan: SimulationPlan, behaviors=None, packets=None
+) -> dict[str, object]:
     """Run ``plan`` on one engine the way :func:`~repro.sim.run_simulation`
-    does, keeping the partial trace of a run that exceeds ``max_events``."""
+    does, keeping the partial trace of a run that exceeds ``max_events``.
+    ``packets`` maps top-level ports to explicit packets for ``drive_packets``."""
     simulator = simulator_class(
         project, channel_capacity=plan.channel_capacity, behaviors=behaviors
     )
@@ -687,6 +1087,8 @@ def simulate(simulator_class, project, plan: SimulationPlan, behaviors=None) -> 
             interval=stimulus.interval,
             start_time=stimulus.start_time,
         )
+    for port, port_packets in (packets or {}).items():
+        simulator.drive_packets(port, port_packets)
     error = None
     try:
         trace = simulator.run(max_time=plan.max_time, max_events=plan.max_events)
@@ -695,9 +1097,11 @@ def simulate(simulator_class, project, plan: SimulationPlan, behaviors=None) -> 
     return {"error": error, "fires": fires, **full_trace(simulator, trace, plan)}
 
 
-def assert_same_run(project, plan, behaviors=None, reference_behaviors=None) -> dict[str, object]:
-    expected = simulate(ReferenceSimulator, project, plan, reference_behaviors or behaviors)
-    actual = simulate(Simulator, project, plan, behaviors)
+def assert_same_run(
+    project, plan, behaviors=None, reference_behaviors=None, packets=None
+) -> dict[str, object]:
+    expected = simulate(ReferenceSimulator, project, plan, reference_behaviors or behaviors, packets)
+    actual = simulate(Simulator, project, plan, behaviors, packets)
     for key, value in expected.items():
         assert actual[key] == value, f"{key} differs from the reference engine"
     return actual
@@ -862,6 +1266,18 @@ def test_deadlock_ends_by_max_time(capacity):
     assert json.loads(run["report"])["verdict"] == "deadlock"
 
 
+@pytest.mark.parametrize("capacity", (1, 2))
+def test_explicit_packets_wait_out_backpressure(capacity):
+    # The same deadlock, driven through ``drive_packets``: its feeder
+    # retries a blocked packet every cycle until ``max_time``.
+    plan = SimulationPlan(channel_capacity=capacity, max_time=400)
+    packets = {"a": sequence_to_packets([1, 2, 3])}
+    run = assert_same_run(compile_project(MISSING_OPERAND).project, plan, packets=packets)
+    assert run["error"] is None
+    assert run["end_time"] == 400
+    assert json.loads(run["report"])["verdict"] == "deadlock"
+
+
 ENDLESS = """
 type num = Stream(Bit(32), d=1);
 streamlet top_s { total: num out, }
@@ -881,6 +1297,131 @@ def test_max_events_exhaustion_keeps_the_partial_trace():
     run = assert_same_run(compile_project(ENDLESS).project, plan)
     assert run["error"] == "simulation exceeded 600 events; possible livelock"
     assert run["events_processed"] == 601
+
+
+# -- every primitive, driven with explicit packets -----------------------------------
+
+#: Every primitive kind.  ``add`` and ``add2`` share one implementation, and
+#: sugaring adds duplicators for the fanned-out inputs and a voider for the
+#: unconnected ``inv.output``.  The gate's and the mux's input channels are
+#: attached out of port order (``y`` is a top-level port, attached last),
+#: and the demux's eleven outputs sort ``output_10`` before ``output_2``.
+PRIMITIVES = """
+type num = Stream(Bit(32), d=1);
+type flag = Stream(Bit(1), d=1);
+type pair_t = Stream(Bit(64), d=1);
+streamlet top_s {
+    a: num in, b: num in, x: flag in, y: flag in,
+    total: num out, diff: num out, hit: flag out, gate: flag out,
+    kept: num out, pairs: pair_t out, groups: pair_t out, scaled: num out,
+    spread: num out,
+}
+impl top_i of top_s {
+    instance add(adder_i<type num, type num>),
+    instance add2(adder_i<type num, type num>),
+    instance sub(subtractor_i<type num, type num>),
+    instance lt(compare_lt_i<type num>),
+    instance k(compare_const_eq_i<type num, "3">),
+    instance any3(or_i<3>),
+    instance both(and_i<2>),
+    instance inv(not_i),
+    instance f(filter_i<type num>),
+    instance comb(combine2_i<type num, type num, type pair_t>),
+    instance gs(group_sum_i<type num, type num, type pair_t>),
+    instance acc(sum_i<type num, type num>),
+    instance five(const_int_generator_i<type num, 5>),
+    instance mul(multiplier_i<type num, type num>),
+    instance d(demux_i<type num, 11>),
+    instance m(mux_i<type num, 11>),
+    a => add.lhs, b => add.rhs, add.output => add2.lhs, b => add2.rhs,
+    add2.output => acc.input, acc.output => total,
+    a => sub.lhs, b => sub.rhs, sub.output => diff,
+    a => lt.lhs, b => lt.rhs,
+    a => k.input, k.result => hit,
+    y => any3.input[0], lt.result => any3.input[1], both.output => any3.input[2],
+    any3.output => gate,
+    x => both.input[0], y => both.input[1],
+    x => inv.input[0],
+    a => f.input, x => f.keep, f.output => kept,
+    a => comb.in0, b => comb.in1, comb.output => pairs,
+    a => gs.key, b => gs.value, gs.output => groups,
+    a => mul.lhs, five.output => mul.rhs, mul.output => scaled,
+    a => d.input, m.output => spread,
+    for i in 0->11 {
+        d.output[i] => m.input[10 - i],
+    }
+}
+top top_i;
+"""
+
+#: ``last`` flags as a stimulus may spell them: not only ``bool``.
+FLAGS = (False, True, 0, 1, np.False_, np.True_)
+
+
+def flagged_packets(rng: random.Random, count: int, values) -> list[Packet]:
+    """``count`` packets with values drawn from ``values`` (None is a close
+    packet) and zero to two ``last`` flags of any spelling in ``FLAGS``."""
+    return [
+        Packet(rng.choice(values), tuple(rng.choice(FLAGS) for _ in range(rng.choice((0, 1, 1, 1, 2)))))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize("capacity", (1, 3))
+@pytest.mark.parametrize("seed", range(4))
+def test_every_primitive_with_explicit_packets(seed, capacity):
+    # Two-input primitives merge flags of different spellings and lengths;
+    # the merged flags must be the same ``bool``s, not the inputs' spellings.
+    rng = random.Random(seed)
+    count = rng.randint(1, 14)
+    numbers = (None, 0, 1, 2, 3, 4, 5, 6)
+    packets = {
+        "a": flagged_packets(rng, count, numbers),
+        "b": flagged_packets(rng, count, numbers),
+        "x": flagged_packets(rng, count, (None, True, False)),
+        "y": flagged_packets(rng, count, (None, True, False)),
+    }
+    plan = SimulationPlan(channel_capacity=capacity, max_time=2000)
+    run = assert_same_run(compile_project(PRIMITIVES).project, plan, packets=packets)
+    assert run["error"] is None
+    merged = [last for _, outputs in run["outputs"] for _, (_, last, _) in outputs]
+    assert ("tuple", [("bool", "True")]) in merged
+
+
+@pytest.mark.parametrize("design", ("primitives", "q6"))
+def test_primitive_objects_shared_across_components_and_runs(design):
+    # A behaviour object (not a factory) serves every instance of its
+    # implementation, in every simulator it is passed to, so a primitive
+    # sees a new context on almost every fire.
+    if design == "q6":
+        query = next(query for query in ALL_QUERIES if query.name == "q6")
+        project = query.compile().project
+        datasets = query.dataset_builder(tpch_tables(3))
+        readers = reader_behaviors(query.schemas, datasets)
+        reference_readers = reference_reader_behaviors(query.schemas, datasets)
+        plan = query.default_plan()
+    else:
+        project = compile_project(PRIMITIVES).project
+        readers = reference_readers = {}
+        plan = SimulationPlan(
+            stimuli={"a": [1, 2, 3, 4], "b": [4, 3, 2, 1], "x": [True, False] * 2, "y": [False] * 4},
+            channel_capacity=2,
+        )
+    primitives = [
+        implementation
+        for implementation in project.implementations.values()
+        if implementation.external and primitive_kind(implementation) is not None
+    ]
+    shared = {impl.name: behavior_for(impl) for impl in primitives}
+    reference = {impl.name: reference_behavior_for(impl) for impl in primitives}
+    instances = Counter(
+        component.implementation.name
+        for component in Simulator(project, behaviors=readers).components.values()
+    )
+    assert max(instances[name] for name in shared) >= 2
+    first = simulate(ReferenceSimulator, project, plan, {**reference_readers, **reference})
+    for _ in range(2):
+        assert simulate(Simulator, project, plan, {**readers, **shared}) == first
 
 
 # -- what the engine and the reader allocate ---------------------------------------
@@ -904,6 +1445,57 @@ def test_one_context_per_component(monkeypatch):
         components.extend(simulator.components)
     assert len(components) == 176
     assert contexts == components
+
+
+def test_primitives_bind_once_and_bypass_the_context(monkeypatch):
+    # One tpch-sim benchmark pass (seed 1).  The previous primitives asked
+    # the context for every port on every fire (404,718 ``has_input`` calls)
+    # and scheduled each delayed send as a lambda.
+    context_calls: Counter = Counter()
+    for name in ("has_input", "take", "can_send", "send", "input_ports", "output_ports"):
+        method = getattr(BehaviorContext, name)
+
+        def counting(self, *args, _name=name, _method=method, **kwargs):
+            context_calls[_name] += 1
+            return _method(self, *args, **kwargs)
+
+        monkeypatch.setattr(BehaviorContext, name, counting)
+    binds: list[str] = []
+    bind = PrimitiveBehavior._bind
+
+    def counting_bind(self, ctx):
+        binds.append(ctx.component.path)
+        bind(self, ctx)
+
+    monkeypatch.setattr(PrimitiveBehavior, "_bind", counting_bind)
+    closures: list[object] = []
+    delayed_pushes = 0
+    heappush = heapq.heappush
+
+    def checking_push(heap, entry):
+        nonlocal delayed_pushes
+        action, argument = entry[2:]
+        if getattr(action, "__closure__", None) is not None:
+            closures.append(action)
+        if isinstance(argument, tuple) and [type(item) for item in argument] == [Channel, Packet]:
+            delayed_pushes += 1
+        heappush(heap, entry)
+
+    monkeypatch.setattr(heapq, "heappush", checking_push)
+    tables = generate_tpch_data(600, seed=1)
+    primitives = []
+    for query in ALL_QUERIES:
+        _, _, simulator = query.simulate(tables)
+        primitives.extend(
+            path
+            for path, component in simulator.components.items()
+            if isinstance(component.behavior, PrimitiveBehavior)
+        )
+    assert context_calls == Counter()
+    assert len(primitives) == 170
+    assert sorted(binds) == sorted(primitives)
+    assert closures == []
+    assert delayed_pushes == 46_572
 
 
 def test_each_reader_converts_each_connected_column_once(monkeypatch):
