@@ -250,7 +250,8 @@ def run_load(
                     if roll < 0.15:
                         # A TPC-H compile: open (replace) + full query.
                         call("open_design", tpch_name, files=tpch_files,
-                             options={"top": job.top, "sugaring": job.sugaring})
+                             options={"top": job.options.top,
+                                      "sugaring": job.options.sugaring})
                         call("get_ir", tpch_name)
                     elif roll < 0.30:
                         # A plan-driven simulation; sometimes edit the
@@ -282,6 +283,9 @@ def run_load(
                         call("get_outputs", fuzz_name, "ir")
         except (TydiServerError, OSError) as exc:
             record.failures.append(f"client {index}: {exc}")
+        except Exception as exc:
+            # A crashed client would otherwise just shrink the load.
+            record.failures.append(f"client {index} crashed: {exc!r}")
 
     threads = [threading.Thread(target=one_client, args=(i,)) for i in range(clients)]
     start = time.monotonic()

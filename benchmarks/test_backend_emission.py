@@ -67,9 +67,7 @@ def test_backend_emission_one_file_edit_speedup(benchmark, compiled_queries):
     edited_job = ALL_QUERIES[-1].compile_job()
     text, filename = edited_job.sources[0]
     edited_sources = ((text + "\n// one-line edit\n", filename),) + edited_job.sources[1:]
-    options = edited_job.options()
-    options.pop("targets")
-    edited_result = compile_sources(list(edited_sources), **options)
+    edited_result = compile_sources(list(edited_sources), options=edited_job.options)
     warm_projects = dict(projects)
     warm_projects[edited_job.name] = edited_result.project
 

@@ -14,6 +14,7 @@ promises:
 """
 
 import time
+from dataclasses import replace
 
 from conftest import run_once
 
@@ -27,7 +28,7 @@ def suite_jobs():
     """12+ compile jobs: every Table-IV design plus a no-DRC variant."""
     jobs = [query.compile_job() for query in ALL_QUERIES]
     jobs += [
-        job.with_options(name=f"{job.name}__nodrc", run_drc=False, strict_drc=False)
+        replace(job, name=f"{job.name}__nodrc").with_options(run_drc=False, strict_drc=False)
         for job in jobs
     ]
     return jobs

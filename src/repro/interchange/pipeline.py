@@ -31,6 +31,7 @@ from repro.lang.compile import (
     CompilationResult,
     CompilationStage,
     CompileOptions,
+    FrontendState,
     finish_frontend,
     run_backends,
 )
@@ -57,6 +58,18 @@ def ingest_stage(
     return project, entry
 
 
+def ingest_frontend(
+    text: str, options: CompileOptions, *, filename: str = "<tydi-ir>"
+) -> FrontendState:
+    """Ingest, sugar, DRC and IR over one document: the post-DRC state.
+
+    The ingest twin of :func:`repro.lang.compile.run_frontend`, and what
+    :meth:`repro.pipeline.stages.StageCache.compile_ir` snapshots.
+    """
+    project, ingest_entry = ingest_stage(text, filename=filename)
+    return finish_frontend(project, DiagnosticSink(), [ingest_entry], options)
+
+
 def compile_ir_document(
     text: str,
     options: "CompileOptions | dict | None" = None,
@@ -67,14 +80,13 @@ def compile_ir_document(
     """Ingest one IR document and run the downstream pipeline stages.
 
     This is the uncached reference composition; the staged twin with a
-    memoised ingest tier is :meth:`repro.pipeline.stages.StageCache.
+    memoised post-DRC snapshot is :meth:`repro.pipeline.stages.StageCache.
     compile_ir`, differential-tested byte-identical against this one.
     ``stage_cache`` only serves the backend stage's per-implementation unit
     outputs (pass a :class:`~repro.pipeline.stages.StageCache`).
     """
     resolved = CompileOptions.coerce(options)
-    project, ingest_entry = ingest_stage(text, filename=filename)
-    state = finish_frontend(project, DiagnosticSink(), [ingest_entry], resolved)
+    state = ingest_frontend(text, resolved, filename=filename)
     return run_backends(state, resolved, stage_cache=stage_cache)
 
 
@@ -89,4 +101,4 @@ def roundtrip_document(project: Project) -> str:
     return emit_document(load_ir(emit_document(project)))
 
 
-__all__ = ["compile_ir_document", "ingest_stage", "roundtrip_document"]
+__all__ = ["compile_ir_document", "ingest_frontend", "ingest_stage", "roundtrip_document"]

@@ -199,10 +199,9 @@ class CompileOptions:
 
     This is the single definition of "compile options" across the
     toolchain: :func:`compile_sources` keyword arguments build one,
-    :class:`repro.workspace.Workspace` designs carry one,
-    :meth:`repro.pipeline.batch.CompileJob.options` derives its legacy
-    dict from one, and the cache layers key artefacts by
-    :meth:`fingerprint`.  Being frozen (and normalised on construction:
+    :class:`repro.workspace.Workspace` designs and
+    :class:`repro.pipeline.batch.CompileJob` carry one, and the cache
+    layers key artefacts by :meth:`fingerprint`.  Being frozen (and normalised on construction:
     ``top_args``/``targets`` become tuples, duplicate targets collapse,
     ``backend_options`` sort by backend name) makes an instance safe to
     share across threads and to use as part of a cache identity.
@@ -285,17 +284,20 @@ class CompileOptions:
                 return options
         return None
 
-    def fingerprint(self, sources: Sequence[tuple[str, str]] | Sequence[str]) -> str:
-        """Content address of one compilation: these options over ``sources``.
+    def fingerprint(
+        self, sources: Sequence[tuple[str, str]] | Sequence[str], *, kind: str = "lang"
+    ) -> str:
+        """Content address of one compilation: these options over ``sources``
+        through the ``kind`` frontend (``"lang"`` or ``"ir"``).
 
-        The one fingerprint definition shared by ``compile_sources``' cache
-        hook, :meth:`repro.pipeline.batch.CompileJob.fingerprint`,
+        The one fingerprint definition shared by
+        :meth:`repro.pipeline.batch.CompileJob.fingerprint`,
         :class:`repro.workspace.Workspace` invalidation and the CLI
         (delegates to :func:`repro.pipeline.cache.fingerprint_sources`).
         """
         from repro.pipeline.cache import fingerprint_sources
 
-        return fingerprint_sources(sources, self.as_dict())
+        return fingerprint_sources(sources, self.as_dict(), kind=kind)
 
 
 @lru_cache(maxsize=4)

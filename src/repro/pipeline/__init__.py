@@ -10,16 +10,18 @@ pure function of its source texts and options.  This package exploits that:
   :func:`~repro.pipeline.cache.fingerprint_sources`.
 * :mod:`repro.pipeline.stages` -- :class:`~repro.pipeline.stages.
   StageCache`, the compilation cache: per-file parse ASTs, post-DRC
-  frontend snapshots, ingest snapshots, backend units and simulation
-  reports, so a warm design runs only its backends and a one-file edit
-  re-parses only that file.
+  frontend snapshots (of Tydi-lang designs and of ingested Tydi-IR
+  documents), backend units and simulation reports, so a warm design runs
+  only its backends and a one-file edit re-parses only that file.
 * :mod:`repro.pipeline.remote` -- :class:`~repro.pipeline.remote.
   RemoteCacheClient`, the shared remote L2 tier every store consults
   after its local misses (write-behind uploads, graceful degradation when
   the remote dies); the server side is :mod:`repro.server.cachesvc`.
-* :mod:`repro.pipeline.batch` -- :func:`~repro.pipeline.batch.run_jobs`,
-  the job engine (serial / process executors with per-design error
-  isolation) that :meth:`repro.workspace.Workspace.compile_all` drives.
+* :mod:`repro.pipeline.batch` -- :class:`~repro.pipeline.batch.
+  CompileJob` (one design of either frontend and its one compile method)
+  and :func:`~repro.pipeline.batch.run_jobs`, the job engine (serial /
+  process executors with per-design error isolation) that
+  :meth:`repro.workspace.Workspace.compile_all` drives.
 
 See ``docs/pipeline.md`` for the architecture, ``docs/cache.md`` for the
 store and its layout, and ``docs/workspace.md`` for the session API on top.

@@ -1,12 +1,16 @@
 """The compile-job engine.
 
-A :class:`CompileJob` is a pure-data description of one frontend run (sources
-plus a :class:`~repro.lang.compile.CompileOptions`), which makes it hashable
-into a content address and shippable to worker processes.  :func:`run_jobs`
-runs a sequence of jobs on a ``serial`` or ``process`` executor with
-per-job error isolation: one design failing its parse or DRC records a
-:class:`JobResult` error entry instead of aborting the batch.  (Threads
-cannot help: the frontend is pure Python and holds the GIL.)
+A :class:`CompileJob` is a pure-data description of one design: a name,
+its sources, a :class:`~repro.lang.compile.CompileOptions` and a frontend
+kind (``"lang"`` for Tydi-lang sources, ``"ir"`` for one Tydi-IR
+interchange document).  That makes it hashable into a content address and
+shippable to worker processes, and :meth:`CompileJob.compile` is the one
+place that picks a compile function by kind and by cache presence.
+:func:`run_jobs` runs a sequence of jobs on a ``serial`` or ``process``
+executor with per-job error isolation: one design failing its parse,
+ingest or DRC records a :class:`JobResult` error entry instead of aborting
+the batch.  (Threads cannot help: the frontend is pure Python and holds
+the GIL.)
 
 The engine is driven by :meth:`repro.workspace.Workspace.compile_all` --
 the session API that owns design state.
@@ -20,10 +24,11 @@ Cache interaction
 * ``serial``: jobs compile through the caller's
   :class:`~repro.pipeline.stages.StageCache`, so a warm design is one
   frontend-snapshot hit plus its backends.
-* ``process``: the cache object cannot be shared, so each worker opens a
-  :class:`~repro.pipeline.stages.StageCache` over the cache's *directory*
-  and hits/populates the on-disk tiers; the parent's memory tiers stay as
-  they were.
+* ``process``: the cache object cannot be shared, so each worker process
+  opens one :class:`~repro.pipeline.stages.StageCache` over the parent
+  cache's directory, disk budget and remote endpoint, and hits/populates
+  the disk and remote tiers.  The parent's memory tiers and counters stay
+  as they were.
 """
 
 from __future__ import annotations
@@ -33,73 +38,78 @@ import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from itertools import repeat
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
+from repro.errors import TydiWorkspaceError
+from repro.lang.compile import (
+    CompilationResult,
+    CompileOptions,
+    normalize_sources,
+    run_pipeline,
+)
 from repro.pipeline.stages import StageCache
 
-if TYPE_CHECKING:  # pragma: no cover - types only
-    from repro.lang.compile import CompilationResult, CompileOptions
-
 EXECUTORS = ("serial", "process")
+
+#: Frontend kinds: Tydi-lang sources, or one Tydi-IR interchange document.
+KINDS = ("lang", "ir")
 
 
 @dataclass(frozen=True)
 class CompileJob:
-    """One independent design to compile (pure data, picklable)."""
+    """One independent design to compile (pure data, picklable).
+
+    ``options`` defaults to ``CompileOptions(project_name=name)``; explicit
+    options are used as given, so they name the project themselves
+    (``CompileOptions``' own default is ``"design"``).  For ``kind="ir"``
+    the first source is the document (see :mod:`repro.interchange`); the
+    evaluate-only options do not apply to it.
+    """
 
     name: str
     sources: tuple[tuple[str, str], ...]
-    top: Optional[str] = None
-    top_args: tuple = ()
-    include_stdlib: bool = True
-    sugaring: bool = True
-    run_drc: bool = True
-    strict_drc: bool = True
-    project_name: Optional[str] = None
-    #: Output backends to run for this design (see :mod:`repro.backends`);
-    #: participates in the content address, while a new target still reuses
-    #: the design's frontend snapshot.
-    targets: tuple[str, ...] = ()
-    #: Per-backend emission options in the normal form of
-    #: :attr:`repro.lang.compile.CompileOptions.backend_options`.
-    backend_options: tuple[tuple[str, object], ...] = ()
+    options: Optional[CompileOptions] = None
+    kind: str = "lang"
 
-    def compile_options(self) -> "CompileOptions":
-        """This job's options as the canonical frozen dataclass."""
-        from repro.lang.compile import CompileOptions
-
-        return CompileOptions(
-            top=self.top,
-            top_args=self.top_args,
-            include_stdlib=self.include_stdlib,
-            sugaring=self.sugaring,
-            run_drc=self.run_drc,
-            strict_drc=self.strict_drc,
-            project_name=self.project_name or self.name,
-            targets=self.targets,
-            backend_options=self.backend_options,
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "sources", normalize_sources(self.sources))
+        options = (
+            CompileOptions(project_name=self.name)
+            if self.options is None
+            else CompileOptions.coerce(self.options)
         )
-
-    def options(self) -> dict[str, object]:
-        """The legacy ``compile_sources`` keyword-options dict (mutable)."""
-        return self.compile_options().as_dict()
+        object.__setattr__(self, "options", options)
 
     def fingerprint(self) -> str:
-        """Content address of this job (sources + options + stdlib)."""
-        return self.compile_options().fingerprint(self.sources)
+        """Content address of this job (sources + options + stdlib + kind)."""
+        return self.options.fingerprint(self.sources, kind=self.kind)
 
     def with_options(self, **changes: object) -> "CompileJob":
         """A copy of this job with some option fields replaced."""
-        return replace(self, **changes)
+        return replace(self, options=self.options.replace(**changes))
 
-    def compile(self, *, cache: Optional[StageCache] = None) -> "CompilationResult":
-        """Compile this job directly (no executor, no error isolation)."""
-        from repro.lang.compile import compile_sources
+    def compile(self, cache: Optional[StageCache] = None) -> CompilationResult:
+        """Compile this job directly (no executor, no error isolation).
 
-        return compile_sources(
-            list(self.sources), options=self.compile_options(), cache=cache
-        )
+        The one place that picks a compile function: by kind, the Tydi-lang
+        pipeline or the ingest pipeline, each through ``cache`` when given.
+        """
+        if self.kind == "lang":
+            if cache is not None:
+                return cache.compile(self.sources, self.options)
+            return run_pipeline(self.sources, self.options)
+        if not self.sources:
+            raise TydiWorkspaceError(
+                f"IR design {self.name!r} has no document (was its file removed?)"
+            )
+        text, filename = self.sources[0]
+        if cache is not None:
+            return cache.compile_ir(text, self.options, filename=filename)
+        from repro.interchange.pipeline import compile_ir_document
+
+        return compile_ir_document(text, self.options, filename=filename)
 
 
 @dataclass
@@ -107,7 +117,7 @@ class JobResult:
     """Outcome of one job: a result, or an isolated error."""
 
     job: CompileJob
-    result: Optional["CompilationResult"] = None
+    result: Optional[CompilationResult] = None
     error: Optional[str] = None
     error_stage: Optional[str] = None
     error_type: Optional[str] = None
@@ -167,7 +177,7 @@ class BatchResult:
     def failures(self) -> list[JobResult]:
         return [r for r in self.results if not r.ok]
 
-    def result_map(self) -> dict[str, "CompilationResult"]:
+    def result_map(self) -> dict[str, CompilationResult]:
         """Successful results by job name."""
         return {r.name: r.result for r in self.results if r.ok}
 
@@ -208,7 +218,7 @@ def _execute_job(job: CompileJob, cache: Optional[StageCache]) -> JobResult:
     """Compile one job with error isolation; shared by every executor."""
     start = time.perf_counter()
     try:
-        result = job.compile(cache=cache)
+        result = job.compile(cache)
     except Exception as exc:  # noqa: BLE001 - isolation is the whole point
         return JobResult(
             job=job,
@@ -220,16 +230,33 @@ def _execute_job(job: CompileJob, cache: Optional[StageCache]) -> JobResult:
     return JobResult(job=job, result=result, elapsed=time.perf_counter() - start)
 
 
-def _process_worker(
-    job: CompileJob, cache_dir: Optional[str], max_disk_bytes: Optional[int] = None
-) -> JobResult:
-    """Process-pool entry point: open a disk-backed cache in the worker."""
-    cache = (
-        StageCache(cache_dir=cache_dir, max_disk_bytes=max_disk_bytes)
-        if cache_dir
-        else None
-    )
-    return _execute_job(job, cache)
+#: The cache a ``process`` worker compiles through, opened once per worker
+#: process by :func:`_open_worker_cache` (``None``: the batch is uncached).
+_WORKER_CACHE: Optional[StageCache] = None
+
+
+def _open_worker_cache(settings: Optional[tuple]) -> None:
+    """Process-pool initializer: open this worker's cache once.
+
+    ``settings`` is the parent cache's ``(cache_dir, max_disk_bytes,
+    remote endpoint)``; the remote client is dialled here, after the fork.
+    """
+    global _WORKER_CACHE
+    if settings is not None:
+        cache_dir, max_disk_bytes, remote = settings
+        _WORKER_CACHE = StageCache(
+            cache_dir=cache_dir, max_disk_bytes=max_disk_bytes, remote=remote
+        )
+
+
+def _process_worker(job: CompileJob) -> JobResult:
+    """Process-pool entry point: compile through the worker's cache."""
+    outcome = _execute_job(job, _WORKER_CACHE)
+    if _WORKER_CACHE is not None and _WORKER_CACHE.remote is not None:
+        # Pool workers exit without running atexit hooks: drain the
+        # write-behind uploads before the job counts as done.
+        _WORKER_CACHE.remote.flush()
+    return outcome
 
 
 def _worker_count(executor: str, max_workers: Optional[int], num_jobs: int) -> int:
@@ -263,7 +290,7 @@ def run_jobs(
         frontend snapshot hits runs only its backends.
     executor:
         ``"serial"`` or ``"process"``.  Serial jobs share the cache
-        object; processes share only its disk tier.
+        object; processes share its disk and remote tiers.
     max_workers:
         Worker count for the process executor (default: the CPU count;
         an explicit value is always respected, see :func:`_worker_count`).
@@ -282,13 +309,14 @@ def run_jobs(
         results = [_execute_job(job, cache) for job in jobs]
         executor_name = "serial"
     else:
-        cache_dir = max_disk_bytes = None
-        if cache is not None and cache.cache_dir is not None:
-            cache_dir, max_disk_bytes = str(cache.cache_dir), cache.max_disk_bytes
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(_process_worker, jobs, repeat(cache_dir), repeat(max_disk_bytes))
-            )
+        settings = None
+        if cache is not None:
+            remote = cache.remote.endpoint if cache.remote is not None else None
+            settings = (cache.cache_dir, cache.max_disk_bytes, remote)
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_open_worker_cache, initargs=(settings,)
+        ) as pool:
+            results = list(pool.map(_process_worker, jobs))
         executor_name = "process"
     return BatchResult(
         results=results,

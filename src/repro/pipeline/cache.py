@@ -12,9 +12,10 @@ inputs is a complete identity for the output artefact.
 * the compile options, serialised with sorted keys,
 * the standard-library source text (when ``include_stdlib`` is set, so
   stdlib edits across revisions invalidate persistent caches), and
-* every ``(filename, source_text)`` pair in order.
+* every ``(filename, source_text)`` pair in order,
 
-It is the identity of a :class:`repro.workspace.Workspace` design's memo
+then salted with the frontend kind when it is not ``"lang"``.  It is the
+identity of a :class:`repro.workspace.Workspace` design's memo
 and of a :class:`repro.pipeline.batch.CompileJob`.  The cache itself,
 :class:`repro.pipeline.stages.StageCache`, keys its tiers per stage, with
 the same salts and :func:`canonical_option_repr`.
@@ -61,7 +62,10 @@ CACHE_VERSION = 2
 #: (:class:`repro.lang.compile.FrontendState`) keyed by the evaluate key
 #: plus ``sugaring`` / ``run_drc`` / ``strict_drc``, the whole-result
 #: ``result:`` tier is gone and ``CompilationResult`` lost ``units``.
-STAGE_SCHEMA_VERSION = 8
+#: v9: the ``iringest:`` tier is gone; the ``eval:`` tier also holds the
+#: post-DRC state of ingested Tydi-IR documents, keyed by the document
+#: text plus ``sugaring`` / ``run_drc`` / ``strict_drc``.
+STAGE_SCHEMA_VERSION = 9
 
 #: Default directory name for the on-disk store.
 DEFAULT_CACHE_DIR = ".tydi-cache"
@@ -102,13 +106,17 @@ def canonical_option_repr(value: object) -> str:
 def fingerprint_sources(
     sources: Sequence[tuple[str, str]] | Sequence[str],
     options: "Mapping[str, object] | CompileOptions | None" = None,
+    *,
+    kind: str = "lang",
 ) -> str:
     """Stable SHA-256 content hash of a compilation's inputs.
 
     ``options`` is either the canonical :class:`~repro.lang.compile.
     CompileOptions` or a legacy options mapping; both hash through the same
     ``{option: value}`` normal form (:meth:`CompileOptions.as_dict`), so
-    every layer computes identical content addresses.
+    every layer computes identical content addresses.  ``kind`` is the
+    frontend (``"lang"`` or ``"ir"``, see :class:`repro.pipeline.batch.
+    CompileJob`).
     """
     import repro
 
@@ -138,4 +146,9 @@ def fingerprint_sources(
         hasher.update(filename.encode())
         hasher.update(b"\x00")
         hasher.update(text.encode())
+    if kind != "lang":
+        # Salt non-lang kinds: the same bytes as a Tydi-lang source and as
+        # an interchange document are different artefacts and must never
+        # share a memo/cache identity.
+        return hashlib.sha256(f"kind={kind}\x00{hasher.hexdigest()}".encode()).hexdigest()
     return hasher.hexdigest()

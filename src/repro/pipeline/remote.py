@@ -36,9 +36,8 @@ then the payload.  Request payloads are one opcode byte plus operands::
     b"S"                                -> b"S" + JSON stats | b"E" + msg
 
 Keys are namespaced fingerprints (``ast:<sha256>``, ``eval:<sha256>``,
-``iringest:<sha256>``, ``backend:<sha256>``, ``sim:<sha256>``) so the
-artefact kinds can never be confused; payloads are the same pickle bytes the disk tier
-stores.  The client never interprets payloads -- corruption is detected by
+``backend:<sha256>``, ``sim:<sha256>``) so the artefact kinds can never be
+confused; payloads are the same pickle bytes the disk tier stores.  The client never interprets payloads -- corruption is detected by
 the cache layer's unpickle guard, which reports it back through
 :meth:`RemoteCacheClient.note_corrupt`.
 """

@@ -1,7 +1,7 @@
 """The compilation cache: per-stage memoisation of the Figure-3 pipeline.
 
 Every backend consumes one checked, typed project, so that is what the
-cache snapshots.  :class:`StageCache` holds five tiers:
+cache snapshots.  :class:`StageCache` holds four tiers:
 
 * **Per-file parse cache** -- every source file is fingerprinted
   individually (:func:`file_fingerprint`) and its parsed
@@ -16,11 +16,10 @@ cache snapshots.  :class:`StageCache` holds five tiers:
   that parse, evaluate, sugar and DRC read (:meth:`StageCache.
   snapshot_key`).  A hit runs no frontend stage and reads no AST; only the
   backend stage runs.  Backends and the simulator only read the project,
-  so the snapshot is shared, never copied.
-* **Ingest snapshot cache** -- the post-ingest state of a Tydi-IR
-  interchange document (:meth:`StageCache.compile_ir`) is pickled and keyed
-  on the document fingerprint (``iringest-<key>.pkl``), so re-opening the
-  same document skips parsing and referential validation entirely.
+  so the snapshot is shared, never copied.  A Tydi-IR interchange
+  document gets the same snapshot (:meth:`StageCache.compile_ir`), keyed
+  by the document text plus the sugar and DRC options
+  (:meth:`StageCache.ir_snapshot_key`).
 * **Per-implementation backend-output cache** -- every requested output
   backend's unit files (one implementation's VHDL file, IR section, DOT
   cluster; see :mod:`repro.backends`) are memoised under the
@@ -31,7 +30,7 @@ cache snapshots.  :class:`StageCache` holds five tiers:
   plan fingerprint (:meth:`StageCache.sim_key`).
 
 Each tier is one :class:`~repro.pipeline.store.TieredStore` (namespaces
-``ast`` / ``eval`` / ``iringest`` / ``backend`` / ``sim``): a bounded
+``ast`` / ``eval`` / ``backend`` / ``sim``): a bounded
 memory LRU and, when ``cache_dir`` is set, ``<cache_dir>/stages/<ns>-<key>.pkl``
 on disk, then the remote L2.  A ``max_disk_bytes`` budget is enforced over
 the whole cache directory via LRU-by-mtime eviction, once per compile.
@@ -52,13 +51,11 @@ import threading
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
-from repro.errors import DiagnosticSink
 from repro.lang.ast import SourceUnit
 from repro.lang.compile import (
     CompilationResult,
     CompileOptions,
     FrontendState,
-    finish_frontend,
     normalize_sources,
     run_backends,
     run_frontend,
@@ -69,28 +66,18 @@ from repro.pipeline.cache import (
     STAGE_SCHEMA_VERSION,
     canonical_option_repr,
 )
-from repro.pipeline.store import (
-    PICKLED,
-    SHARED,
-    STAGE_DIR_NAME,
-    TieredStore,
-    evict_lru_files,
-)
+from repro.pipeline.store import STAGE_DIR_NAME, TieredStore, evict_lru_files
 
-#: The five stage tiers: ``StageStats`` counter prefix, store namespace and
-#: codec.  ASTs, frontend snapshots, backend units and simulation reports
-#: are read-only and shared; ingest snapshots are mutated by sugar/DRC, so
-#: every hit unpickles a fresh copy.
+#: The four stage tiers: ``StageStats`` counter prefix and store namespace.
 STAGE_TIERS = (
-    ("parse", "ast", SHARED),
-    ("evaluate", "eval", SHARED),
-    ("ingest", "iringest", PICKLED),
-    ("backend", "backend", SHARED),
-    ("sim", "sim", SHARED),
+    ("parse", "ast"),
+    ("evaluate", "eval"),
+    ("backend", "backend"),
+    ("sim", "sim"),
 )
 
 #: In-memory LRU capacity of each stage tier, by store namespace.
-STAGE_CAPACITY = {"ast": 512, "eval": 64, "iringest": 64, "backend": 1024, "sim": 128}
+STAGE_CAPACITY = {"ast": 512, "eval": 64, "backend": 1024, "sim": 128}
 
 #: Options that change the outcome of parse+evaluate.
 EVALUATE_OPTIONS = ("top", "top_args", "include_stdlib", "project_name")
@@ -129,6 +116,20 @@ def _options_mapping(options: "Mapping[str, object] | CompileOptions | None") ->
     return options or {}
 
 
+def _with_check_options(base: str, options: Mapping[str, object]) -> str:
+    """A frontend snapshot key: ``base`` (what built the project) plus
+    :data:`CHECK_OPTIONS` (each defaulting to ``True``, as in
+    :class:`~repro.lang.compile.CompileOptions`)."""
+    hasher = hashlib.sha256()
+    hasher.update(base.encode())
+    for name in CHECK_OPTIONS:
+        hasher.update(b"\x00opt\x00")
+        hasher.update(name.encode())
+        hasher.update(b"=")
+        hasher.update(canonical_option_repr(options.get(name, True)).encode())
+    return hasher.hexdigest()
+
+
 def _backend_key_prefix(backend):
     """The hash state every :meth:`StageCache.backend_unit_key` of
     ``backend`` starts from: salt, backend name and options token."""
@@ -148,7 +149,7 @@ class StageStats:
     ``<stage>_hits`` counts lookups any tier answered.  ``<stage>_misses``
     counts recomputed artefacts as they are stored, so a stage that raises
     (a parse error) counts nothing.  ``disk_hits`` / ``disk_stores`` /
-    ``disk_errors`` sum over the five stores; ``disk_evictions`` counts
+    ``disk_errors`` sum over the four stores; ``disk_evictions`` counts
     the cache's budget passes.
     """
 
@@ -159,7 +160,7 @@ class StageStats:
     def as_dict(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         disk = dict.fromkeys(("disk_hits", "disk_stores", "disk_errors"), 0)
-        for stage, namespace, _ in STAGE_TIERS:
+        for stage, namespace in STAGE_TIERS:
             tier = self._stores[namespace].stats_snapshot()
             counts[f"{stage}_hits"] = tier["hits"]
             counts[f"{stage}_misses"] = tier["stores"]
@@ -181,7 +182,7 @@ class StageStats:
 
 
 class StageCache:
-    """The compilation cache: every stage artefact, in five tiered stores.
+    """The compilation cache: every stage artefact, in four tiered stores.
 
     Parameters
     ----------
@@ -221,13 +222,9 @@ class StageCache:
         self.remote = remote
         self._stores = {
             namespace: TieredStore(
-                namespace,
-                codec,
-                STAGE_CAPACITY[namespace],
-                cache_dir=self.cache_dir,
-                remote=remote,
+                namespace, STAGE_CAPACITY[namespace], cache_dir=self.cache_dir, remote=remote
             )
-            for _, namespace, codec in STAGE_TIERS
+            for _, namespace in STAGE_TIERS
         }
         self.stats = StageStats(self._stores)
         self._lock = threading.Lock()
@@ -269,31 +266,24 @@ class StageCache:
         options: "Mapping[str, object] | CompileOptions | None" = None,
     ) -> str:
         """Key of one post-DRC frontend snapshot: :meth:`evaluate_key` plus
-        :data:`CHECK_OPTIONS` (each defaulting to ``True``, as in
-        :class:`~repro.lang.compile.CompileOptions`)."""
+        :data:`CHECK_OPTIONS`."""
         options = _options_mapping(options)
-        hasher = hashlib.sha256()
-        hasher.update(self.evaluate_key(sources, options).encode())
-        for name in CHECK_OPTIONS:
-            hasher.update(b"\x00opt\x00")
-            hasher.update(name.encode())
-            hasher.update(b"=")
-            hasher.update(canonical_option_repr(options.get(name, True)).encode())
-        return hasher.hexdigest()
+        return _with_check_options(self.evaluate_key(sources, options), options)
 
-    def ingest_key(self, text: str) -> str:
-        """Snapshot key of one Tydi-IR interchange document: its fingerprint.
+    def ir_snapshot_key(
+        self, text: str, options: "Mapping[str, object] | CompileOptions | None" = None
+    ) -> str:
+        """Key of one Tydi-IR document's post-DRC snapshot: the document
+        text plus :data:`CHECK_OPTIONS`.
 
-        The document *is* the complete post-evaluate state (no options
-        participate -- the evaluate-only options are ignored by ingest, and
-        the downstream ones key nothing before sugar), so the content hash
-        plus the stage salt fully addresses the ingested project.
+        The document *is* the complete post-evaluate state, so the
+        evaluate-only options (which ingest ignores) do not participate.
         """
         hasher = hashlib.sha256()
         hasher.update(_stage_salt().encode())
-        hasher.update(b"\x00iringest\x00")
+        hasher.update(b"\x00tydi-ir\x00")
         hasher.update(text.encode())
-        return hasher.hexdigest()
+        return _with_check_options(hasher.hexdigest(), _options_mapping(options))
 
     def sim_key(
         self,
@@ -415,16 +405,11 @@ class StageCache:
         """
         normalized = normalize_sources(sources)
         options = CompileOptions.coerce(options)
-        key = self.snapshot_key(normalized, options)
-        state = self._stores["eval"].get(key, FrontendState)
-        if state is None:
-            state = run_frontend(normalized, options, parse_file=self.cached_parse)
-            self._stores["eval"].put(key, state)
-        result = run_backends(state, options, stage_cache=self)
-        # One budget pass per compile (stores above defer theirs): a full
-        # rglob scan per artefact would make eviction O(files x entries).
-        self.enforce_disk_budget()
-        return result
+        return self._compile_snapshot(
+            self.snapshot_key(normalized, options),
+            lambda: run_frontend(normalized, options, parse_file=self.cached_parse),
+            options,
+        )
 
     def compile_ir(
         self,
@@ -433,32 +418,36 @@ class StageCache:
         *,
         filename: str = "<tydi-ir>",
     ) -> CompilationResult:
-        """Run the ingest pipeline with a memoised ingest stage.
+        """The ingest twin of :meth:`compile`: one Tydi-IR document through
+        the same snapshot tier, then the backends.
 
-        The staged twin of :func:`repro.interchange.pipeline.
-        compile_ir_document`: the post-ingest project (plus its stage-log
-        entry) is pickled under :meth:`ingest_key` -- the ``iringest`` tier
-        -- so re-opening the same document skips parsing and validation
-        entirely; sugar/DRC re-run on a fresh deserialised copy, and the
-        backend stage rides the per-implementation unit cache as usual.
-        Byte-identical to the uncached composition, as the differential
-        suite asserts.  Ingest errors propagate unchanged and are never
-        cached.
+        The post-DRC state of :func:`repro.interchange.pipeline.
+        ingest_frontend` is stored in the ``eval`` tier under
+        :meth:`ir_snapshot_key`, so re-opening the same document with the
+        same check options runs no stage.  Byte-identical to the uncached
+        :func:`~repro.interchange.pipeline.compile_ir_document`, as the
+        differential suite asserts.  Ingest and strict-DRC errors propagate
+        unchanged and are never cached.
         """
-        from repro.interchange.pipeline import ingest_stage
+        from repro.interchange.pipeline import ingest_frontend
 
         options = CompileOptions.coerce(options)
-        key = self.ingest_key(text)
-        snapshot = self._stores["iringest"].get(key, tuple)
-        if snapshot is not None:
-            project, ingest_entry = snapshot
-        else:
-            project, ingest_entry = ingest_stage(text, filename=filename)
-            # Snapshot *before* sugaring: sugar/DRC mutate the project, and
-            # the stored bytes must stay the pristine post-ingest state.
-            self._stores["iringest"].put(key, (project, ingest_entry))
-        state = finish_frontend(project, DiagnosticSink(), [ingest_entry], options)
+        return self._compile_snapshot(
+            self.ir_snapshot_key(text, options),
+            lambda: ingest_frontend(text, options, filename=filename),
+            options,
+        )
+
+    def _compile_snapshot(self, key: str, frontend, options: CompileOptions) -> CompilationResult:
+        """The frontend snapshot under ``key`` (``frontend()`` builds and
+        stores it on a miss), then the backends and one budget pass."""
+        state = self._stores["eval"].get(key, FrontendState)
+        if state is None:
+            state = frontend()
+            self._stores["eval"].put(key, state)
         result = run_backends(state, options, stage_cache=self)
+        # One budget pass per compile (stores above defer theirs): a full
+        # rglob scan per artefact would make eviction O(files x entries).
         self.enforce_disk_budget()
         return result
 

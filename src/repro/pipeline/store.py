@@ -2,7 +2,7 @@
 
 :class:`~repro.pipeline.stages.StageCache` is built from
 :class:`TieredStore` instances, one per namespace (``ast``, ``eval``,
-``iringest``, ``backend``, ``sim``).  A store owns the whole lookup policy:
+``backend``, ``sim``).  A store owns the whole lookup policy:
 
 * ``get`` walks a bounded in-memory LRU, then the file under
   ``cache_dir``, then the remote L2 (:class:`~repro.pipeline.remote.
@@ -15,10 +15,8 @@
   dropped (``disk_errors``), a bad remote blob is reported through the
   client's ``note_corrupt``.  No tier can make a lookup raise.
 
-The *codec* says what memory holds.  ``shared`` keeps the object itself,
-so every hit returns that same object and callers treat it as immutable.
-``pickled`` keeps the pickle bytes, so every hit unpickles a fresh copy
-that the caller may mutate (sugar and DRC mutate ingest snapshots).
+Memory keeps the object itself, so every hit returns that same object and
+callers treat it as immutable.
 
 On disk every namespace lives under ``<cache_dir>/stages/<namespace>-<key>.pkl``.
 """
@@ -34,12 +32,6 @@ from collections import OrderedDict
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Optional
-
-#: Memory holds the object; hits share it.
-SHARED = "shared"
-#: Memory holds pickle bytes; every hit unpickles a fresh copy.
-PICKLED = "pickled"
-CODECS = (SHARED, PICKLED)
 
 #: Subdirectory of the cache dir holding the stage tiers' artefacts.
 STAGE_DIR_NAME = "stages"
@@ -167,8 +159,6 @@ class TieredStore:
     namespace:
         Names the remote keys (``"<namespace>:<key>"``) and the files
         (``<cache_dir>/stages/<namespace>-<key>.pkl``).
-    codec:
-        :data:`SHARED` or :data:`PICKLED` (see the module docstring).
     capacity:
         In-memory LRU capacity; the least-recently-used entry is evicted
         on overflow (it stays on disk).
@@ -182,18 +172,14 @@ class TieredStore:
     def __init__(
         self,
         namespace: str,
-        codec: str,
         capacity: int,
         *,
         cache_dir: Optional[str | Path] = None,
         remote: Optional[object] = None,
     ) -> None:
-        if codec not in CODECS:
-            raise ValueError(f"codec must be one of {CODECS}, got {codec!r}")
         if capacity < 1:
             raise ValueError(f"{namespace} store capacity must be >= 1, got {capacity}")
         self.namespace = namespace
-        self.codec = codec
         self.capacity = capacity
         self.remote = remote
         self._dir = Path(cache_dir) / STAGE_DIR_NAME if cache_dir is not None else None
@@ -214,10 +200,7 @@ class TieredStore:
             if held is not None:
                 self._memory.move_to_end(key)
                 self.stats.hits += 1
-                if self.codec == SHARED:
-                    return held
-        if held is not None:
-            return pickle.loads(held)
+                return held
         payload = self._read_file(key)
         from_disk = payload is not None
         if payload is None and self.remote is not None:
@@ -230,30 +213,26 @@ class TieredStore:
             self.stats.hits += 1
             if from_disk:
                 self.stats.disk_hits += 1
-            self._remember(key, value if self.codec == SHARED else payload)
+            self._remember(key, value)
         if not from_disk:
             self._write_file(key, payload)  # promote; the remote already has it
         return value
 
     def put(self, key: str, value: object) -> None:
         """Store ``value`` in memory and the durable tiers."""
-        durable = self._dir is not None or self.remote is not None
-        payload = None
-        if durable or self.codec == PICKLED:
-            try:
-                payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-            except (pickle.PickleError, TypeError, AttributeError):
-                self.count("disk_errors")
         with self._lock:
             self.stats.stores += 1
-            if self.codec == SHARED:
-                self._remember(key, value)
-            elif payload is not None:
-                self._remember(key, payload)
-        if durable and payload is not None:
-            self._write_file(key, payload)
-            if self.remote is not None:
-                self.remote.put(self._remote_key(key), payload)
+            self._remember(key, value)
+        if self._dir is None and self.remote is None:
+            return
+        try:
+            payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+        except (pickle.PickleError, TypeError, AttributeError):
+            self.count("disk_errors")
+            return
+        self._write_file(key, payload)
+        if self.remote is not None:
+            self.remote.put(self._remote_key(key), payload)
 
     def clear(self) -> None:
         """Drop the memory tier (the owning cache clears the directory)."""

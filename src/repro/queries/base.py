@@ -8,7 +8,7 @@ from typing import Callable, Mapping, Optional
 from repro.arrow.dataset import Table
 from repro.arrow.fletcher import fletcher_interface_source, reader_behaviors
 from repro.arrow.schema import ArrowSchema
-from repro.lang.compile import CompilationResult, compile_sources
+from repro.lang.compile import CompilationResult, CompileOptions, compile_sources
 from repro.sim.engine import SimulationTrace, Simulator
 from repro.stdlib.source import stdlib_loc
 from repro.utils.text import count_loc
@@ -94,14 +94,8 @@ class TpchQuery:
         """This query as a :class:`repro.pipeline.CompileJob` for batch runs."""
         from repro.pipeline import CompileJob
 
-        return CompileJob(
-            name=self.name,
-            sources=tuple(self.sources()),
-            top=self.top,
-            include_stdlib=True,
-            sugaring=self.sugaring,
-            project_name=self.name,
-        )
+        options = CompileOptions(top=self.top, sugaring=self.sugaring, project_name=self.name)
+        return CompileJob(self.name, self.sources(), options)
 
     def generate_vhdl(self) -> dict[str, str]:
         return VhdlBackend(self.compile().project).generate()

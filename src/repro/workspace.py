@@ -24,9 +24,9 @@ and emission are queries over):
   ``update_file`` that re-writes identical text invalidates nothing and a
   one-file edit recompiles through the warm stage cache (re-parsing only
   that file),
-* :meth:`~Workspace.compile_all` brings every design up to date through
-  the job engine (serial / process executors with per-design error
-  isolation).
+* :meth:`~Workspace.compile_all` brings every design of either frontend
+  up to date through the job engine (serial / process executors with
+  per-design error isolation).
 
 Thread-safety contract: every query takes a per-design lock, so concurrent
 queries (including against the same design) are safe; mutation methods take
@@ -44,11 +44,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
 from repro.errors import TydiWorkspaceError
-from repro.lang.compile import (
-    CompileOptions,
-    normalize_sources,
-    run_pipeline,
-)
+from repro.lang.compile import CompileOptions, normalize_sources
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.lang.compile import CompilationResult
@@ -147,17 +143,13 @@ class _Design:
         return tuple((text, filename) for filename, text in self.files.items())
 
     def fingerprint(self) -> str:
-        fingerprint = self.options.fingerprint(self.normalized_sources())
-        if self.kind != "lang":
-            # Salt non-lang kinds: the same bytes as a Tydi-lang source and
-            # as an interchange document are different artefacts and must
-            # never share a memo/cache identity.
-            import hashlib
+        return self.options.fingerprint(self.normalized_sources(), kind=self.kind)
 
-            return hashlib.sha256(
-                f"kind={self.kind}\x00{fingerprint}".encode()
-            ).hexdigest()
-        return fingerprint
+    def job(self) -> "CompileJob":
+        """This design's current content as one compile job."""
+        from repro.pipeline.batch import CompileJob
+
+        return CompileJob(self.name, self.normalized_sources(), self.options, self.kind)
 
     def file_keys(self) -> dict[str, str]:
         from repro.pipeline.stages import file_fingerprint
@@ -200,9 +192,6 @@ class Workspace:
     options:
         Default :class:`~repro.lang.compile.CompileOptions` (or mapping)
         for designs added without their own.
-    executor / jobs:
-        Defaults for :meth:`compile_all` (``"serial"`` / ``"process"``,
-        and the worker count).
     label:
         Optional human-readable name for this session, echoed by
         :meth:`stats` and :meth:`report` when set.  The worker pool labels
@@ -218,14 +207,8 @@ class Workspace:
         max_cache_mb: Optional[float] = None,
         remote_cache=None,
         options: CompileOptions | Mapping[str, object] | None = None,
-        executor: str = "serial",
-        jobs: Optional[int] = None,
         label: Optional[str] = None,
     ) -> None:
-        from repro.pipeline.batch import EXECUTORS
-
-        if executor not in EXECUTORS:
-            raise ValueError(f"executor must be one of {EXECUTORS}, got {executor!r}")
         if cache is not _AUTO_CACHE and (
             cache_dir is not None or max_cache_mb is not None or remote_cache is not None
         ):
@@ -250,8 +233,6 @@ class Workspace:
             )
         self.cache = cache
         self.default_options = CompileOptions.coerce(options)
-        self.executor = executor
-        self.jobs = jobs
         self.label = label
         self._designs: dict[str, _Design] = {}
         #: Design names at the previous ``compile_all`` (for ``removed``).
@@ -299,29 +280,9 @@ class Workspace:
         decides, not object identity), and moves the design to the end of
         the compile order.
         """
-        if not isinstance(name, str) or not name:
-            raise TydiWorkspaceError(f"design name must be a non-empty string, got {name!r}")
         normalized = normalize_sources(files)
-        resolved = (
-            self.default_options if options is None else CompileOptions.coerce(options)
-        )
         file_map = {filename: text for text, filename in normalized}
-        with self._lock:
-            existing = self._designs.get(name)
-            if existing is not None and not replace:
-                raise TydiWorkspaceError(
-                    f"design {name!r} already exists (pass replace=True to update it)"
-                )
-            if existing is None:
-                self._designs[name] = _Design(name, file_map, resolved)
-                return
-            with existing.lock:
-                existing.files = file_map
-                existing.options = resolved
-                existing.kind = "lang"
-            # Move the replaced design to the end: compile_all order then
-            # mirrors the caller's latest job order.
-            self._designs[name] = self._designs.pop(name)
+        self._register(name, file_map, options, "lang", replace)
 
     def add_ir_design(
         self,
@@ -346,16 +307,32 @@ class Workspace:
         ignored, as the document itself carries the project name and top
         declaration.
         """
-        if not isinstance(name, str) or not name:
-            raise TydiWorkspaceError(f"design name must be a non-empty string, got {name!r}")
         if not isinstance(text, str):
             raise TydiWorkspaceError(
                 f"add_ir_design expects the document as a string, got {type(text).__name__}"
             )
+        self._register(name, {filename or f"{name}.tir": text}, options, "ir", replace)
+
+    def add_job(self, job: "CompileJob", *, replace: bool = False) -> None:
+        """Register a :class:`~repro.pipeline.batch.CompileJob` as a design
+        of the job's kind."""
+        file_map = {filename: text for text, filename in job.sources}
+        self._register(job.name, file_map, job.options, job.kind, replace)
+
+    def _register(
+        self,
+        name: str,
+        file_map: dict[str, str],
+        options: CompileOptions | Mapping[str, object] | None,
+        kind: str,
+        replace: bool,
+    ) -> None:
+        """Add (or with ``replace``, wholesale-update) one design."""
+        if not isinstance(name, str) or not name:
+            raise TydiWorkspaceError(f"design name must be a non-empty string, got {name!r}")
         resolved = (
             self.default_options if options is None else CompileOptions.coerce(options)
         )
-        file_map = {filename or f"{name}.tir": text}
         with self._lock:
             existing = self._designs.get(name)
             if existing is not None and not replace:
@@ -363,17 +340,15 @@ class Workspace:
                     f"design {name!r} already exists (pass replace=True to update it)"
                 )
             if existing is None:
-                self._designs[name] = _Design(name, file_map, resolved, kind="ir")
+                self._designs[name] = _Design(name, file_map, resolved, kind=kind)
                 return
             with existing.lock:
                 existing.files = file_map
                 existing.options = resolved
-                existing.kind = "ir"
+                existing.kind = kind
+            # Move the replaced design to the end: compile_all order then
+            # mirrors the caller's latest job order.
             self._designs[name] = self._designs.pop(name)
-
-    def add_job(self, job: "CompileJob", *, replace: bool = False) -> None:
-        """Register a :class:`~repro.pipeline.batch.CompileJob` as a design."""
-        self.add_design(job.name, job.sources, job.compile_options(), replace=replace)
 
     def remove_design(self, name: str) -> None:
         with self._lock:
@@ -671,17 +646,19 @@ class Workspace:
     def compile_all(
         self,
         *,
-        executor: Optional[str] = None,
+        executor: str = "serial",
         jobs: Optional[int] = None,
     ) -> BuildReport:
         """Bring every design's memo up to date; failures are isolated.
 
         Fresh designs are *reused* (their memoised result is handed back
-        untouched); stale or failed ones are compiled through the shared
-        job engine (:func:`repro.pipeline.batch.run_jobs`) -- in worker
-        processes for ``executor="process"`` -- and their memos updated.
-        A design that fails records an entry in :attr:`BuildReport.failed`
-        instead of raising, and is retried by the next ``compile_all``.
+        untouched); stale or failed ones of either frontend are compiled,
+        outside the design locks and in workspace order, through one call
+        of the shared job engine (:func:`repro.pipeline.batch.run_jobs`) --
+        in ``jobs`` worker processes for ``executor="process"`` -- and
+        their memos updated.  A design that fails records an entry in
+        :attr:`BuildReport.failed` instead of raising, and is retried by
+        the next ``compile_all``.
         """
         from repro.pipeline.batch import run_jobs
 
@@ -692,7 +669,6 @@ class Workspace:
             self._compiled_names = set(self._designs)
 
         dirty: list[tuple[_Design, "CompileJob", str]] = []
-        ir_outcomes: list["JobResult"] = []
         for entry in designs:
             with entry.lock:
                 key = entry.fingerprint()
@@ -712,24 +688,14 @@ class Workspace:
                     for filename, fkey in current.items()
                     if previous.get(filename) == fkey
                 ]
-                if entry.kind == "ir":
-                    # IR designs compile inline (through the memoised ingest
-                    # tier) with the same per-design error isolation; the
-                    # job engine's CompileJob shape is Tydi-lang-only.
-                    ir_outcomes.append(self._compile_ir_inline(entry, key, report))
-                    continue
-                dirty.append((entry, self._job_for(entry), key))
+                dirty.append((entry, entry.job(), key))
 
         report.batch = run_jobs(
             [job for _, job, _ in dirty],
             cache=self.cache,
-            executor=executor or self.executor,
-            max_workers=jobs if jobs is not None else self.jobs,
+            executor=executor,
+            max_workers=jobs,
         )
-        # Batch consumers (tydi-compile --batch, the CI soak) read
-        # report.batch.results; the inline IR compiles ride along as
-        # synthetic job results so an all---from-ir batch is not invisible.
-        report.batch.results.extend(ir_outcomes)
         for (entry, _job, key), outcome in zip(dirty, report.batch.results):
             with entry.lock:
                 still_current = entry.fingerprint() == key
@@ -750,42 +716,6 @@ class Workspace:
 
     # -- internals -------------------------------------------------------------
 
-    def _compile_ir_inline(
-        self, entry: _Design, key: str, report: BuildReport
-    ) -> "JobResult":
-        """Compile one dirty IR design during ``compile_all`` (lock held).
-
-        Folds the outcome into the report *and* returns a synthetic
-        :class:`~repro.pipeline.batch.JobResult` (placeholder job, real
-        timing) for the report's batch view.
-        """
-        import time as _time
-
-        from repro.errors import TydiError
-        from repro.pipeline.batch import CompileJob, JobResult
-
-        placeholder = CompileJob(name=entry.name, sources=())
-        start = _time.perf_counter()
-        try:
-            result = self._compute(entry)
-        except TydiError as exc:
-            report.failed[entry.name] = exc.render()
-            entry.drop_memo()
-            entry.built_file_keys = None
-            return JobResult(
-                job=placeholder,
-                error=exc.render(),
-                error_stage=exc.stage,
-                error_type=type(exc).__name__,
-                elapsed=_time.perf_counter() - start,
-            )
-        report.compiled.append(entry.name)
-        report.results[entry.name] = result
-        self._fold_success(entry, key, result)
-        return JobResult(
-            job=placeholder, result=result, elapsed=_time.perf_counter() - start
-        )
-
     def _fold_success(self, entry: _Design, key: str, result: "CompilationResult") -> None:
         """Install a successful build as the design's memo (lock held)."""
         entry.memo_key = key
@@ -795,51 +725,11 @@ class Workspace:
         entry.sim_reports.clear()
         entry.built_file_keys = entry.file_keys()
 
-    def _job_for(self, entry: _Design) -> "CompileJob":
-        from repro.pipeline.batch import CompileJob
-
-        options = entry.options
-        return CompileJob(
-            name=entry.name,
-            sources=entry.normalized_sources(),
-            top=options.top,
-            top_args=options.top_args,
-            include_stdlib=options.include_stdlib,
-            sugaring=options.sugaring,
-            run_drc=options.run_drc,
-            strict_drc=options.strict_drc,
-            project_name=options.project_name,
-            targets=options.targets,
-            backend_options=options.backend_options,
-        )
-
     def _compute(self, entry: _Design) -> "CompilationResult":
         """One design's compile through the cache (design lock held).
 
-        The same call the engine's ``_execute_job`` makes for
-        ``compile_all`` (via ``compile_sources``), so single-design queries
-        and bulk builds produce the same artefacts through the same tiers.
+        The same :meth:`~repro.pipeline.batch.CompileJob.compile` call the
+        engine makes for ``compile_all``, so single-design queries and bulk
+        builds produce the same artefacts through the same tiers.
         """
-        if entry.kind == "ir":
-            return self._compute_ir(entry)
-        normalized = entry.normalized_sources()
-        if self.cache is not None:
-            return self.cache.compile(normalized, entry.options)
-        return run_pipeline(normalized, entry.options)
-
-    def _compute_ir(self, entry: _Design) -> "CompilationResult":
-        """One IR design's compile through the ingest pipeline (lock held).
-
-        Goes through the cache's memoised ingest tier when the workspace
-        has a cache (:meth:`repro.pipeline.stages.StageCache.compile_ir`).
-        """
-        if not entry.files:
-            raise TydiWorkspaceError(
-                f"IR design {entry.name!r} has no document (was its file removed?)"
-            )
-        filename, text = next(iter(entry.files.items()))
-        if self.cache is not None:
-            return self.cache.compile_ir(text, entry.options, filename=filename)
-        from repro.interchange.pipeline import compile_ir_document
-
-        return compile_ir_document(text, entry.options, filename=filename)
+        return entry.job().compile(self.cache)

@@ -183,6 +183,23 @@ class TestCliBatch:
         assert warm["stage_cache"]["parse_misses"] == 0
         assert all(d["status"] == "compiled" for d in warm["designs"])
 
+    def test_batch_process_workers_share_the_remote_cache(self, design_dir, tmp_path, capsys):
+        from repro.server.cachesvc import CacheServerThread
+
+        with CacheServerThread() as server:
+            for run in ("cold", "warm"):
+                argv = [
+                    "--batch", "--executor", "process", "--jobs", "2",
+                    "--remote-cache", server.endpoint,
+                    "--cache-dir", str(tmp_path / "caches" / run),
+                    *self._paths(design_dir),
+                ]
+                assert main(argv) == 0
+                assert "batch: 3/3 succeeded" in capsys.readouterr().out
+            assert server.store.stats_snapshot()["hits"] == 3
+        promoted = list((tmp_path / "caches" / "warm" / "stages").glob("eval-*.pkl"))
+        assert len(promoted) == 3
+
     def test_batch_vhdl_dir_per_design(self, design_dir, tmp_path, capsys):
         vhdl_dir = tmp_path / "vhdl"
         assert main(["--batch", "--vhdl-dir", str(vhdl_dir), *self._paths(design_dir)]) == 0

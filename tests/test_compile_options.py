@@ -92,9 +92,7 @@ class TestCompileOptions:
     def test_fingerprint_matches_job_and_cache_paths(self):
         sources = ((SOURCE, "a.td"),)
         options = CompileOptions(project_name="demo", targets=("ir",))
-        job = CompileJob(
-            name="demo", sources=sources, project_name="demo", targets=("ir",)
-        )
+        job = CompileJob(name="demo", sources=sources, options=options)
         assert options.fingerprint(sources) == job.fingerprint()
         assert options.fingerprint(sources) == fingerprint_sources(sources, options)
         assert options.fingerprint(sources) == fingerprint_sources(

@@ -7,7 +7,8 @@ the served project's pickle bytes before and after every consumer the
 toolchain runs over a compiled project: all five backends (through the
 per-implementation unit cache), the Tydi-IR interchange emitter and a
 full simulation run with every analysis (what ``Workspace.simulate``
-runs).
+runs).  The same oracle covers each design re-opened from its ``tydi-ir``
+emission, whose snapshot the ingest frontend builds.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ def tables():
     return generate_tpch_data(60, seed=3)
 
 
-@pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda query: query.name)
-def test_consumers_leave_the_served_project_unchanged(query, tables):
-    cache = StageCache()
-    options = query.compile_job().compile_options()
-    served = cache.compile(query.sources(), options).project
+def check_consumers(query, tables, cache, compile_design) -> None:
+    """Run every consumer over the project ``compile_design(options)``
+    serves through ``cache`` and require its pickle bytes unchanged."""
+    options = query.compile_job().options
+    served = compile_design(options).project
     before = pickle.dumps(served)
 
     # A warm compile for every backend serves the same project object.
     backends = tuple(available_backends())
     assert len(backends) == 5
-    result = cache.compile(query.sources(), options.replace(targets=backends))
+    result = compile_design(options.replace(targets=backends))
     assert result.project is served
     assert set(result.outputs) == set(backends)
     emit_document(served)
@@ -50,3 +51,20 @@ def test_consumers_leave_the_served_project_unchanged(query, tables):
 
     assert pickle.dumps(served) == before
     assert cache.stats.evaluate_hits == 1
+
+
+@pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda query: query.name)
+def test_consumers_leave_the_served_project_unchanged(query, tables):
+    cache = StageCache()
+    sources = query.sources()
+    check_consumers(query, tables, cache, lambda options: cache.compile(sources, options))
+
+
+@pytest.mark.parametrize("query", ALL_QUERIES, ids=lambda query: query.name)
+def test_consumers_leave_the_served_ingested_project_unchanged(query, tables):
+    emission = query.compile_job().with_options(targets=("tydi-ir",)).compile()
+    (document,) = emission.outputs["tydi-ir"].values()
+    cache = StageCache()
+    check_consumers(
+        query, tables, cache, lambda options: cache.compile_ir(document, options)
+    )

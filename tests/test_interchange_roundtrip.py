@@ -3,7 +3,7 @@
 The correctness spine is ``emit(ingest(emit(P))) == emit(P)`` --
 byte-identical documents *and* byte-identical downstream backend outputs
 -- proven over fuzzed designs, the TPC-H query suite, the staged
-pipeline's memoised ingest tier, a live workspace, and the wire
+pipeline's post-DRC document snapshot, a live workspace, and the wire
 (``open_ir_design`` against a running ``tydi-serve``, threaded and
 pooled).  The ingest error envelope (:class:`~repro.errors.TydiIngestError`,
 stage ``"ingest"``, ``file:line:col`` spans) gets the same local-vs-remote
@@ -155,7 +155,7 @@ def test_empty_document_is_an_ingest_error():
         load_ir("")
 
 
-# -- the staged pipeline: memoised ingest tier ---------------------------------
+# -- the staged pipeline: one post-DRC snapshot per document ------------------
 
 
 def test_stage_cache_compile_ir_matches_uncached_and_memoises(tmp_path):
@@ -170,12 +170,12 @@ def test_stage_cache_compile_ir_matches_uncached_and_memoises(tmp_path):
     cold = cache.compile_ir(document, options)
     assert cold.outputs == reference.outputs
     stats = cache.stats_snapshot()
-    assert stats["ingest_misses"] == 1 and stats["ingest_hits"] == 0
+    assert stats["evaluate_misses"] == 1 and stats["evaluate_hits"] == 0
 
     warm = cache.compile_ir(document, options)
     assert warm.outputs == reference.outputs
     stats = cache.stats_snapshot()
-    assert stats["ingest_hits"] == 1
+    assert stats["evaluate_hits"] == 1
     # The backend-unit tier served the warm emission entirely.
     assert stats["backend_hits"] >= len(project.implementations)
 
@@ -183,7 +183,45 @@ def test_stage_cache_compile_ir_matches_uncached_and_memoises(tmp_path):
     fresh = StageCache(cache_dir=tmp_path)
     again = fresh.compile_ir(document, options)
     assert again.outputs == reference.outputs
-    assert fresh.stats_snapshot()["ingest_hits"] == 1
+    assert fresh.stats_snapshot()["evaluate_hits"] == 1
+
+
+def test_warm_compile_ir_runs_no_stage(monkeypatch):
+    """A warm document snapshot runs neither ingest nor sugar nor DRC, and
+    every check option keys a snapshot of its own."""
+    import repro.interchange.pipeline as ingest_module
+    import repro.lang.compile as compile_module
+    from repro.pipeline import StageCache
+
+    document = emit_document(_fuzzed_project(3))
+    cache = StageCache()
+    cold = cache.compile_ir(document)
+    calls = []
+    for module, name in (
+        (ingest_module, "load_ir"),
+        (compile_module, "apply_sugaring"),
+        (compile_module, "check_project"),
+    ):
+        original = getattr(module, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    warm = cache.compile_ir(document)
+    assert calls == []
+    assert warm.project is cold.project
+    stats = cache.stats_snapshot()
+    assert stats["evaluate_hits"] == 1 and stats["evaluate_misses"] == 1
+
+    for flipped in ({"sugaring": False}, {"run_drc": False}, {"strict_drc": False}):
+        calls.clear()
+        cache.compile_ir(document, flipped)
+        assert calls[0] == "load_ir", flipped
+    stats = cache.stats_snapshot()
+    assert stats["evaluate_hits"] == 1 and stats["evaluate_misses"] == 4
 
 
 # -- the workspace frontend ----------------------------------------------------
@@ -226,10 +264,22 @@ class TestWorkspaceIrDesigns:
         report = workspace.compile_all()
         assert "good" in report.compiled
         assert "bad" in report.failed and "1:1" in report.failed["bad"]
-        # The inline IR compiles ride along in the batch view for the CLI.
+        # IR designs run through the job engine like Tydi-lang designs.
         by_name = {entry.name: entry for entry in report.batch.results}
         assert by_name["good"].ok and not by_name["bad"].ok
         assert by_name["bad"].error_stage == "ingest"
+
+    def test_compile_all_keeps_workspace_order(self, tmp_path):
+        """Designs of both frontends compile in one batch, in the order
+        they were added."""
+        workspace = self._workspace(tmp_path)
+        workspace.add_design("first_lang", build_chain_design(2))
+        workspace.add_ir_design("second_ir", emit_document(_fuzzed_project(5)))
+        workspace.add_design("third_lang", build_chain_design(3))
+        report = workspace.compile_all()
+        order = ["first_lang", "second_ir", "third_lang"]
+        assert [entry.name for entry in report.batch.results] == order
+        assert report.compiled == order
 
     def test_update_file_swaps_the_document(self, tmp_path):
         first = emit_document(_fuzzed_project(7))

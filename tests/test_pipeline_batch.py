@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.lang.compile import CompileOptions
 from repro.pipeline import (
     BatchCompilationError,
     CompileJob,
@@ -45,8 +46,16 @@ class TestCompileJob:
 
     def test_project_name_defaults_to_job_name(self):
         job = make_jobs(1)[0]
-        assert job.options()["project_name"] == job.name
+        assert job.options.project_name == job.name
         assert job.compile().project.name == job.name
+
+    def test_explicit_options_are_used_as_given(self):
+        sources = make_jobs(1)[0].sources
+        job = CompileJob("q", sources, CompileOptions(top="pass_i"))
+        assert job.options.project_name == CompileOptions().project_name
+        assert job.compile().project.name == CompileOptions().project_name
+        named = CompileJob("q", sources, CompileOptions(top="pass_i", project_name="q"))
+        assert named.compile().project.name == "q"
 
 
 class TestBatchCompiler:
@@ -152,6 +161,31 @@ class TestBatchWithCache:
         assert set(tmp_path.rglob("*.pkl")) == set(written)
         for a, b in zip(serial.results, warm.results):
             assert a.result.ir_text() == b.result.ir_text()
+
+    @pytest.mark.parametrize("with_dir", [False, True], ids=["memory", "disk"])
+    @pytest.mark.parametrize("executor", ["serial", "process"])
+    def test_workers_share_the_remote_tier(self, tmp_path, executor, with_dir):
+        """Every executor uploads to the remote L2 and reads from it."""
+        from repro.queries import ALL_QUERIES
+        from repro.server.cachesvc import CacheServerThread
+
+        jobs = [query.compile_job() for query in ALL_QUERIES[:4]]
+        with CacheServerThread() as server:
+            for run in ("cold", "warm"):
+                cache = StageCache(
+                    cache_dir=tmp_path / run if with_dir else None, remote=server.endpoint
+                )
+                try:
+                    assert run_jobs(jobs, cache=cache, executor=executor, max_workers=2).ok
+                    cache.remote.flush()
+                finally:
+                    cache.remote.close()
+            stats = server.store.stats_snapshot()
+        # Cold: two parse ASTs and one snapshot per design; warm: one
+        # snapshot hit per design.
+        assert stats["puts"] == 12 and stats["hits"] == 4
+        if with_dir:
+            assert len(list((tmp_path / "warm" / "stages").glob("eval-*.pkl"))) == 4
 
     def test_failed_jobs_are_not_cached(self):
         cache = StageCache()

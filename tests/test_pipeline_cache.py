@@ -13,7 +13,7 @@ from repro.pipeline import (
     normalize_sources,
 )
 from repro.pipeline import stages as stages_module
-from repro.pipeline.store import SHARED, TieredStore
+from repro.pipeline.store import TieredStore
 
 SOURCE = """
 type byte_t = Stream(Bit(8), d=1);
@@ -247,7 +247,7 @@ class TestDiskTier:
 
 class TestStats:
     def test_hit_rate(self):
-        store = TieredStore("eval", SHARED, 4)
+        store = TieredStore("eval", 4)
         assert store.get("k") is None
         store.put("k", "v")
         assert store.get("k") == "v"

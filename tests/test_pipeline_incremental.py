@@ -19,7 +19,7 @@ streamlet pass_s {{ i: data_t in, o: data_t out, }}
 impl pass_i of pass_s {{ i => o, }}
 top pass_i;
 """
-    return CompileJob(name=name, sources=((source, f"{name}.td"),), **options)
+    return CompileJob(name=name, sources=((source, f"{name}.td"),)).with_options(**options)
 
 
 BROKEN = CompileJob(
@@ -30,9 +30,7 @@ BROKEN = CompileJob(
 
 def workspace_with(*jobs: CompileJob, cache=None) -> Workspace:
     """A serial workspace holding ``jobs`` (its own cache unless one is given)."""
-    workspace = Workspace(executor="serial") if cache is None else Workspace(
-        cache=cache, executor="serial"
-    )
+    workspace = Workspace() if cache is None else Workspace(cache=cache)
     for entry in jobs:
         workspace.add_job(entry)
     return workspace
@@ -127,7 +125,7 @@ def multi_file_job(name: str, step_width: int = 8, top_note: str = "") -> Compil
     types = (f"type data_t = Stream(Bit({step_width}), d=1);", "types.td")
     stage = ("streamlet pass_s { i: data_t in, o: data_t out, }", "streamlet.td")
     top = (f"impl pass_i of pass_s {{ i => o, }}\ntop pass_i;\n{top_note}", "top.td")
-    return CompileJob(name=name, sources=(types, stage, top), include_stdlib=False)
+    return CompileJob(name, (types, stage, top)).with_options(include_stdlib=False)
 
 
 class TestFileGranularity:
@@ -176,8 +174,8 @@ class TestFileGranularity:
     def test_failed_design_drops_file_memory(self):
         workspace = workspace_with(multi_file_job("a"))
         workspace.compile_all()
-        broken = CompileJob(
-            name="a", sources=(("streamlet broken {", "types.td"),), include_stdlib=False
+        broken = CompileJob("a", (("streamlet broken {", "types.td"),)).with_options(
+            include_stdlib=False
         )
         workspace.add_job(broken, replace=True)
         failed = workspace.compile_all()

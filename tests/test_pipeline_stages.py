@@ -231,10 +231,8 @@ class TestDiskEviction:
         budget = 8 * 1024
         cache = StageCache(cache_dir=tmp_path, max_disk_bytes=budget)
         jobs = [
-            CompileJob(
-                name=f"d{index}",
-                sources=tuple(build_chain_design(3 + index % 2)),
-                include_stdlib=False,
+            CompileJob(f"d{index}", tuple(build_chain_design(3 + index % 2))).with_options(
+                include_stdlib=False
             )
             for index in range(5)
         ]
@@ -274,7 +272,7 @@ class TestConcurrency:
         rng = random.Random(99)
         designs = [build_random_design(rng) for _ in range(6)]
         jobs = [
-            CompileJob(name=f"d{index}", sources=tuple(sources), include_stdlib=False)
+            CompileJob(f"d{index}", tuple(sources)).with_options(include_stdlib=False)
             for index, sources in enumerate(designs)
         ]
         cache = StageCache(cache_dir=tmp_path)

@@ -16,7 +16,7 @@ import threading
 
 from repro.lang.compile import compile_sources
 from repro.pipeline import StageCache
-from repro.pipeline.store import SHARED, TieredStore
+from repro.pipeline.store import TieredStore
 from repro.server import CompileService
 from repro.workspace import Workspace
 
@@ -41,7 +41,7 @@ class TestCacheStatsSnapshot:
         the next lookup starts (both mutations happen under the store
         lock), so hits + misses can never exceed the writers' progress nor
         run backwards between snapshots."""
-        cache = TieredStore("eval", SHARED, 4)
+        cache = TieredStore("eval", 4)
         result = compile_sources([GOOD], cache=None)
         rounds = 300
         writers = 4

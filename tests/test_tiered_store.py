@@ -1,9 +1,8 @@
 """Robustness tests for :class:`repro.pipeline.store.TieredStore`.
 
-Every cache tier (the ``ast`` / ``eval`` / ``iringest`` / ``backend`` /
-``sim`` tiers of the stage cache) is one store, so the corruption,
-dead-remote, promotion, codec and eviction rules are pinned here once,
-for both codecs.
+Every cache tier (the ``ast`` / ``eval`` / ``backend`` / ``sim`` tiers of
+the stage cache) is one store, so the corruption, dead-remote, promotion,
+sharing and eviction rules are pinned here once.
 """
 
 from __future__ import annotations
@@ -17,9 +16,11 @@ import pytest
 
 from repro.lang.compile import compile_sources
 from repro.pipeline import RemoteCacheClient, StageCache
-from repro.pipeline.store import PICKLED, SHARED, STAGE_DIR_NAME, TieredStore
+from repro.pipeline.store import STAGE_DIR_NAME, TieredStore
 
-CODECS = pytest.mark.parametrize("codec", [SHARED, PICKLED])
+#: A one-value parametrization: it only keeps the ``[shared]`` test ids
+#: under which these store-rule cases are tracked.
+SHARED = pytest.mark.parametrize("memory", ["shared"])
 
 VALUE = {"unit.vhd": "entity unit is end;", "nested": ["a", "b"]}
 
@@ -61,36 +62,36 @@ def dead_endpoint() -> str:
     return f"127.0.0.1:{port}"
 
 
-def written_file(tmp_path, codec: str, namespace: str = "backend") -> tuple[TieredStore, object]:
+def written_file(tmp_path, namespace: str = "backend") -> tuple[TieredStore, object]:
     """A store over ``tmp_path`` that has written ``VALUE`` under key ``k``."""
-    TieredStore(namespace, codec, 8, cache_dir=tmp_path).put("k", VALUE)
-    fresh = TieredStore(namespace, codec, 8, cache_dir=tmp_path)
+    TieredStore(namespace, 8, cache_dir=tmp_path).put("k", VALUE)
+    fresh = TieredStore(namespace, 8, cache_dir=tmp_path)
     return fresh, tmp_path / STAGE_DIR_NAME / f"{namespace}-k.pkl"
 
 
 class TestLayout:
     def test_stage_namespace_files_and_remote_keys(self, tmp_path):
         remote = FakeRemote()
-        TieredStore("eval", PICKLED, 4, cache_dir=tmp_path, remote=remote).put("abc", VALUE)
+        TieredStore("eval", 4, cache_dir=tmp_path, remote=remote).put("abc", VALUE)
         assert (tmp_path / STAGE_DIR_NAME / "eval-abc.pkl").is_file()
         assert remote.puts == ["eval:abc"]
 
     def test_every_namespace_lives_under_the_stage_dir(self, tmp_path):
-        for namespace in ("ast", "eval", "iringest", "backend", "sim"):
-            TieredStore(namespace, SHARED, 4, cache_dir=tmp_path).put("abc", VALUE)
+        for namespace in ("ast", "eval", "backend", "sim"):
+            TieredStore(namespace, 4, cache_dir=tmp_path).put("abc", VALUE)
         assert [path.name for path in tmp_path.iterdir()] == [STAGE_DIR_NAME]
-        assert len(list((tmp_path / STAGE_DIR_NAME).glob("*-abc.pkl"))) == 5
+        assert len(list((tmp_path / STAGE_DIR_NAME).glob("*-abc.pkl"))) == 4
 
 
-@CODECS
+@SHARED
 class TestDiskCorruption:
     @pytest.mark.parametrize(
         "blob",
         [b"definitely not a pickle", pickle.dumps(VALUE)[:-7], pickle.dumps(["wrong", "type"])],
         ids=["corrupt", "truncated", "wrong-type"],
     )
-    def test_bad_blob_is_a_counted_miss_and_dropped(self, tmp_path, codec, blob):
-        store, path = written_file(tmp_path, codec)
+    def test_bad_blob_is_a_counted_miss_and_dropped(self, tmp_path, memory, blob):
+        store, path = written_file(tmp_path)
         path.write_bytes(blob)
         assert store.get("k", dict) is None
         assert store.stats.misses == 1 and store.stats.hits == 0
@@ -98,10 +99,10 @@ class TestDiskCorruption:
         assert not path.exists()
         # The dropped file is simply rebuilt by the next put.
         store.put("k", VALUE)
-        assert TieredStore("backend", codec, 8, cache_dir=tmp_path).get("k", dict) == VALUE
+        assert TieredStore("backend", 8, cache_dir=tmp_path).get("k", dict) == VALUE
 
-    def test_good_blob_is_a_disk_hit_that_refreshes_mtime(self, tmp_path, codec):
-        store, path = written_file(tmp_path, codec)
+    def test_good_blob_is_a_disk_hit_that_refreshes_mtime(self, tmp_path, memory):
+        store, path = written_file(tmp_path)
         stale = time.time() - 1000
         os.utime(path, (stale, stale))
         assert store.get("k", dict) == VALUE
@@ -109,14 +110,14 @@ class TestDiskCorruption:
         assert path.stat().st_mtime > stale + 500
 
 
-@CODECS
+@SHARED
 class TestRemoteTier:
-    def test_remote_hit_is_promoted_without_reupload(self, tmp_path, codec):
+    def test_remote_hit_is_promoted_without_reupload(self, tmp_path, memory):
         remote = FakeRemote()
-        TieredStore("ast", codec, 8, remote=remote).put("k", VALUE)
+        TieredStore("ast", 8, remote=remote).put("k", VALUE)
         assert remote.puts == ["ast:k"]
 
-        store = TieredStore("ast", codec, 8, cache_dir=tmp_path, remote=remote)
+        store = TieredStore("ast", 8, cache_dir=tmp_path, remote=remote)
         assert store.get("k", dict) == VALUE
         assert remote.puts == ["ast:k"]  # no echo upload
         assert (tmp_path / STAGE_DIR_NAME / "ast-k.pkl").is_file()
@@ -129,24 +130,24 @@ class TestRemoteTier:
     @pytest.mark.parametrize(
         "blob", [b"not a pickle", pickle.dumps(["wrong", "type"])], ids=["corrupt", "wrong-type"]
     )
-    def test_bad_remote_blob_is_reported_and_not_promoted(self, tmp_path, codec, blob):
+    def test_bad_remote_blob_is_reported_and_not_promoted(self, tmp_path, memory, blob):
         remote = FakeRemote()
         remote.blobs["sim:k"] = blob
-        store = TieredStore("sim", codec, 8, cache_dir=tmp_path, remote=remote)
+        store = TieredStore("sim", 8, cache_dir=tmp_path, remote=remote)
         assert store.get("k", dict) is None
         assert remote.corrupt == ["sim:k"]
         assert store.stats.misses == 1 and store.stats.disk_errors == 0
         assert not (tmp_path / STAGE_DIR_NAME).exists()
         assert len(store) == 0
 
-    def test_dead_remote_runs_local_only(self, tmp_path, codec):
+    def test_dead_remote_runs_local_only(self, tmp_path, memory):
         remote = RemoteCacheClient.from_url(dead_endpoint(), connect_timeout=0.2)
         try:
-            store = TieredStore("backend", codec, 8, cache_dir=tmp_path, remote=remote)
+            store = TieredStore("backend", 8, cache_dir=tmp_path, remote=remote)
             assert store.get("k", dict) is None
             store.put("k", VALUE)
             assert store.get("k", dict) == VALUE
-            reader = TieredStore("backend", codec, 8, cache_dir=tmp_path, remote=remote)
+            reader = TieredStore("backend", 8, cache_dir=tmp_path, remote=remote)
             assert reader.get("k", dict) == VALUE
             assert reader.stats.disk_hits == 1
         finally:
@@ -154,29 +155,16 @@ class TestRemoteTier:
 
 
 class TestCodecs:
-    def test_pickled_codec_serves_fresh_copies(self):
-        store = TieredStore("eval", PICKLED, 8)
-        store.put("k", VALUE)
-        first = store.get("k", dict)
-        first["nested"].append("mutated")
-        second = store.get("k", dict)
-        assert second == VALUE and second is not first
-        assert second["nested"] is not first["nested"]
-
     def test_shared_codec_serves_the_stored_object(self):
-        store = TieredStore("backend", SHARED, 8)
+        store = TieredStore("backend", 8)
         store.put("k", VALUE)
         assert store.get("k", dict) is VALUE
 
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(ValueError, match="codec"):
-            TieredStore("ast", "zipped", 8)
 
-
-@CODECS
+@SHARED
 class TestLru:
-    def test_eviction_at_capacity(self, codec):
-        store = TieredStore("ast", codec, 2)
+    def test_eviction_at_capacity(self, memory):
+        store = TieredStore("ast", 2)
         for key in ("a", "b"):
             store.put(key, VALUE)
         assert store.get("a", dict) == VALUE  # a is now most recent
@@ -185,16 +173,16 @@ class TestLru:
         assert store.get("a", dict) == VALUE and store.get("c", dict) == VALUE
         assert store.stats.evictions == 1 and len(store) == 2
 
-    def test_evicted_entry_survives_on_disk(self, tmp_path, codec):
-        store = TieredStore("ast", codec, 1, cache_dir=tmp_path)
+    def test_evicted_entry_survives_on_disk(self, tmp_path, memory):
+        store = TieredStore("ast", 1, cache_dir=tmp_path)
         store.put("a", VALUE)
         store.put("b", VALUE)
         assert store.get("a", dict) == VALUE
         assert store.stats.disk_hits == 1
 
-    def test_capacity_validation(self, codec):
+    def test_capacity_validation(self, memory):
         with pytest.raises(ValueError, match="capacity"):
-            TieredStore("ast", codec, 0)
+            TieredStore("ast", 0)
 
 
 class TestUnwritableCacheDir:

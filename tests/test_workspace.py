@@ -345,13 +345,13 @@ class TestCompileAll:
     @pytest.mark.parametrize("executor", ["serial", "process"])
     def test_executors_produce_identical_ir(self, executor):
         serial = make_workspace(cache=None)
-        concurrent = make_workspace(cache=None, executor=executor, jobs=2)
+        concurrent = make_workspace(cache=None)
         for index, width in enumerate((2, 4, 8)):
             files = {"d.td": SOURCE.replace("Bit(8)", f"Bit({width})")}
             serial.add_design(f"d{index}", files)
             concurrent.add_design(f"d{index}", files)
         baseline = serial.compile_all(executor="serial")
-        outcome = concurrent.compile_all()
+        outcome = concurrent.compile_all(executor=executor, jobs=2)
         for name in baseline.results:
             assert outcome.results[name].ir_text() == baseline.results[name].ir_text()
 
