@@ -4,6 +4,14 @@ The parser (:mod:`repro.lang.parser`) produces these nodes; the evaluator
 (:mod:`repro.lang.evaluate`) walks them.  Nodes are plain dataclasses holding
 their source span for diagnostics.
 
+Nodes and :class:`SourceUnit` pickle positionally: as their class and their
+field values in ``__match_args__`` order, unpickled by one ``__init__``
+call.  Inserting, removing or reordering a field therefore changes the
+layout of every cached AST blob and of the stdlib snapshot: bump
+``repro.pipeline.cache.STAGE_SCHEMA_VERSION`` and
+``repro.stdlib.snapshot.SNAPSHOT_FORMAT`` with it
+(``tests/test_pickle_layout.py`` pins the field order).
+
 The node families are:
 
 * expressions (:class:`Expr` subclasses) -- the "math system" of Section IV-A,
@@ -23,11 +31,17 @@ from typing import Optional
 from repro.utils.source import SourceSpan
 
 
+def _reduce_positional(self) -> tuple:
+    return (self.__class__, tuple(map(self.__getattribute__, self.__match_args__)))
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     """Base class of all AST nodes."""
 
     span: SourceSpan
+
+    __reduce__ = _reduce_positional
 
 
 # ---------------------------------------------------------------------------
@@ -479,3 +493,5 @@ class SourceUnit:
     declarations: list[Declaration] = field(default_factory=list)
     uses: list[str] = field(default_factory=list)
     filename: str = "<string>"
+
+    __reduce__ = _reduce_positional

@@ -30,6 +30,14 @@ def _require_number(value: object, span: object, context: str) -> float | int:
     return value
 
 
+def _require_operand(value: object, span: object, op: str) -> float | int:
+    """:func:`_require_number` for an operand of ``op``, formatting the
+    error context only when the check fails."""
+    if value.__class__ is int or value.__class__ is float:
+        return value
+    return _require_number(value, span, f"operator {op!r}")
+
+
 def _require_int(value: object, span: object, context: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise TydiTypeError(f"{context} requires an integer, got {describe_value(value)}", span)
@@ -147,6 +155,9 @@ def evaluate_expr(expr: ast.Expr, scope: Scope) -> object:
     if isinstance(expr, ast.Literal):
         return expr.value
 
+    if isinstance(expr, ast.BinaryOp):
+        return _evaluate_binary(expr, scope)
+
     if isinstance(expr, ast.Identifier):
         return scope.lookup(expr.name, expr.span)
 
@@ -187,9 +198,6 @@ def evaluate_expr(expr: ast.Expr, scope: Scope) -> object:
             return not _require_bool(operand, expr.span, "unary '!'")
         raise TydiEvaluationError(f"unknown unary operator {expr.op!r}", expr.span)
 
-    if isinstance(expr, ast.BinaryOp):
-        return _evaluate_binary(expr, scope)
-
     raise TydiEvaluationError(f"cannot evaluate expression node {type(expr).__name__}", expr.span)
 
 
@@ -208,6 +216,16 @@ def _evaluate_binary(expr: ast.BinaryOp, scope: Scope) -> object:
     left = evaluate_expr(expr.left, scope)
     right = evaluate_expr(expr.right, scope)
 
+    if left.__class__ is int and right.__class__ is int:
+        # The common case, and the general path's result for two plain ints:
+        # no type error, no overflow and nothing to normalise.
+        if op == "+":
+            return left + right
+        if op == "-":
+            return left - right
+        if op == "*":
+            return left * right
+
     if op in ("==", "!="):
         equal = _values_equal(left, right)
         return equal if op == "==" else not equal
@@ -224,8 +242,8 @@ def _evaluate_binary(expr: ast.BinaryOp, scope: Scope) -> object:
             return left + right
 
     if op in ("+", "-", "*", "/", "%", "^"):
-        lnum = _require_number(left, expr.span, f"operator {op!r}")
-        rnum = _require_number(right, expr.span, f"operator {op!r}")
+        lnum = _require_operand(left, expr.span, op)
+        rnum = _require_operand(right, expr.span, op)
         try:
             if op == "+":
                 result: float | int = lnum + rnum
@@ -251,8 +269,8 @@ def _evaluate_binary(expr: ast.BinaryOp, scope: Scope) -> object:
         if isinstance(left, str) and isinstance(right, str):
             pass  # lexicographic comparison of strings is allowed
         else:
-            _require_number(left, expr.span, f"operator {op!r}")
-            _require_number(right, expr.span, f"operator {op!r}")
+            _require_operand(left, expr.span, op)
+            _require_operand(right, expr.span, op)
         if op == "<":
             return left < right
         if op == "<=":

@@ -13,7 +13,11 @@ built around first-character dispatch:
   ``str.isdigit`` / ``str.isalnum`` checks exactly, so non-ASCII source
   bytes tokenize byte-identically to the pre-dispatch scanner
   (``tests/test_frontend_differential.py`` pins this against a reference
-  implementation);
+  implementation) -- except that a number literal ``int``/``float``
+  cannot read (``1²``) is a :class:`~repro.errors.TydiSyntaxError`, where
+  the reference leaked a ``ValueError``;
+* a token's span is two offsets and the file's shared line index; no line
+  or column is computed while lexing;
 * identifier text is passed through :func:`sys.intern`, so the thousands of
   repeated names a design mentions (port/instance/type identifiers) share
   one string object -- downstream ``==`` comparisons on hot evaluator paths
@@ -30,7 +34,7 @@ import sys
 
 from repro.errors import TydiSyntaxError
 from repro.lang.tokens import Token, TokenKind
-from repro.utils.source import SourceFile
+from repro.utils.source import SourceFile, SourceSpan
 
 #: Two-character operators, consulted before the one-character table.
 _TWO_CHAR_OPERATORS: dict[str, TokenKind] = {
@@ -84,8 +88,9 @@ def _scan_number(text: str, i: int, n: int) -> tuple[int, bool]:
     """Scan a number literal starting at ``i``; returns (end, is_float).
 
     Continuation uses the ASCII digit set first and falls back to
-    ``str.isdigit`` so non-ASCII digit characters behave exactly as in the
-    pre-dispatch scanner (including its failure modes).
+    ``str.isdigit`` so non-ASCII digit characters scan exactly as in the
+    pre-dispatch scanner (:func:`_number_token` rejects the ones ``int``
+    and ``float`` cannot read).
     """
     j = i
     is_float = False
@@ -117,6 +122,21 @@ def _scan_number(text: str, i: int, n: int) -> tuple[int, bool]:
     return j, is_float
 
 
+def _number_token(literal: str, is_float: bool, span: SourceSpan) -> Token:
+    """The INT or FLOAT token of a scanned number literal.
+
+    ``str.isdigit`` accepts characters such as ``²`` that ``int`` and
+    ``float`` reject; such a literal is a syntax error at its span.
+    """
+    digits = literal.replace("_", "")
+    try:
+        if is_float:
+            return Token(TokenKind.FLOAT, literal, span, float(digits))
+        return Token(TokenKind.INT, literal, span, int(digits))
+    except ValueError:
+        raise TydiSyntaxError(f"invalid number literal {literal!r}", span) from None
+
+
 def _scan_identifier(text: str, i: int, n: int) -> int:
     """Scan an identifier starting at ``i``; returns the end offset."""
     j = i + 1
@@ -134,8 +154,8 @@ def _scan_identifier(text: str, i: int, n: int) -> int:
 
 def tokenize(text: str, filename: str = "<string>") -> list[Token]:
     """Tokenize Tydi-lang source text into a list of tokens ending with EOF."""
-    source = SourceFile(text, filename)
-    span = source.span
+    index = SourceFile(text, filename).index
+    span = SourceSpan
     tokens: list[Token] = []
     append = tokens.append
     i = 0
@@ -156,18 +176,14 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
         if ch in _ASCII_IDENT_START:
             j = _scan_identifier(text, i, n)
             word = _intern(text[i:j])
-            append(Token(ident_kind, word, span(i, j), word))
+            append(Token(ident_kind, word, span(i, j, index), word))
             i = j
             continue
 
         # Number literal (integer or float)
         if ch in _ASCII_DIGITS:
             j, is_float = _scan_number(text, i, n)
-            literal = text[i:j].replace("_", "")
-            if is_float:
-                append(Token(TokenKind.FLOAT, text[i:j], span(i, j), float(literal)))
-            else:
-                append(Token(TokenKind.INT, text[i:j], span(i, j), int(literal)))
+            append(_number_token(text[i:j], is_float, span(i, j, index)))
             i = j
             continue
 
@@ -181,10 +197,10 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
             if nxt == "*":
                 end = text.find("*/", i + 2)
                 if end == -1:
-                    raise TydiSyntaxError("unterminated block comment", span(i, n))
+                    raise TydiSyntaxError("unterminated block comment", span(i, n, index))
                 i = end + 2
                 continue
-            append(Token(TokenKind.SLASH, "/", span(i, i + 1)))
+            append(Token(TokenKind.SLASH, "/", span(i, i + 1, index)))
             i += 1
             continue
 
@@ -202,20 +218,20 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
                     chars.append(text[j])
                     j += 1
             if j >= n:
-                raise TydiSyntaxError("unterminated string literal", span(i, n))
-            append(Token(TokenKind.STRING, text[i : j + 1], span(i, j + 1), "".join(chars)))
+                raise TydiSyntaxError("unterminated string literal", span(i, n, index))
+            append(Token(TokenKind.STRING, text[i : j + 1], span(i, j + 1, index), "".join(chars)))
             i = j + 1
             continue
 
         # Operators and punctuation: two-character table first.
         kind = _TWO_CHAR_OPERATORS.get(text[i : i + 2])
         if kind is not None:
-            append(Token(kind, text[i : i + 2], span(i, i + 2)))
+            append(Token(kind, text[i : i + 2], span(i, i + 2, index)))
             i += 2
             continue
         kind = _ONE_CHAR_OPERATORS.get(ch)
         if kind is not None:
-            append(Token(kind, ch, span(i, i + 1)))
+            append(Token(kind, ch, span(i, i + 1, index)))
             i += 1
             continue
 
@@ -224,21 +240,17 @@ def tokenize(text: str, filename: str = "<string>") -> list[Token]:
         if ch >= "\x80":
             if ch.isdigit():
                 j, is_float = _scan_number(text, i, n)
-                literal = text[i:j].replace("_", "")
-                if is_float:
-                    append(Token(TokenKind.FLOAT, text[i:j], span(i, j), float(literal)))
-                else:
-                    append(Token(TokenKind.INT, text[i:j], span(i, j), int(literal)))
+                append(_number_token(text[i:j], is_float, span(i, j, index)))
                 i = j
                 continue
             if ch.isalpha():
                 j = _scan_identifier(text, i, n)
                 word = _intern(text[i:j])
-                append(Token(ident_kind, word, span(i, j), word))
+                append(Token(ident_kind, word, span(i, j, index), word))
                 i = j
                 continue
 
-        raise TydiSyntaxError(f"unexpected character {ch!r}", span(i, i + 1))
+        raise TydiSyntaxError(f"unexpected character {ch!r}", span(i, i + 1, index))
 
-    append(Token(TokenKind.EOF, "", span(n, n)))
+    append(Token(TokenKind.EOF, "", span(n, n, index)))
     return tokens

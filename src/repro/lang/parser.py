@@ -55,6 +55,9 @@ from repro.lang.lexer import tokenize
 from repro.lang.tokens import Token, TokenKind
 from repro.utils.source import SourceSpan
 
+_EOF = TokenKind.EOF
+_IDENT = TokenKind.IDENT
+
 
 class Parser:
     """Token-stream parser producing a :class:`repro.lang.ast.SourceUnit`."""
@@ -63,56 +66,69 @@ class Parser:
         self.tokens = tokens
         self.filename = filename
         self.position = 0
+        # ``advance`` stops at the closing EOF token, so ``position`` never
+        # passes it; only a lookahead ``offset`` needs clamping.
+        self._eof = len(tokens) - 1
 
     # -- token-stream helpers ------------------------------------------------
+    #
+    # The helpers below read ``self.tokens[self.position]`` directly instead
+    # of calling ``peek``: they run several times per token.
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.position + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.position + offset, self._eof)]
+        return self.tokens[self.position]
 
     def at(self, kind: TokenKind, text: Optional[str] = None, offset: int = 0) -> bool:
-        token = self.peek(offset)
+        token = self.peek(offset) if offset else self.tokens[self.position]
         if token.kind is not kind:
             return False
         return text is None or token.text == text
 
     def at_keyword(self, word: str, offset: int = 0) -> bool:
-        return self.at(TokenKind.IDENT, word, offset)
+        return self.at(_IDENT, word, offset)
 
     def advance(self) -> Token:
-        token = self.peek()
-        if token.kind is not TokenKind.EOF:
+        token = self.tokens[self.position]
+        if token.kind is not _EOF:
             self.position += 1
         return token
 
     def expect(self, kind: TokenKind, text: Optional[str] = None) -> Token:
-        token = self.peek()
+        token = self.tokens[self.position]
         if token.kind is not kind or (text is not None and token.text != text):
             expected = text if text is not None else kind.value
             raise TydiSyntaxError(
                 f"expected {expected!r} but found {token.text or token.kind.value!r}", token.span
             )
-        return self.advance()
+        if kind is not _EOF:
+            self.position += 1
+        return token
 
     def expect_keyword(self, word: str) -> Token:
-        return self.expect(TokenKind.IDENT, word)
+        return self.expect(_IDENT, word)
 
     def expect_identifier(self) -> Token:
-        token = self.peek()
-        if token.kind is not TokenKind.IDENT:
+        token = self.tokens[self.position]
+        if token.kind is not _IDENT:
             raise TydiSyntaxError(
                 f"expected an identifier but found {token.text or token.kind.value!r}", token.span
             )
-        return self.advance()
+        self.position += 1
+        return token
 
     def optional(self, kind: TokenKind, text: Optional[str] = None) -> Optional[Token]:
-        if self.at(kind, text):
-            return self.advance()
-        return None
+        token = self.tokens[self.position]
+        if token.kind is not kind or (text is not None and token.text != text):
+            return None
+        if kind is not _EOF:
+            self.position += 1
+        return token
 
     def span_from(self, start: Token) -> SourceSpan:
-        end = self.tokens[max(0, self.position - 1)]
-        return start.span.merge(end.span)
+        """The span from ``start`` to the last consumed token."""
+        return start.span.merge(self.tokens[self.position - 1].span)
 
     # -- top level -----------------------------------------------------------
 

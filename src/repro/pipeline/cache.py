@@ -65,7 +65,11 @@ CACHE_VERSION = 2
 #: v9: the ``iringest:`` tier is gone; the ``eval:`` tier also holds the
 #: post-DRC state of ingested Tydi-IR documents, keyed by the document
 #: text plus ``sugaring`` / ``run_drc`` / ``strict_drc``.
-STAGE_SCHEMA_VERSION = 9
+#: v10: source spans are two character offsets plus a shared line index
+#: (:class:`repro.utils.source.SourceSpan`), and spans, tokens, AST nodes
+#: and source units pickle positionally (class plus ``__match_args__``
+#: values), so a cached AST or frontend snapshot of the old layout must miss.
+STAGE_SCHEMA_VERSION = 10
 
 #: Default directory name for the on-disk store.
 DEFAULT_CACHE_DIR = ".tydi-cache"

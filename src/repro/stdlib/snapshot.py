@@ -7,6 +7,12 @@ overhead.  This module maintains a pickled snapshot of the parsed stdlib
 (:data:`SNAPSHOT_FILENAME`) so a cold compile deserialises the AST instead
 of lexing and parsing it.
 
+Format 2 (the current one) pickles the AST positionally: every node and
+the unit reduce to their class and their field values in ``__match_args__``
+order, and every span to its two character offsets plus the file's line
+index, which the pickle stores once.  Unpickling is one ``__init__`` call
+per object; no line or column is stored or computed.
+
 The snapshot is **advisory, never authoritative**:
 
 * it is version-stamped with the pickle format, a SHA-256 of the stdlib
@@ -33,9 +39,10 @@ from typing import Optional
 from repro import __version__
 from repro.stdlib.source import STDLIB_SOURCE
 
-#: Bump when the payload layout (not the AST classes -- those are covered by
-#: the compiler-version stamp) changes incompatibly.
-SNAPSHOT_FORMAT = 1
+#: Bump when the payload layout changes incompatibly, including the
+#: positional field order of an AST class (the compiler-version stamp does
+#: not change with it).
+SNAPSHOT_FORMAT = 2
 
 #: Snapshot file, shipped as package data next to this module.
 SNAPSHOT_FILENAME = "_stdlib_ast.pkl"

@@ -12,6 +12,7 @@ import re
 from typing import Callable, Iterable
 
 _IDENT_RE = re.compile(r"[^A-Za-z0-9_]")
+_UNDERSCORES_RE = re.compile(r"_+")
 _VHDL_KEYWORDS = frozenset(
     """
     abs access after alias all and architecture array assert attribute begin
@@ -36,12 +37,23 @@ def sanitize_identifier(name: str, keyword_suffix: bool = True) -> str:
     suffix.  IR-level names keep their spelling (``keyword_suffix=False``);
     only the VHDL backend needs the reserved-word escape.
     """
-    cleaned = _IDENT_RE.sub("_", name)
-    cleaned = re.sub(r"_+", "_", cleaned).strip("_")
-    if not cleaned:
-        cleaned = "anon"
-    if cleaned[0].isdigit():
-        cleaned = "_" + cleaned
+    if (
+        name.isascii()
+        and name.isidentifier()
+        and name[0] != "_"
+        and name[-1] != "_"
+        and "__" not in name
+    ):
+        # Already clean: ASCII letters, digits and single inner underscores,
+        # starting with a letter.  Most names a design uses are.
+        cleaned = name
+    else:
+        cleaned = _IDENT_RE.sub("_", name)
+        cleaned = _UNDERSCORES_RE.sub("_", cleaned).strip("_")
+        if not cleaned:
+            cleaned = "anon"
+        if cleaned[0].isdigit():
+            cleaned = "_" + cleaned
     if keyword_suffix and cleaned.lower() in _VHDL_KEYWORDS:
         cleaned += "_i"
     return cleaned

@@ -57,6 +57,18 @@ class TestCli:
         assert main([str(bad)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text, literal, column",
+        [("const x = 1\u00b2;", "1\u00b2", 11), ("\u00b2", "\u00b2", 1), ("const y = 1.5e\u00b2;", "1.5e\u00b2", 11)],
+    )
+    def test_unreadable_number_literal_is_a_parse_error(self, tmp_path, capsys, text, literal, column):
+        # str.isdigit accepts '²', int() and float() do not: no traceback.
+        path = tmp_path / "d.td"
+        path.write_text(text, encoding="utf-8")
+        assert main([str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error (parse): {path}:1:{column}: invalid number literal {literal!r}\n"
+
     def test_no_sugaring_flag_propagates(self, tmp_path, capsys):
         source = """
         type t = Stream(Bit(4), d=1);

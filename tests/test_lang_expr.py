@@ -1,11 +1,21 @@
 """Unit tests for the expression evaluator (the Tydi-lang math system)."""
 
+import itertools
+
 import pytest
 
 from repro.errors import TydiEvaluationError, TydiNameError, TydiTypeError
-from repro.lang.expr import evaluate_expr
+from repro.lang import ast
+from repro.lang.expr import (
+    _normalize_number,
+    _require_bool,
+    _require_number,
+    _values_equal,
+    evaluate_expr,
+)
 from repro.lang.parser import parse_source
-from repro.lang.values import ClockDomainValue, Scope
+from repro.lang.values import ClockDomainValue, Scope, describe_value
+from repro.utils.source import SourceFile
 
 
 def evaluate(expression, **bindings):
@@ -178,3 +188,104 @@ class TestIdentifiers:
     def test_undefined(self):
         with pytest.raises(TydiNameError):
             evaluate("missing + 1")
+
+
+# ---------------------------------------------------------------------------
+# Binary operators against the evaluator they had before their fast paths
+# ---------------------------------------------------------------------------
+
+
+def _reference_evaluate_binary(expr: ast.BinaryOp, scope: Scope) -> object:
+    """``_evaluate_binary`` before its plain-int fast path, verbatim."""
+    op = expr.op
+
+    # Short-circuiting boolean operators.
+    if op in ("&&", "||"):
+        left = _require_bool(evaluate_expr(expr.left, scope), expr.span, f"operator {op!r}")
+        if op == "&&" and not left:
+            return False
+        if op == "||" and left:
+            return True
+        return _require_bool(evaluate_expr(expr.right, scope), expr.span, f"operator {op!r}")
+
+    left = evaluate_expr(expr.left, scope)
+    right = evaluate_expr(expr.right, scope)
+
+    if op in ("==", "!="):
+        equal = _values_equal(left, right)
+        return equal if op == "==" else not equal
+
+    if op == "+":
+        # String concatenation and array concatenation are allowed.
+        if isinstance(left, str) or isinstance(right, str):
+            if isinstance(left, str) and isinstance(right, str):
+                return left + right
+            raise TydiTypeError(
+                f"cannot add {describe_value(left)} and {describe_value(right)}", expr.span
+            )
+        if isinstance(left, list) and isinstance(right, list):
+            return left + right
+
+    if op in ("+", "-", "*", "/", "%", "^"):
+        lnum = _require_number(left, expr.span, f"operator {op!r}")
+        rnum = _require_number(right, expr.span, f"operator {op!r}")
+        try:
+            if op == "+":
+                result: float | int = lnum + rnum
+            elif op == "-":
+                result = lnum - rnum
+            elif op == "*":
+                result = lnum * rnum
+            elif op == "/":
+                if rnum == 0:
+                    raise TydiEvaluationError("division by zero", expr.span)
+                result = lnum / rnum
+            elif op == "%":
+                if rnum == 0:
+                    raise TydiEvaluationError("modulo by zero", expr.span)
+                result = lnum % rnum
+            else:  # "^"
+                result = lnum**rnum
+        except OverflowError as exc:
+            raise TydiEvaluationError(f"arithmetic overflow: {exc}", expr.span) from exc
+        return _normalize_number(result)
+
+    if op in ("<", "<=", ">", ">="):
+        if isinstance(left, str) and isinstance(right, str):
+            pass  # lexicographic comparison of strings is allowed
+        else:
+            _require_number(left, expr.span, f"operator {op!r}")
+            _require_number(right, expr.span, f"operator {op!r}")
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        return left >= right
+
+    raise TydiEvaluationError(f"unknown binary operator {op!r}", expr.span)
+
+
+_SPAN = SourceFile("x", "ops.td").span(0, 1)
+_OPERANDS = [0, 1, -3, 7, 2**70, 2.5, -0.5, 1e308, True, False, "a", "b", [1], [2, 3]]
+_OPERATORS = ["+", "-", "*", "/", "%", "^", "==", "!=", "<", "<=", ">", ">=", "&&", "||"]
+
+
+def _binary_outcome(evaluate_binary, op, left, right):
+    expr = ast.BinaryOp(_SPAN, op, ast.Literal(_SPAN, left), ast.Literal(_SPAN, right))
+    try:
+        value = evaluate_binary(expr, Scope(name="ops"))
+    except Exception as exc:  # the reference defines which exceptions escape
+        return ("raised", type(exc), str(exc))
+    return ("value", type(value), repr(value))
+
+
+@pytest.mark.parametrize("op", _OPERATORS)
+def test_binary_operators_match_reference(op):
+    for left, right in itertools.product(_OPERANDS, repeat=2):
+        if op == "^" and right == 2**70:
+            continue  # an exponent too large to compute
+        reference = _binary_outcome(_reference_evaluate_binary, op, left, right)
+        optimized = _binary_outcome(evaluate_expr, op, left, right)
+        assert optimized == reference, (op, left, right)

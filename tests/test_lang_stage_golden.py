@@ -21,9 +21,9 @@ from repro.lang.compile import (
     evaluate_stage,
     sugar_stage,
 )
-from repro.utils.source import SourceLocation, SourceSpan
+from repro.utils.source import SourceFile
 
-SPAN = SourceSpan("golden.td", SourceLocation(1, 1), SourceLocation(1, 2))
+SPAN = SourceFile("x", "golden.td").span(0, 1)  # 1:1 .. 1:2
 
 
 def _stream_of_bits(width: int) -> ast.StreamTypeExpr:

@@ -64,6 +64,21 @@ class TestProtocol:
         assert error["stage"] == "parse"
         assert error["message"] == "bad token"
 
+    @pytest.mark.parametrize(
+        "text, column", [("const x = 1\u00b2;", 11), ("\u00b2", 1), ("const y = 1.5e\u00b2;", 11)]
+    )
+    def test_encode_unreadable_number_literal_is_a_parse_error(self, text, column):
+        from repro.errors import TydiError
+        from repro.lang.compile import compile_sources
+
+        with pytest.raises(TydiError) as raised:
+            compile_sources([(text, "d.td")])
+        error = protocol.encode_error(raised.value)
+        assert error["type"] == "TydiSyntaxError"
+        assert error["stage"] == "parse"
+        assert error["span"] == f"d.td:1:{column}"
+        assert error["rendered"] == f"d.td:1:{column}: {error['message']}"
+
     def test_encode_plain_exception_is_internal(self):
         error = protocol.encode_error(RuntimeError("boom"))
         assert error["stage"] == "internal"

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.utils.source import SourceFile, SourceLocation, SourceSpan, unknown_span
+from repro.utils.source import SourceFile, SourceLocation, unknown_span
 
 
 class TestSourceLocation:
@@ -56,14 +56,15 @@ class TestSourceFile:
 
 class TestSourceSpan:
     def test_merge_takes_extremes(self):
-        a = SourceSpan("f", SourceLocation(1, 1), SourceLocation(1, 5))
-        b = SourceSpan("f", SourceLocation(2, 3), SourceLocation(2, 9))
+        source = SourceFile("abcdefgh\nabcdefghij", "f")
+        a = source.span(0, 4)  # 1:1 .. 1:5
+        b = source.span(11, 17)  # 2:3 .. 2:9
         merged = a.merge(b)
         assert merged.start == SourceLocation(1, 1)
         assert merged.end == SourceLocation(2, 9)
 
     def test_str_points_at_start(self):
-        span = SourceSpan("x.td", SourceLocation(3, 4), SourceLocation(3, 9))
+        span = SourceFile("\n\nabcdefghij", "x.td").span(5, 10)  # 3:4 .. 3:9
         assert str(span) == "x.td:3:4"
 
     def test_unknown_span(self):
