@@ -11,10 +11,13 @@ session pays the event-driven engine plus both analyses over a
 is the disk tier.  The resulting ``speedup`` metric is gated by
 ``compare_artifacts.py`` against ``benchmarks/baselines/sim-service.json``.
 
-Measured on a 2-vCPU box: 9.5-17.6x over 17 runs, median 12.0x (cold
-~32-57 ms, warm ~2.5-6 ms).  The ratio was 14-25x with the previous
-primitive behaviours (cold ~70-83 ms) and 16-26x before that (cold
-~103-114 ms): a faster cold run shrinks it.
+Measured on a 2-vCPU box, 16 runs alternating with the previous engine:
+10.1-13.3x, median 12.1x (cold ~15-32 ms, warm ~1.3-3.2 ms), against
+8.3-20.3x, median 12.7x, with the previous engine (cold ~17-33 ms).  An
+earlier measurement of the previous engine read 9.5-17.6x over 17 runs;
+the ratio was 14-25x with the primitive behaviours before it (cold
+~70-83 ms) and 16-26x before those (cold ~103-114 ms): a faster cold run
+shrinks it.
 """
 
 from __future__ import annotations

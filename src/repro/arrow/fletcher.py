@@ -133,7 +133,9 @@ class FletcherReaderBehavior:
         if ctx is not self._ctx:
             self._bind(ctx)
         state = ctx.component.state
-        push = ctx.simulator.push
+        simulator = ctx.simulator
+        push = simulator.push
+        now = simulator.now
         progressed = False
         for channel, key, values in self._lanes:
             if len(channel.queue) >= channel.capacity or channel.pending:
@@ -141,7 +143,7 @@ class FletcherReaderBehavior:
             position = state.get(key, 0)
             if position >= len(values):
                 continue
-            push(channel, Packet(values[position], (position == len(values) - 1,)))
+            push(channel, Packet(values[position], (position == len(values) - 1,), now))
             ctx.set_state(key, position + 1)
             progressed = True
         return progressed

@@ -14,12 +14,21 @@ latency).  Every transfer is recorded so that bottleneck analysis and
 testbench generation can replay the run.
 
 Elaboration gives every component one :class:`BehaviorContext` and links
-every channel to the components at its ends.  An event is a heap entry
-``(time, sequence number, action, argument)``, run as ``action(argument)``:
-waking a component is ``(now, seq, _fire, component)``, a delayed push
+every channel to the components at its ends.  An event is a component to
+wake (its behaviour fires until it stops making progress) or an
+``(action, argument)`` pair, run as ``action(argument)``: a delayed push
 carries its channel and packet, and a stimulus feeder carries the index of
 its next packet.  No closure or context is built, and no component is
 looked up by path, per event.
+
+Events run in (time, sequence number) order; every scheduled event takes
+the next sequence number.  A zero-delay event -- every wake-up, and
+``schedule(0, ...)`` -- is appended to the *run queue*, a FIFO of the
+current time step.  A later event goes on a heap of ``(time, seq, action,
+argument)`` entries.  When the run queue empties, :meth:`Simulator.run`
+moves every heap entry of the next time into it, in sequence order.  That
+is the (time, seq) order: every heap entry for time ``t`` was scheduled
+before ``t`` began, so it precedes every event scheduled during ``t``.
 """
 
 from __future__ import annotations
@@ -127,21 +136,6 @@ class Component:
         return f"Component({self.path}, {self.implementation.name})"
 
 
-def _fire(component: Component) -> None:
-    """The event that wakes ``component``: keep firing its behaviour while
-    it makes progress in this delta cycle."""
-    fire = component.behavior.fire
-    ctx = component.ctx
-    fires = 0
-    while fire(ctx):
-        fires += 1
-        if fires == _MAX_FIRES_PER_WAKE:  # pragma: no cover - defensive guard
-            raise TydiSimulationError(
-                f"component {component.path} fired {_MAX_FIRES_PER_WAKE} times "
-                f"at t={ctx.simulator.now}; behaviour is likely not consuming its inputs"
-            )
-
-
 def _call(action: Callable[[], None]) -> None:
     action()
 
@@ -190,6 +184,11 @@ class Simulator:
         self.output_channels: dict[str, Channel] = {}
 
         self.now = 0
+        #: The events of the current time step, in sequence order: components
+        #: to wake and ``(action, argument)`` pairs.
+        self._ready: deque[Component | tuple[Callable[[object], None], object]] = deque()
+        #: The events of later time steps, as ``(time, seq, action, argument)``
+        #: entries.
         self._event_queue: list[tuple[int, int, Callable[[object], None], object]] = []
         self._event_seq = 0
         self._events_processed = 0
@@ -349,18 +348,28 @@ class Simulator:
         if delay < 0:
             raise TydiSimulationError(f"cannot schedule an event {delay} cycles in the past")
         self._event_seq += 1
-        heapq.heappush(self._event_queue, (self.now + delay, self._event_seq, action, argument))
+        if delay == 0:
+            self._ready.append((action, argument))
+        else:
+            heapq.heappush(self._event_queue, (self.now + delay, self._event_seq, action, argument))
 
     # -- channel operations --------------------------------------------------------
 
     def push(self, channel: Channel, packet: Packet, *, from_source: bool = True) -> None:
         """Deliver a packet into a channel (or its pending queue when full)."""
         now = self.now
-        stamped = Packet(packet.value, packet.last, now)
+        # A packet stamped with this very ``now`` object is what restamping
+        # would build; ``==`` would also pass a ``1.0`` or a ``True``.
+        stamped = packet if packet.produced_at is now else Packet(packet.value, packet.last, now)
         if len(channel.queue) < channel.capacity and not channel.pending:
             channel.queue.append((stamped, now))
             channel.stats.last_activity = now
-            self._on_data_available(channel)
+            sink = channel.sink_component
+            if sink is None:
+                self._on_data_available(channel)
+            else:
+                self._event_seq += 1
+                self._ready.append(sink)
         else:
             channel.pending.append((stamped, now))
             channel.stats.blocked_sends += 1
@@ -385,14 +394,14 @@ class Simulator:
         source = channel.source_component
         if source is not None:
             self._event_seq += 1
-            heapq.heappush(self._event_queue, (now, self._event_seq, _fire, source))
+            self._ready.append(source)
         return packet
 
     def _on_data_available(self, channel: Channel) -> None:
         sink = channel.sink_component
         if sink is not None:
             self._event_seq += 1
-            heapq.heappush(self._event_queue, (self.now, self._event_seq, _fire, sink))
+            self._ready.append(sink)
             return
         # Top-level output: record and consume immediately (the testbench
         # environment is always ready).
@@ -410,7 +419,7 @@ class Simulator:
         source = channel.source_component
         if source is not None:
             self._event_seq += 1
-            heapq.heappush(self._event_queue, (now, self._event_seq, _fire, source))
+            self._ready.append(source)
 
     # -- stimulus and execution -------------------------------------------------------
 
@@ -477,7 +486,7 @@ class Simulator:
         max_time: Optional[int] = None,
         max_events: Optional[int] = None,
     ) -> SimulationTrace:
-        """Process events until the queue drains.
+        """Process events until none is left.
 
         Reaching ``max_time`` *truncates*: the run stops and returns the
         trace recorded so far -- a deadlocked design keeps polling blocked
@@ -491,23 +500,40 @@ class Simulator:
         max_events = DEFAULT_MAX_EVENTS if max_events is None else max_events
         # Give every behaviour a chance to initialise (constant generators
         # start emitting without any input).
+        ready = self._ready
         for component in self.components.values():
             start = getattr(component.behavior, "start", None)
             if callable(start):
                 start(component.ctx)
-            self._enqueue(0, _fire, component)
+            self._event_seq += 1
+            ready.append(component)
 
-        queue = self._event_queue
-        heappop = heapq.heappop
+        if self.now > max_time:
+            # Nothing past the budget runs, not even what is due now.
+            self._finalize_trace()
+            return self.trace
+
+        popleft = ready.popleft
         processed = self._events_processed
         exhausted = False
         try:
-            while queue:
-                time, _, action, argument = heappop(queue)
-                if time > max_time:
-                    break
-                self.now = time
-                action(argument)
+            while ready or self._next_step(max_time):
+                event = popleft()
+                if event.__class__ is Component:
+                    # Wake the component: fire while it makes progress in
+                    # this delta cycle.
+                    behavior = event.behavior
+                    ctx = event.ctx
+                    fires = 0
+                    while behavior.fire(ctx):
+                        fires += 1
+                        if fires == _MAX_FIRES_PER_WAKE:  # pragma: no cover - defensive guard
+                            raise TydiSimulationError(
+                                f"component {event.path} fired {_MAX_FIRES_PER_WAKE} times "
+                                f"at t={self.now}; behaviour is likely not consuming its inputs"
+                            )
+                else:
+                    event[0](event[1])
                 processed += 1
                 if processed > max_events:
                     exhausted = True
@@ -522,6 +548,18 @@ class Simulator:
                 trace=self.trace,
             )
         return self.trace
+
+    def _next_step(self, max_time: int) -> bool:
+        """Start the next time step, if it is within ``max_time``: move its
+        heap entries into the run queue, in sequence order."""
+        heap = self._event_queue
+        if not heap or heap[0][0] > max_time:
+            return False
+        time = self.now = heap[0][0]
+        ready = self._ready
+        while heap and heap[0][0] == time:
+            ready.append(heapq.heappop(heap)[2:])
+        return True
 
     def _finalize_trace(self) -> None:
         self.trace.end_time = self.now

@@ -2,23 +2,27 @@
 
 The engine builds one :class:`~repro.sim.behavior.BehaviorContext` per
 component at elaboration, links every channel to the components at its
-ends, and enqueues closure-free ``(time, seq, action, argument)`` events;
-the Fletcher reader converts each connected column to Python values once
-and walks precomputed lanes; the primitive behaviours bind their channels
-per context and fire without port lookups.  None of that may change what a
-simulation computes.  The previous engine, context, reader and primitive
-behaviours (with ``_merge_last`` and ``behavior_for``) are kept verbatim
-below as the reference (renamed, and with the context class and the
-reference ``behavior_for`` named directly where the engine imported them
-inside ``__init__``, ``_fire`` and ``run``).  Both must produce the same
-full trace: the same events with the same sequence numbers (every ``fire``
-is logged with the number of events scheduled so far), hence the same
-``events_processed`` and ``end_time``, the same input and output packets
-with their arrival times, ``produced_at`` and ``last`` flags (compared by
-type, so a ``bool`` is not an ``int``), the same per-channel statistics
-and final queue contents, the same state logs and component states, and
-the same :meth:`SimulationReport.as_dict` -- also when a run is truncated
-by ``max_time`` or stopped by ``max_events``, where the partial
+ends, and schedules closure-free events: a component to wake, or an
+``(action, argument)`` pair.  Zero-delay events go into a FIFO run queue
+of the current time step, later ones onto a heap that ``run`` moves into
+the run queue one time step at a time.  The Fletcher reader converts each
+connected column to Python values once and walks precomputed lanes; the
+primitive behaviours bind their channels per context and fire without
+port lookups.  None of that may change what a simulation computes.  The
+previous engine (one heap of ``(time, seq, action)`` entries), context,
+reader and primitive behaviours (with ``_merge_last`` and
+``behavior_for``) are kept verbatim below as the reference (renamed, and
+with the context class and the reference ``behavior_for`` named directly
+where the engine imported them inside ``__init__``, ``_fire`` and
+``run``).  Both must produce the same full trace: the same events with
+the same sequence numbers (every ``fire`` is logged with the number of
+events scheduled so far), hence the same ``events_processed`` and
+``end_time``, the same input and output packets with their arrival times,
+``produced_at`` and ``last`` flags (compared by type, so a ``bool`` is not
+an ``int``), the same per-channel statistics and final queue contents, the
+same state logs and component states, and the same
+:meth:`SimulationReport.as_dict` -- also when a run is truncated by
+``max_time`` or stopped by ``max_events``, where the partial
 ``exc.trace`` must match too.
 
 The designs: the six TPC-H queries over three seeded datasets (plus
@@ -28,11 +32,16 @@ empty tables, and reader objects reused across runs), fuzzed
 the scripted-behaviour designs of ``test_sim_scripted.py``, a design with
 every primitive kind driven by ``drive_packets`` with ``last`` flags of
 every spelling, primitive objects shared across components and runs, a
-design that deadlocks and ends by ``max_time`` (driven both ways), and
-runs that exhaust ``max_events``.  Three call-count tests pin what the
-engine no longer repeats: a tpch-sim benchmark pass builds one context
-per component, binds each primitive once and never asks the context for
-a port, and each reader converts each connected column once.
+design that deadlocks and ends by ``max_time`` (driven both ways), runs
+that exhaust ``max_events``, and a same-time ordering design: a user
+behaviour that calls ``schedule(0, ...)``, ``schedule(1, ...)`` and
+``push_later`` between latency-0 primitives, with stimuli that start at 0
+and later, run whole, stopped by ``max_events`` within a time step and
+truncated by ``max_time``.  Three call-count tests pin what the engine no
+longer repeats: a tpch-sim benchmark pass builds one context per
+component, binds each primitive once, never asks the context for a port
+and schedules no closure, and each reader converts each connected column
+once.
 """
 from __future__ import annotations
 
@@ -63,7 +72,14 @@ from repro.sim.behavior import (
     ScriptedBehavior,
     behavior_for,
 )
-from repro.sim.engine import Channel, ChannelStats, SimulationTrace
+from repro.sim.engine import (
+    DEFAULT_MAX_EVENTS,
+    DEFAULT_MAX_TIME,
+    Channel,
+    ChannelStats,
+    Component,
+    SimulationTrace,
+)
 from repro.sim.packets import Packet, sequence_to_packets
 from repro.spec.logical_types import Stream
 from repro.stdlib.components import primitive_kind
@@ -1424,6 +1440,140 @@ def test_primitive_objects_shared_across_components_and_runs(design):
         assert simulate(Simulator, project, plan, {**readers, **shared}) == first
 
 
+# -- same-time ordering ----------------------------------------------------------------
+
+#: A user behaviour between latency-0 primitives.  The duplicator and the
+#: constant generator forward at once, ``copy`` and ``echo`` are top-level
+#: outputs, and ``b`` joins the chain at the subtractor.
+SAME_TIME = """
+type num = Stream(Bit(8), d=1);
+streamlet ticker_s { input: num in, output: num out, echo: num out, }
+external impl ticker_i of ticker_s;
+streamlet top_s { a: num in, b: num in, copy: num out, echo: num out, diff: num out, }
+impl top_i of top_s {
+    instance t(ticker_i),
+    instance dup(duplicator_i<type num, 2>),
+    instance five(const_int_generator_i<type num, 5>),
+    instance add(adder_i<type num, type num>),
+    instance sub(subtractor_i<type num, type num>),
+    a => dup.input,
+    dup.output[0] => t.input,
+    dup.output[1] => copy,
+    t.output => add.lhs,
+    five.output => add.rhs,
+    b => sub.lhs,
+    add.output => sub.rhs,
+    sub.output => diff,
+    t.echo => echo,
+}
+top top_i;
+"""
+
+
+class Ticker:
+    """Schedules its own events from ``fire``.  Each input packet goes out
+    through ``push_later`` after 0, 1 or 2 cycles.  An action queued by
+    ``schedule(0, ...)`` echoes the packet count as it is when the action
+    runs, and one queued by ``schedule(1, ...)`` logs a state entry and
+    echoes the negated count; every echo wakes the ticker again (it is the
+    echo channel's source), so the fire log shows where each action ran."""
+
+    def __init__(self, push_later) -> None:
+        self.push_later = push_later
+
+    def fire(self, ctx) -> bool:
+        if not ctx.has_input("input") or not ctx.can_send("output"):
+            return False
+        packet = ctx.take("input")
+        count = ctx.get_state("count", 0) + 1
+        ctx.set_state("count", count)
+        simulator = ctx.simulator
+        echo = ctx.component.outputs["echo"]
+
+        def echo_count() -> None:
+            simulator.push(echo, Packet(ctx.get_state("count")))
+
+        def echo_later() -> None:
+            ctx.set_state("later", count)
+            simulator.push(echo, Packet(-count))
+
+        simulator.schedule(0, echo_count)
+        simulator.schedule(1, echo_later)
+        self.push_later(simulator, count % 3, ctx.component.outputs["output"], packet)
+        return True
+
+
+def engine_push_later(simulator, delay, channel, packet) -> None:
+    simulator.push_later(delay, channel, packet)
+
+
+def reference_push_later(simulator, delay, channel, packet) -> None:
+    # What ``ReferenceContext.send`` schedules for a delayed send.
+    simulator.schedule(delay, lambda: simulator.push(channel, packet))
+
+
+def same_time_run(capacity: int, **budget) -> dict[str, object]:
+    plan = SimulationPlan(
+        stimuli=(
+            Stimulus(port="a", values=tuple(range(1, 9))),
+            Stimulus(port="b", values=(10, 20, 30, 40, 50, 60, 70, 80), interval=2, start_time=3),
+        ),
+        channel_capacity=capacity,
+        **budget,
+    )
+    return assert_same_run(
+        compile_project(SAME_TIME).project,
+        plan,
+        {"ticker_i": lambda implementation: Ticker(engine_push_later)},
+        {"ticker_i": lambda implementation: Ticker(reference_push_later)},
+    )
+
+
+def fires_at(run: dict[str, object], time: int) -> int:
+    return sum(1 for fire in run["fires"] if fire[0] == time)
+
+
+@pytest.mark.parametrize("capacity", (1, 2))
+def test_same_time_ordering(capacity):
+    # Zero-delay events (wake-ups, ``schedule(0, ...)``, a zero-delay
+    # ``push_later``, the stimulus that starts at 0) and delayed ones (the
+    # later ``push_later`` and ``schedule(1, ...)`` calls, the stimulus that
+    # starts at 3, the feeders' next steps) share time steps.
+    full = same_time_run(capacity)
+    assert full["error"] is None
+    outputs = dict(full["outputs"])
+    assert len(outputs["copy"]) == 8 and len(outputs["diff"]) == 8
+    assert len(outputs["echo"]) == 16
+    end = full["end_time"]
+
+    # A run stopped by ``max_events`` part-way through a time step: the
+    # full run fires more components at the time the stopped run ended.
+    stopped = same_time_run(capacity, max_events=60)
+    assert stopped["error"] == "simulation exceeded 60 events; possible livelock"
+    assert stopped["events_processed"] == 61
+    assert fires_at(full, stopped["end_time"]) > fires_at(stopped, stopped["end_time"])
+
+    # A run truncated by ``max_time`` before its last time step.
+    truncated = same_time_run(capacity, max_time=end - 3)
+    assert truncated["error"] is None
+    assert truncated["end_time"] <= end - 3
+    assert truncated["events_processed"] < full["events_processed"]
+
+
+def test_nothing_runs_past_a_negative_time_budget():
+    # Not even the events due at time 0 (a plan refuses such a budget, a
+    # direct ``run`` call does not).
+    project = compile_project(SAME_TIME).project
+    behaviors = {"ticker_i": lambda implementation: Ticker(engine_push_later)}
+    traces = []
+    for simulator_class in (ReferenceSimulator, Simulator):
+        simulator = simulator_class(project, behaviors=behaviors)
+        simulator.drive("a", [1, 2])
+        trace = simulator.run(max_time=-1)
+        traces.append((trace.events_processed, trace.end_time, trace.inputs, trace.outputs))
+    assert traces[0] == traces[1] == (0, 0, {}, {})
+
+
 # -- what the engine and the reader allocate ---------------------------------------
 
 
@@ -1450,7 +1600,8 @@ def test_one_context_per_component(monkeypatch):
 def test_primitives_bind_once_and_bypass_the_context(monkeypatch):
     # One tpch-sim benchmark pass (seed 1).  The previous primitives asked
     # the context for every port on every fire (404,718 ``has_input`` calls)
-    # and scheduled each delayed send as a lambda.
+    # and scheduled each delayed send as a lambda.  Every event, on the
+    # heap or in the run queue, is closure-free.
     context_calls: Counter = Counter()
     for name in ("has_input", "take", "can_send", "send", "input_ports", "output_ports"):
         method = getattr(BehaviorContext, name)
@@ -1470,18 +1621,43 @@ def test_primitives_bind_once_and_bypass_the_context(monkeypatch):
     monkeypatch.setattr(PrimitiveBehavior, "_bind", counting_bind)
     closures: list[object] = []
     delayed_pushes = 0
+    wakeups = 0
+
+    def check_action(action) -> None:
+        if getattr(action, "__closure__", None) is not None:
+            closures.append(action)
+
     heappush = heapq.heappush
 
     def checking_push(heap, entry):
         nonlocal delayed_pushes
-        action, argument = entry[2:]
-        if getattr(action, "__closure__", None) is not None:
-            closures.append(action)
+        _, _, action, argument = entry
+        check_action(action)
         if isinstance(argument, tuple) and [type(item) for item in argument] == [Channel, Packet]:
             delayed_pushes += 1
         heappush(heap, entry)
 
+    class CheckingRunQueue(deque):
+        """The run queue, checking every event appended to it: a component
+        to wake or a closure-free ``(action, argument)`` pair."""
+
+        def append(self, event) -> None:
+            nonlocal wakeups
+            if type(event) is Component:
+                wakeups += 1
+            else:
+                action, _ = event
+                check_action(action)
+            super().append(event)
+
+    make_simulator = Simulator.__init__
+
+    def checking_simulator(self, *args, **kwargs):
+        make_simulator(self, *args, **kwargs)
+        self._ready = CheckingRunQueue(self._ready)
+
     monkeypatch.setattr(heapq, "heappush", checking_push)
+    monkeypatch.setattr(Simulator, "__init__", checking_simulator)
     tables = generate_tpch_data(600, seed=1)
     primitives = []
     for query in ALL_QUERIES:
@@ -1496,6 +1672,7 @@ def test_primitives_bind_once_and_bypass_the_context(monkeypatch):
     assert sorted(binds) == sorted(primitives)
     assert closures == []
     assert delayed_pushes == 46_572
+    assert wakeups == 285_668
 
 
 def test_each_reader_converts_each_connected_column_once(monkeypatch):

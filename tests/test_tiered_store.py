@@ -18,10 +18,6 @@ from repro.lang.compile import compile_sources
 from repro.pipeline import RemoteCacheClient, StageCache
 from repro.pipeline.store import STAGE_DIR_NAME, TieredStore
 
-#: A one-value parametrization: it only keeps the ``[shared]`` test ids
-#: under which these store-rule cases are tracked.
-SHARED = pytest.mark.parametrize("memory", ["shared"])
-
 VALUE = {"unit.vhd": "entity unit is end;", "nested": ["a", "b"]}
 
 SOURCE = (
@@ -83,14 +79,13 @@ class TestLayout:
         assert len(list((tmp_path / STAGE_DIR_NAME).glob("*-abc.pkl"))) == 4
 
 
-@SHARED
 class TestDiskCorruption:
     @pytest.mark.parametrize(
         "blob",
         [b"definitely not a pickle", pickle.dumps(VALUE)[:-7], pickle.dumps(["wrong", "type"])],
         ids=["corrupt", "truncated", "wrong-type"],
     )
-    def test_bad_blob_is_a_counted_miss_and_dropped(self, tmp_path, memory, blob):
+    def test_bad_blob_is_a_counted_miss_and_dropped(self, tmp_path, blob):
         store, path = written_file(tmp_path)
         path.write_bytes(blob)
         assert store.get("k", dict) is None
@@ -101,7 +96,7 @@ class TestDiskCorruption:
         store.put("k", VALUE)
         assert TieredStore("backend", 8, cache_dir=tmp_path).get("k", dict) == VALUE
 
-    def test_good_blob_is_a_disk_hit_that_refreshes_mtime(self, tmp_path, memory):
+    def test_good_blob_is_a_disk_hit_that_refreshes_mtime(self, tmp_path):
         store, path = written_file(tmp_path)
         stale = time.time() - 1000
         os.utime(path, (stale, stale))
@@ -110,9 +105,8 @@ class TestDiskCorruption:
         assert path.stat().st_mtime > stale + 500
 
 
-@SHARED
 class TestRemoteTier:
-    def test_remote_hit_is_promoted_without_reupload(self, tmp_path, memory):
+    def test_remote_hit_is_promoted_without_reupload(self, tmp_path):
         remote = FakeRemote()
         TieredStore("ast", 8, remote=remote).put("k", VALUE)
         assert remote.puts == ["ast:k"]
@@ -130,7 +124,7 @@ class TestRemoteTier:
     @pytest.mark.parametrize(
         "blob", [b"not a pickle", pickle.dumps(["wrong", "type"])], ids=["corrupt", "wrong-type"]
     )
-    def test_bad_remote_blob_is_reported_and_not_promoted(self, tmp_path, memory, blob):
+    def test_bad_remote_blob_is_reported_and_not_promoted(self, tmp_path, blob):
         remote = FakeRemote()
         remote.blobs["sim:k"] = blob
         store = TieredStore("sim", 8, cache_dir=tmp_path, remote=remote)
@@ -140,7 +134,7 @@ class TestRemoteTier:
         assert not (tmp_path / STAGE_DIR_NAME).exists()
         assert len(store) == 0
 
-    def test_dead_remote_runs_local_only(self, tmp_path, memory):
+    def test_dead_remote_runs_local_only(self, tmp_path):
         remote = RemoteCacheClient.from_url(dead_endpoint(), connect_timeout=0.2)
         try:
             store = TieredStore("backend", 8, cache_dir=tmp_path, remote=remote)
@@ -161,9 +155,8 @@ class TestCodecs:
         assert store.get("k", dict) is VALUE
 
 
-@SHARED
 class TestLru:
-    def test_eviction_at_capacity(self, memory):
+    def test_eviction_at_capacity(self):
         store = TieredStore("ast", 2)
         for key in ("a", "b"):
             store.put(key, VALUE)
@@ -173,14 +166,14 @@ class TestLru:
         assert store.get("a", dict) == VALUE and store.get("c", dict) == VALUE
         assert store.stats.evictions == 1 and len(store) == 2
 
-    def test_evicted_entry_survives_on_disk(self, tmp_path, memory):
+    def test_evicted_entry_survives_on_disk(self, tmp_path):
         store = TieredStore("ast", 1, cache_dir=tmp_path)
         store.put("a", VALUE)
         store.put("b", VALUE)
         assert store.get("a", dict) == VALUE
         assert store.stats.disk_hits == 1
 
-    def test_capacity_validation(self, memory):
+    def test_capacity_validation(self):
         with pytest.raises(ValueError, match="capacity"):
             TieredStore("ast", 0)
 
