@@ -1,13 +1,12 @@
 """The registered ``ir`` backend: textual Tydi-IR emission.
 
-The legacy path (:func:`repro.ir.emit.emit_project`) renders the whole
-project in one pass.  This backend produces the *same bytes* from cacheable
-pieces: every implementation section is a per-implementation unit (one
+Every implementation section is a per-implementation unit (one
 pseudo-file), and :meth:`~IrTextBackend.assemble` interleaves the shared
 prelude (header, named type declarations, streamlets), the unit sections in
-project order, and the ``top`` trailer with the exact separators
-``emit_project`` uses.  The differential suite proves the equality over
-fuzzed designs.
+project order, and the ``top`` trailer into one ``<project>.tir`` file.
+This is the one composition of the textual IR:
+:meth:`repro.lang.compile.CompilationResult.ir_text` and
+:meth:`repro.workspace.Workspace.ir` both read this backend's file.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ It follows the same composition law as every other backend: each
 implementation block is a per-implementation unit (cacheable at
 implementation granularity), and :meth:`~TydiIrBackend.assemble`
 interleaves the prelude, the streamlet blocks, the unit blocks in project
-order and the ``top`` trailer with the exact separators
-:func:`repro.interchange.emit.emit_document` uses -- the differential suite
-asserts the two paths byte-identical.
+order and the ``top`` trailer.  This is the one composition of the
+document: :func:`repro.interchange.emit.emit_document` returns this
+backend's single file.
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
 """The registered ``verilog`` backend: Tydi-IR to Verilog, one file per unit.
 
-Wraps the Verilog emission engine (:class:`repro.verilog.backend.
-VerilogBackend`) in the :class:`~repro.backends.base.Backend` protocol with
-the same decomposition as the ``vhdl`` backend:
+Composes the pieces the Verilog emission engine (:class:`repro.verilog.
+backend.VerilogBackend`) renders in the :class:`~repro.backends.base.Backend`
+protocol, with the same decomposition as the ``vhdl`` backend:
 
 * shared file: the ``<project>_defs.vh`` documentation header,
 * per-implementation unit: ``<impl>.v`` (module with ready/valid port
   groups),
 
-assembled by the default sorted merge -- which is exactly what the
-``generate_verilog(project)`` shim returns.
+assembled by the default sorted merge.  ``generate_verilog(project)`` and
+``VerilogBackend.total_loc`` read this backend.
 """
 
 from __future__ import annotations

@@ -1,13 +1,14 @@
 """The registered ``vhdl`` backend: Tydi-IR to VHDL, one file per unit.
 
-Wraps the bespoke emission engine (:class:`repro.vhdl.backend.VhdlBackend`)
-in the :class:`~repro.backends.base.Backend` protocol:
+Composes the pieces the VHDL emission engine
+(:class:`repro.vhdl.backend.VhdlBackend`) renders in the
+:class:`~repro.backends.base.Backend` protocol:
 
 * shared file: the ``<project>_pkg.vhd`` declarations package,
 * per-implementation unit: ``<impl>.vhd`` (entity + architecture),
 
-assembled by the default sorted merge -- which is exactly what the legacy
-``generate_vhdl(project)`` shim returns.
+assembled by the default sorted merge.  ``generate_vhdl(project)``,
+``--vhdl-dir`` and ``VhdlBackend.total_loc`` all read this backend.
 """
 
 from __future__ import annotations

@@ -404,29 +404,16 @@ def _run_batch(args: argparse.Namespace) -> int:
             f"[{stats['executor']} x{stats['workers']}]"
         )
 
-    if args.ir_out:
-        out_dir = _make_dir(pathlib.Path(args.ir_out))
-        for entry in outcome.results:
-            if entry.ok:
-                _write_file(out_dir / f"{entry.name}.tir", entry.result.ir_text())
-        if not args.json_output:
-            print(f"wrote Tydi-IR for {sum(1 for e in outcome.results if e.ok)} design(s) to {out_dir}")
-
-    if args.vhdl_dir:
-        from repro.vhdl import generate_vhdl
-
-        base_dir = pathlib.Path(args.vhdl_dir)
-        written = 0
-        for entry in outcome.results:
-            if not entry.ok:
-                continue
-            design_dir = _make_dir(base_dir / entry.name)
-            files = generate_vhdl(entry.result.project)
-            for name, text in files.items():
-                _write_file(design_dir / name, text)
-            written += len(files)
-        if not args.json_output:
-            print(f"wrote {written} VHDL file(s) to {base_dir} (one directory per design)")
+    ok_names = [entry.name for entry in outcome.results if entry.ok]
+    vhdl_written = sum(_write_ir_and_vhdl(args, workspace, name, batch=True) for name in ok_names)
+    if not args.json_output:
+        if args.ir_out:
+            print(f"wrote Tydi-IR for {len(ok_names)} design(s) to {pathlib.Path(args.ir_out)}")
+        if args.vhdl_dir:
+            print(
+                f"wrote {vhdl_written} VHDL file(s) to {pathlib.Path(args.vhdl_dir)} "
+                "(one directory per design)"
+            )
 
     if targets:
         if args.out_dir:
@@ -486,15 +473,7 @@ def _run_batch(args: argparse.Namespace) -> int:
             print(f"[watch] {name}: error ({exc.stage}): {exc.render()}", file=sys.stderr)
             return
         print(f"[watch] recompiled {name} ({', '.join(changed)})")
-        if args.ir_out:
-            out_dir = _make_dir(pathlib.Path(args.ir_out))
-            _write_file(out_dir / f"{name}.tir", result.ir_text())
-        if args.vhdl_dir:
-            from repro.vhdl import generate_vhdl
-
-            design_dir = _make_dir(pathlib.Path(args.vhdl_dir) / name)
-            for filename, text in generate_vhdl(result.project).items():
-                _write_file(design_dir / filename, text)
+        _write_ir_and_vhdl(args, workspace, name, batch=True)
         if targets and args.out_dir:
             _write_outputs(pathlib.Path(args.out_dir) / name, result.outputs)
 
@@ -640,6 +619,30 @@ def run_watch_loop(
             if changed and not workspace.is_fresh(design):
                 refresh(design, changed)
     return rounds
+
+
+def _write_ir_and_vhdl(args, workspace, name: str, *, batch: bool) -> int:
+    """Write one design's ``--ir-out`` and ``--vhdl-dir`` files, read
+    through the workspace's ``ir`` and ``vhdl`` queries; returns the number
+    of VHDL files written.
+
+    ``batch`` lays them out per design: ``<ir-out>/<name>.tir`` and
+    ``<vhdl-dir>/<name>/``, where a single run writes the ``--ir-out`` file
+    itself and the VHDL files straight into ``--vhdl-dir``.
+    """
+    if args.ir_out:
+        ir_path = pathlib.Path(args.ir_out)
+        if batch:
+            ir_path = _make_dir(ir_path) / f"{name}.tir"
+        _write_file(ir_path, workspace.ir(name))
+    if not args.vhdl_dir:
+        return 0
+    vhdl_dir = pathlib.Path(args.vhdl_dir)
+    files = workspace.outputs(name, "vhdl")
+    out_dir = _make_dir(vhdl_dir / name if batch else vhdl_dir)
+    for filename, text in files.items():
+        _write_file(out_dir / filename, text)
+    return len(files)
 
 
 def _write_outputs(base_dir: pathlib.Path, outputs: dict[str, dict[str, str]]) -> int:
@@ -797,20 +800,15 @@ def _query_and_emit_single(args, workspace, targets, log_stream) -> int:
                 for _, text in sorted(result.outputs[target].items()):
                     sys.stdout.write(text)
 
-    if args.ir_out:
-        _write_file(pathlib.Path(args.ir_out), result.ir_text())
-        if not args.json_output:
+    vhdl_written = _write_ir_and_vhdl(args, workspace, "design", batch=False)
+    if not args.json_output:
+        if args.ir_out:
             print(f"wrote Tydi-IR to {args.ir_out}", file=log_stream)
-
-    if args.vhdl_dir:
-        from repro.vhdl import generate_vhdl
-
-        out_dir = _make_dir(pathlib.Path(args.vhdl_dir))
-        files = generate_vhdl(result.project)
-        for name, text in files.items():
-            _write_file(out_dir / name, text)
-        if not args.json_output:
-            print(f"wrote {len(files)} VHDL file(s) to {out_dir}", file=log_stream)
+        if args.vhdl_dir:
+            print(
+                f"wrote {vhdl_written} VHDL file(s) to {pathlib.Path(args.vhdl_dir)}",
+                file=log_stream,
+            )
 
     if sim_report is not None and sim_report.deadlocked:
         return 1

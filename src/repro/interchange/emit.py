@@ -1,6 +1,6 @@
 """Canonical Tydi-IR interchange emission.
 
-The legacy textual IR (:mod:`repro.ir.emit`, the ``ir`` backend) is a
+The textual IR of the ``ir`` backend (:mod:`repro.ir.emit`) is a
 human-oriented *report*: its type references are abbreviated (a ``Stream``
 reference drops direction, synchronicity, user and keep), so the text cannot
 be parsed back into the exact :class:`~repro.ir.model.Project` it came from.
@@ -163,12 +163,9 @@ def emit_implementation_block(implementation: Implementation) -> str:
 
 
 def emit_document(project: Project) -> str:
-    """Render the complete interchange document for one project."""
-    sections = [document_prelude(project)]
-    for streamlet in project.streamlets.values():
-        sections.append(emit_streamlet_block(streamlet))
-    for implementation in project.implementations.values():
-        sections.append(emit_implementation_block(implementation))
-    if project.top:
-        sections.append(f"top {project.top};")
-    return "\n\n".join(sections) + "\n"
+    """Render the complete interchange document for one project: the one
+    ``.tir`` file of the registered ``tydi-ir`` backend."""
+    from repro.backends import get_backend
+
+    (document,) = get_backend("tydi-ir").emit(project).values()
+    return document

@@ -75,19 +75,16 @@ def compile_ir_document(
     options: "CompileOptions | dict | None" = None,
     *,
     filename: str = "<tydi-ir>",
-    stage_cache=None,
 ) -> CompilationResult:
     """Ingest one IR document and run the downstream pipeline stages.
 
     This is the uncached reference composition; the staged twin with a
     memoised post-DRC snapshot is :meth:`repro.pipeline.stages.StageCache.
     compile_ir`, differential-tested byte-identical against this one.
-    ``stage_cache`` only serves the backend stage's per-implementation unit
-    outputs (pass a :class:`~repro.pipeline.stages.StageCache`).
     """
     resolved = CompileOptions.coerce(options)
     state = ingest_frontend(text, resolved, filename=filename)
-    return run_backends(state, resolved, stage_cache=stage_cache)
+    return run_backends(state, resolved)
 
 
 def roundtrip_document(project: Project) -> str:

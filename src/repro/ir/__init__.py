@@ -12,7 +12,8 @@ The IR mirrors the hardware elements of Table I in the paper:
 * :class:`~repro.ir.model.Project` -- a closed set of streamlets and
   implementations with a designated top level.
 
-:mod:`repro.ir.emit` renders a project to the textual Tydi-IR syntax and
+:mod:`repro.ir.emit` renders the sections of the textual Tydi-IR syntax
+(the ``ir`` backend joins them into one file) and
 :mod:`repro.ir.testbench` models the prediction-style testbenches that the
 simulator generates.
 """
@@ -28,7 +29,7 @@ from repro.ir.model import (
     Project,
     Streamlet,
 )
-from repro.ir.emit import emit_project, emit_streamlet, emit_implementation
+from repro.ir.emit import emit_streamlet, emit_implementation
 from repro.ir.testbench import Testbench, TestbenchEvent, TestbenchVector
 
 __all__ = [
@@ -41,7 +42,6 @@ __all__ = [
     "PortRef",
     "Project",
     "Streamlet",
-    "emit_project",
     "emit_streamlet",
     "emit_implementation",
     "Testbench",

@@ -4,6 +4,8 @@ The Rust toolchain serialises the IR to a textual format that the IR-to-VHDL
 tool consumes.  We emit an equivalent text so that the intermediate artifact
 of the pipeline (Figure 1: "Tydi source code -> frontend -> Tydi IR ->
 backend -> VHDL") is inspectable, countable (LoC) and diffable in tests.
+The section renderers below are composed into one ``<project>.tir`` file
+by the registered ``ir`` backend (:mod:`repro.backends.ir_text`).
 """
 
 from __future__ import annotations
@@ -41,10 +43,6 @@ def named_type_declarations(project: Project) -> dict[str, LogicalType]:
         for port in streamlet.ports:
             visit(port.logical_type)
     return named
-
-
-#: Backwards-compatible private alias (pre-registry callers).
-_named_type_declarations = named_type_declarations
 
 
 def _type_ref(t: LogicalType) -> str:
@@ -100,26 +98,3 @@ def emit_implementation(implementation: Implementation) -> str:
         body_lines.append(f"{conn.source} => {conn.sink};{suffix}")
     body = "\n".join(body_lines)
     return f"{doc}{header} {{\n{indent_block(body, 2)}\n}}"
-
-
-def emit_project(project: Project) -> str:
-    """Emit the whole project as textual Tydi-IR.
-
-    The registered ``ir`` backend (:class:`repro.backends.ir_text.
-    IrTextBackend`) composes the same section sequence and separators from
-    cacheable per-implementation pieces; the two must stay byte-identical,
-    which ``tests/test_backend_differential.py`` pins over fuzzed designs.
-    Change the section order, separators or prelude here and there
-    together.
-    """
-    sections: list[str] = [f"// Tydi-IR for project {project.name}"]
-    named_types = named_type_declarations(project)
-    for t in named_types.values():
-        sections.append(emit_type_declaration(t))
-    for streamlet in project.streamlets.values():
-        sections.append(emit_streamlet(streamlet))
-    for implementation in project.implementations.values():
-        sections.append(emit_implementation(implementation))
-    if project.top:
-        sections.append(f"top {project.top};")
-    return "\n\n".join(sections) + "\n"

@@ -42,7 +42,6 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Sequence
 
 from repro.errors import DiagnosticSink, TydiInputError, did_you_mean
-from repro.ir.emit import emit_project
 from repro.ir.model import Project
 from repro.lang.ast import SourceUnit
 from repro.lang.drc import DRCReport, check_project
@@ -346,8 +345,15 @@ class CompilationResult:
     outputs: dict[str, dict[str, str]] = field(default_factory=dict)
 
     def ir_text(self) -> str:
-        """The textual Tydi-IR of the compiled project."""
-        return emit_project(self.project)
+        """The textual Tydi-IR of the compiled project: the ``ir`` backend's
+        one ``.tir`` file (from :attr:`outputs` when ``ir`` was a target)."""
+        files = self.outputs.get("ir")
+        if files is None:
+            from repro.backends import get_backend
+
+            files = get_backend("ir").emit(self.project)
+        (text,) = files.values()
+        return text
 
     def output_files(self, target: str) -> dict[str, str]:
         """The emitted files of one requested backend target."""

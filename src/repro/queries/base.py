@@ -97,9 +97,6 @@ class TpchQuery:
         options = CompileOptions(top=self.top, sugaring=self.sugaring, project_name=self.name)
         return CompileJob(self.name, self.sources(), options)
 
-    def generate_vhdl(self) -> dict[str, str]:
-        return VhdlBackend(self.compile().project).generate()
-
     # -- line-of-code accounting ---------------------------------------------------
 
     def loc(self) -> QueryLoc:

@@ -355,7 +355,7 @@ class Simulator:
 
     # -- channel operations --------------------------------------------------------
 
-    def push(self, channel: Channel, packet: Packet, *, from_source: bool = True) -> None:
+    def push(self, channel: Channel, packet: Packet) -> None:
         """Deliver a packet into a channel (or its pending queue when full)."""
         now = self.now
         # A packet stamped with this very ``now`` object is what restamping
@@ -411,11 +411,6 @@ class Simulator:
         stats.packets_transferred += 1
         stats.total_queue_wait += now - enqueued_at
         self.trace.outputs.setdefault(channel.sink[1], []).append((now, packet))
-        if channel.pending:
-            pending_packet, produced_at = channel.pending.popleft()
-            stats.total_blocked_time += now - produced_at
-            channel.queue.append((pending_packet, now))
-            self._enqueue(0, self._on_data_available, channel)
         source = channel.source_component
         if source is not None:
             self._event_seq += 1

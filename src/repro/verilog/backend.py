@@ -87,13 +87,13 @@ def emit_module_header(streamlet: Streamlet, signals_of: SignalsOf = port_signal
 
 
 class VerilogBackend:
-    """Stateful backend turning one project into Verilog files.
+    """The Verilog emission engine of one project.
 
     Mirrors :class:`repro.vhdl.backend.VhdlBackend`: the registered
     ``verilog`` backend (:class:`repro.backends.verilog.VerilogFilesBackend`)
-    decomposes :meth:`defs_file` and :meth:`implementation_file` into
-    cacheable per-implementation units, and the differential suite proves
-    the two paths byte-identical.
+    composes the project's :meth:`defs_file` and one cacheable
+    :meth:`implementation_file` unit per implementation.  The whole
+    project's files are that backend's output, :func:`generate_verilog`.
     """
 
     def __init__(self, project: Project) -> None:
@@ -101,14 +101,6 @@ class VerilogBackend:
         self._signals_of = port_signal_memo()
 
     # -- public API ------------------------------------------------------------
-
-    def generate(self) -> dict[str, str]:
-        """Generate all Verilog files for the project, sorted by file name."""
-        files: dict[str, str] = {}
-        files[f"{vhdl_identifier(self.project.name)}_defs.vh"] = self.defs_file()
-        for implementation in self.project.implementations.values():
-            files[f"{implementation.name}.v"] = self.implementation_file(implementation)
-        return dict(sorted(files.items()))
 
     def implementation_file(self, implementation: Implementation) -> str:
         """One implementation's Verilog file (module header + body)."""
@@ -125,8 +117,11 @@ class VerilogBackend:
         )
 
     def total_loc(self) -> int:
-        """Total generated Verilog LoC (the HDL-size quantity of Table IV)."""
-        return sum(count_loc(text, language="verilog") for text in self.generate().values())
+        """Total generated Verilog LoC (the HDL-size quantity of Table IV)
+        over the files of :func:`generate_verilog`."""
+        return sum(
+            count_loc(text, language="verilog") for text in generate_verilog(self.project).values()
+        )
 
     # -- pieces ------------------------------------------------------------------
 
@@ -257,9 +252,9 @@ class VerilogBackend:
 def generate_verilog(project: Project) -> dict[str, str]:
     """Generate Verilog for every streamlet/implementation of ``project``.
 
-    Thin shim over the registered ``verilog`` backend, mirroring
-    :func:`repro.vhdl.backend.generate_vhdl`; byte-identical to
-    :meth:`VerilogBackend.generate`, as the differential suite asserts.
+    The registered ``verilog`` backend's output, sorted by file name,
+    mirroring :func:`repro.vhdl.backend.generate_vhdl`; an empty project
+    raises :class:`~repro.errors.TydiBackendError`.
     """
     from repro.backends import get_backend
 

@@ -77,14 +77,13 @@ def emit_component_declaration(streamlet: Streamlet, signals_of: SignalsOf = por
 
 
 class VhdlBackend:
-    """Stateful backend turning one project into VHDL files.
+    """The VHDL emission engine of one project.
 
-    This is the bespoke emission engine; the registered ``vhdl`` backend
-    (:class:`repro.backends.vhdl.VhdlFilesBackend`) decomposes the same
-    pieces -- :meth:`package_file` and :meth:`implementation_file` -- into
-    the per-implementation units the backend-output cache memoises.  The
-    differential suite (``tests/test_backend_differential.py``) proves the
-    two paths byte-identical.
+    It renders the pieces the registered ``vhdl`` backend
+    (:class:`repro.backends.vhdl.VhdlFilesBackend`) composes: the project's
+    :meth:`package_file` and one :meth:`implementation_file` per
+    implementation, the unit the backend-output cache memoises.  The whole
+    project's files are that backend's output, :func:`generate_vhdl`.
     """
 
     def __init__(self, project: Project) -> None:
@@ -92,19 +91,6 @@ class VhdlBackend:
         self._signals_of = port_signal_memo()
 
     # -- public API ------------------------------------------------------------
-
-    def generate(self) -> dict[str, str]:
-        """Generate all VHDL files for the project, sorted by file name.
-
-        The sorted order makes the returned mapping deterministic regardless
-        of the project's dict insertion history (implementations evaluated in
-        a different order still produce an identical artefact set).
-        """
-        files: dict[str, str] = {}
-        files[f"{vhdl_identifier(self.project.name)}_pkg.vhd"] = self.package_file()
-        for implementation in self.project.implementations.values():
-            files[f"{implementation.name}.vhd"] = self.implementation_file(implementation)
-        return dict(sorted(files.items()))
 
     def implementation_file(self, implementation: Implementation) -> str:
         """One implementation's VHDL file (entity + architecture)."""
@@ -115,8 +101,9 @@ class VhdlBackend:
         )
 
     def total_loc(self) -> int:
-        """Total generated VHDL LoC (the LoCvhdl quantity of Table IV)."""
-        return sum(count_loc(text, language="vhdl") for text in self.generate().values())
+        """Total generated VHDL LoC (the LoCvhdl quantity of Table IV) over
+        the files of :func:`generate_vhdl`."""
+        return sum(count_loc(text, language="vhdl") for text in generate_vhdl(self.project).values())
 
     # -- pieces ------------------------------------------------------------------
 
@@ -262,9 +249,8 @@ class VhdlBackend:
 def generate_vhdl(project: Project) -> dict[str, str]:
     """Generate VHDL for every streamlet/implementation of ``project``.
 
-    Thin shim over the registered ``vhdl`` backend (kept for the original
-    call sites); byte-identical to :meth:`VhdlBackend.generate`, as the
-    differential suite asserts.
+    The registered ``vhdl`` backend's output, sorted by file name; an
+    empty project raises :class:`~repro.errors.TydiBackendError`.
     """
     from repro.backends import get_backend
 

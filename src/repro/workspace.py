@@ -424,7 +424,13 @@ class Workspace:
         not differ).  Treat the returned result as immutable; it may be
         shared with the cache and with other queries.
         """
-        entry = self._design(name)
+        return self._result(self._design(name))
+
+    def _result(self, entry: _Design) -> "CompilationResult":
+        """:meth:`result` for a looked-up design (takes its lock, which the
+        caller may already hold).  Taking the entry, not a name, keeps a
+        caller that holds the design lock from taking the workspace lock
+        after it: ``_register`` takes them in the other order."""
         with entry.lock:
             key = entry.fingerprint()
             if entry.memo_key == key:
@@ -451,8 +457,10 @@ class Workspace:
             return result
 
     def ir(self, name: str) -> str:
-        """The design's textual Tydi-IR."""
-        return self.result(name).ir_text()
+        """The design's textual Tydi-IR: the one ``.tir`` file of
+        :meth:`outputs` for the ``ir`` backend, memoised like any target."""
+        (text,) = self.outputs(name, "ir").values()
+        return text
 
     def diagnostics(self, name: str):
         """The design's :class:`~repro.errors.DiagnosticSink`."""
@@ -468,8 +476,11 @@ class Workspace:
         The design's ``backend_options`` apply either way.
         """
         entry = self._design(name)
-        result = self.result(name)  # takes/releases the design lock
+        # Hold the design lock from the compile to the memo store, so an
+        # edit cannot land in between and leave a superseded result's
+        # outputs memoised.
         with entry.lock:
+            result = self._result(entry)
             if target in result.outputs:
                 return result.outputs[target]
             cached = entry.extra_outputs.get(target)
@@ -507,8 +518,8 @@ class Workspace:
 
         plan = SimulationPlan.coerce(plan)
         entry = self._design(name)
-        result = self.result(name)  # takes/releases the design lock
-        with entry.lock:
+        with entry.lock:  # from compile to store, as in :meth:`outputs`
+            result = self._result(entry)
             plan_fp = plan.fingerprint()
             cached = entry.sim_reports.get(plan_fp)
             if cached is not None:

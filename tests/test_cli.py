@@ -111,6 +111,31 @@ class TestCliCache:
         assert payload["stage_cache"]["evaluate_hits"] == 1
         assert payload["stage_cache"]["disk_hits"] == 1
 
+    def test_warm_vhdl_dir_renders_no_unit(self, design_file, tmp_path, monkeypatch):
+        """``--vhdl-dir`` reads the ``vhdl`` backend through the cache: a
+        second run over the same ``--cache-dir`` renders no implementation
+        and writes the same files."""
+        from repro.backends.vhdl import VhdlFilesBackend
+
+        cache_dir = tmp_path / ".tydi-cache"
+        first, second = tmp_path / "v1", tmp_path / "v2"
+        assert main([str(design_file), "--cache-dir", str(cache_dir), "--vhdl-dir", str(first)]) == 0
+        rendered = []
+        emit_unit = VhdlFilesBackend.emit_unit
+
+        def counting_emit_unit(self, project, implementation):
+            rendered.append(implementation.name)
+            return emit_unit(self, project, implementation)
+
+        monkeypatch.setattr(VhdlFilesBackend, "emit_unit", counting_emit_unit)
+        assert main([str(design_file), "--cache-dir", str(cache_dir), "--vhdl-dir", str(second)]) == 0
+        assert rendered == []
+        names = sorted(path.name for path in first.iterdir())
+        assert "echo_i.vhd" in names
+        assert sorted(path.name for path in second.iterdir()) == names
+        for name in names:
+            assert (second / name).read_bytes() == (first / name).read_bytes()
+
     def test_json_output_single_design(self, design_file, capsys):
         assert main([str(design_file), "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)

@@ -81,8 +81,9 @@ def test_tpch_queries_round_trip(compiled_queries):
 
 
 def test_tydi_ir_backend_is_the_document_emitter():
-    """``tydi-ir``'s assembled file is exactly :func:`emit_document` --
-    the property that lets a cached emission be re-ingested verbatim."""
+    """:func:`emit_document` is ``tydi-ir``'s one file, and that file
+    assembles from cached per-implementation units -- the property that
+    lets a cached emission be re-ingested verbatim."""
     project = _fuzzed_project(0)
     backend = get_backend("tydi-ir")
     assert backend.emit(project) == {f"{project.name}.tir": emit_document(project)}

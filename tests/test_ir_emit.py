@@ -2,10 +2,10 @@
 
 import pytest
 
+from repro.backends import get_backend
 from repro.errors import TydiBackendError
 from repro.ir.emit import (
     emit_implementation,
-    emit_project,
     emit_streamlet,
     emit_type_declaration,
     named_type_declarations,
@@ -62,14 +62,14 @@ class TestEmission:
 
     def test_project_emission_contains_everything(self):
         result = compile_project(SOURCE, include_stdlib=False)
-        text = emit_project(result.project)
+        text = result.ir_text()
         assert "Group Sample" in text
         assert "streamlet filter_s" in text
         assert "top top_i;" in text
 
     def test_emitted_ir_has_reasonable_loc(self):
         result = compile_project(SOURCE, include_stdlib=False)
-        assert count_loc(emit_project(result.project), "tydi") >= 15
+        assert count_loc(result.ir_text(), "tydi") >= 15
 
     def test_synthesized_connections_annotated(self):
         source = """
@@ -86,7 +86,7 @@ class TestEmission:
         top top_i;
         """
         result = compile_project(source, include_stdlib=False)
-        text = emit_project(result.project)
+        text = result.ir_text()
         assert "// auto-inserted" in text
 
 
@@ -116,7 +116,7 @@ class TestNamedTypeConflicts:
         with pytest.raises(TydiBackendError, match="conflicting declarations of type 'Sample'"):
             named_type_declarations(project)
         with pytest.raises(TydiBackendError, match="Bit\\(8\\).*Bit\\(16\\)"):
-            emit_project(project)
+            get_backend("ir").emit(project)
 
     def test_group_union_name_clash_raises(self):
         group = Group.of("Value", num=Bit(8))

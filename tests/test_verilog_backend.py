@@ -117,6 +117,8 @@ class TestRegistryIntegration:
 
         with pytest.raises(TydiBackendError, match="empty project"):
             generate_verilog(Project(name="void"))
+        with pytest.raises(TydiBackendError, match="empty project"):
+            VerilogBackend(Project(name="void")).total_loc()
 
     def test_tpch_queries_emit_verilog(self, compiled_queries):
         """Every TPC-H plan lowers, stdlib primitives included (as stubs)."""

@@ -121,6 +121,8 @@ class TestPrimitiveArchitectures:
     def test_empty_project_rejected(self):
         with pytest.raises(TydiBackendError):
             generate_vhdl(Project(name="empty"))
+        with pytest.raises(TydiBackendError, match="empty project"):
+            VhdlBackend(Project(name="e")).total_loc()
 
 
 class TestDeterministicOrdering:
@@ -142,9 +144,3 @@ class TestDeterministicOrdering:
         finally:
             project.implementations = original
         assert list(reordered.items()) == list(reference.items())
-
-    def test_legacy_generate_matches_registry_order(self, pipeline_files):
-        _, project = pipeline_files
-        assert list(VhdlBackend(project).generate().items()) == list(
-            generate_vhdl(project).items()
-        )

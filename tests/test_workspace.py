@@ -13,6 +13,7 @@ import threading
 
 import pytest
 
+from repro.backends.ir_text import IrTextBackend
 from repro.errors import TydiDRCError, TydiWorkspaceError
 from repro.lang.compile import CompileOptions, compile_sources
 from repro.pipeline import StageCache, run_jobs
@@ -177,6 +178,23 @@ class TestQueries:
         assert ws.outputs("echo", "dot") is dot  # memoised
         ws.update_file("echo", "a.td", OTHER)
         assert ws.outputs("echo", "dot") is not dot
+
+    def test_ir_is_assembled_once_and_invalidated_like_any_target(self, monkeypatch):
+        assembled = []
+        assemble = IrTextBackend.assemble
+
+        def counting_assemble(self, *args):
+            assembled.append(args)
+            return assemble(self, *args)
+
+        monkeypatch.setattr(IrTextBackend, "assemble", counting_assemble)
+        ws = make_workspace()
+        ws.add_design("echo", {"a.td": SOURCE})
+        first = ws.ir("echo")
+        assert ws.ir("echo") == first
+        assert len(assembled) == 1
+        ws.update_file("echo", "a.td", OTHER)
+        assert ws.ir("echo") == compile_sources({"a.td": OTHER}).ir_text() != first
 
     def test_outputs_honour_backend_options(self):
         ws = make_workspace()
@@ -415,6 +433,34 @@ class TestThreadSafety:
         final = ws.result("echo")
         reference = compile_sources([(SOURCE + "// round 9\n", "a.td")])
         assert final.ir_text() == reference.ir_text()
+
+    def test_edit_racing_a_read_never_leaves_superseded_ir_memoised(self, monkeypatch):
+        """An edit and its recompile cannot land between a read's compile
+        and its memo store: the writer waits for the design lock, so the
+        recompile drops what the read stored instead of the read storing
+        over it."""
+        ws = make_workspace()
+        ws.add_design("echo", {"a.td": SOURCE})
+        compile_result = Workspace._result
+        writers: list[threading.Thread] = []
+
+        def edit_and_recompile() -> None:
+            ws.update_file("echo", "a.td", OTHER)
+            ws.result("echo")
+
+        def racing_result(self, entry):
+            result = compile_result(self, entry)
+            if not writers:
+                writers.append(threading.Thread(target=edit_and_recompile))
+                writers[0].start()
+                # Returns before the timeout only if the read left the lock.
+                writers[0].join(timeout=0.5)
+            return result
+
+        monkeypatch.setattr(Workspace, "_result", racing_result)
+        ws.ir("echo")
+        writers[0].join()
+        assert ws.ir("echo") == compile_sources({"a.td": OTHER}).ir_text()
 
 
 class TestDeprecatedDrivers:
