@@ -336,6 +336,7 @@ def soak(
         "workers": workers,
         **load,
         "server_requests": server_stats["server"]["requests"],
+        "read_memo": server_stats["server"]["read_memo"],
         "ir_roundtrip": roundtrip,
         "worker_restarts": pool_stats.get("restarts", 0),
         "shutdown": reply,

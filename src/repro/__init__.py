@@ -42,12 +42,7 @@ services, watch loops; see ``docs/workspace.md``)::
     print(ws.ir("my_design"))          # recompiles only what changed
 """
 
-from repro.lang.compile import (
-    CompilationResult,
-    CompileOptions,
-    compile_project,
-    compile_sources,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -60,12 +55,17 @@ __all__ = [
     "__version__",
 ]
 
-
-def __getattr__(name: str):
-    # Lazy: ``repro.Workspace`` pulls in the pipeline + backends packages,
-    # which plain ``import repro`` users should not pay for.
-    if name == "Workspace":
-        from repro.workspace import Workspace
-
-        return Workspace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Resolved on first access: ``import repro.<subpackage>`` must not load the
+# compiler (see :mod:`repro._lazy`).
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.lang.compile": (
+            "CompilationResult",
+            "CompileOptions",
+            "compile_project",
+            "compile_sources",
+        ),
+        "repro.workspace": ("Workspace",),
+    },
+)

@@ -480,11 +480,12 @@ def backend_stage(
     from repro.backends import get_backend
 
     options_by_name = dict(backend_options or ())
+    fingerprints: dict[str, str] = {}  # every target keys the same implementations
     for target in normalize_targets(targets):
         backend = get_backend(target, options_by_name.get(target))
         with PROFILER.stage(f"backend:{backend.name}"):
             if stage_cache is not None:
-                files = stage_cache.emit_backend(project, backend)
+                files = stage_cache.emit_backend(project, backend, fingerprints)
             else:
                 files = backend.emit(project)
         outputs[backend.name] = files

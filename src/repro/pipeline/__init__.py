@@ -27,22 +27,7 @@ See ``docs/pipeline.md`` for the architecture, ``docs/cache.md`` for the
 store and its layout, and ``docs/workspace.md`` for the session API on top.
 """
 
-from repro.pipeline.batch import (
-    BatchCompilationError,
-    BatchResult,
-    CompileJob,
-    JobResult,
-    run_jobs,
-)
-from repro.pipeline.cache import (
-    DEFAULT_CACHE_DIR,
-    STAGE_SCHEMA_VERSION,
-    fingerprint_sources,
-    normalize_sources,
-)
-from repro.pipeline.remote import DEFAULT_CACHE_PORT, RemoteCacheClient, parse_endpoint
-from repro.pipeline.stages import StageCache, StageStats, file_fingerprint
-from repro.pipeline.store import CacheStats, TieredStore
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BatchCompilationError",
@@ -63,3 +48,25 @@ __all__ = [
     "parse_endpoint",
     "run_jobs",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.pipeline.batch": (
+            "BatchCompilationError",
+            "BatchResult",
+            "CompileJob",
+            "JobResult",
+            "run_jobs",
+        ),
+        "repro.pipeline.cache": (
+            "DEFAULT_CACHE_DIR",
+            "STAGE_SCHEMA_VERSION",
+            "fingerprint_sources",
+            "normalize_sources",
+        ),
+        "repro.pipeline.remote": ("DEFAULT_CACHE_PORT", "RemoteCacheClient", "parse_endpoint"),
+        "repro.pipeline.stages": ("StageCache", "StageStats", "file_fingerprint"),
+        "repro.pipeline.store": ("CacheStats", "TieredStore"),
+    },
+)

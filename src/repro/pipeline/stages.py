@@ -354,7 +354,9 @@ class StageCache:
             self._stores["sim"].put(key, report)
         return report
 
-    def emit_backend(self, project, backend) -> dict[str, str]:
+    def emit_backend(
+        self, project, backend, fingerprints: Optional[dict[str, str]] = None
+    ) -> dict[str, str]:
         """Emit one backend over ``project`` with per-implementation caching.
 
         Byte-identical to ``backend.emit(project)`` (same assemble over the
@@ -363,6 +365,11 @@ class StageCache:
         served from the cache.  A warm call costs little more than keying,
         so the key prefix is hashed, and each implementation's metadata
         and streamlet signature rendered, once per call.
+
+        ``fingerprints`` memoises each implementation's
+        :func:`~repro.backends.implementation_fingerprint` by name; pass one
+        dict to every call over the same project (any backend), and each
+        implementation is fingerprinted once.
 
         Disk stores defer their budget pass to the caller (the single
         per-compile pass in :meth:`compile`); standalone callers with a
@@ -373,11 +380,18 @@ class StageCache:
 
         store = self._stores["backend"]
         prefix = _backend_key_prefix(backend)
+        if fingerprints is None:
+            fingerprints = {}
         tokens: dict[str, tuple[str, str]] = {}
         units: dict[str, dict[str, str]] = {}
         for name, implementation in project.implementations.items():
+            fingerprint = fingerprints.get(name)
+            if fingerprint is None:
+                fingerprint = fingerprints[name] = implementation_fingerprint(
+                    project, implementation, tokens
+                )
             hasher = prefix.copy()
-            hasher.update(implementation_fingerprint(project, implementation, tokens).encode())
+            hasher.update(fingerprint.encode())
             key = hasher.hexdigest()
             files = store.get(key, dict)
             if files is None:

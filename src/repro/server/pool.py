@@ -319,6 +319,7 @@ class _Worker:
                 return False
             self.restarts += 1
             self.pool.note_restart()
+            self.pool.on_respawn(self.index)
             self.spawn()
             if self._replay():
                 return True
@@ -453,6 +454,9 @@ class WorkerPool:
         self._total_restarts = 0
         self._draining = False
         self._drained = False
+        #: Called with a worker's index whenever a replacement is forked for
+        #: it (the service drops that shard's memoised reads).
+        self.on_respawn: Callable[[int], None] = lambda index: None
         # Parse the stdlib *before* the first fork: every worker inherits
         # the warm AST through copy-on-write pages.
         warm_stdlib()
@@ -467,6 +471,10 @@ class WorkerPool:
 
     def shard_of(self, design: str) -> int:
         return shard_for(design, len(self.workers))
+
+    def worker_for(self, design: object) -> "_Worker":
+        """The worker a request for ``design`` goes to (shard 0 without one)."""
+        return self.workers[self.shard_of(design) if isinstance(design, str) and design else 0]
 
     def parent_side_fds(self, *, exclude: int) -> tuple[int, ...]:
         """Every other worker's parent-side pipe fds (for a fork to close).
@@ -496,9 +504,7 @@ class WorkerPool:
                 f"service is draining for shutdown; {method!r} rejected "
                 f"(in-flight requests are completing)"
             )
-        design = params.get("design")
-        shard = self.shard_of(design) if isinstance(design, str) and design else 0
-        worker = self.workers[shard]
+        worker = self.worker_for(params.get("design"))
         with self._lock:
             self._next_job_id += 1
             job = _PoolJob(self._next_job_id, request_id, method, dict(params))
@@ -506,7 +512,7 @@ class WorkerPool:
             worker.queue.put_nowait(job)
         except queue.Full:
             raise TydiBackpressureError(
-                f"worker {shard} has {self.backlog} jobs queued (bounded "
+                f"worker {worker.index} has {self.backlog} jobs queued (bounded "
                 f"backlog); back off and retry {method!r}"
             ) from None
         return job.future

@@ -26,6 +26,10 @@ in-flight request to complete -- so no response is ever dropped by the
 transport winding down -- then drains the worker pool (if any) and only
 then signals the transport to stop.
 
+Both modes also share the read memo (:mod:`repro.server.memo`): a repeat
+``get_ir`` / ``get_outputs`` / ``get_diagnostics`` of a design no mutation
+touched since is answered on the event loop, without reaching either pool.
+
 Requests and responses are plain dicts in the shape documented by
 :mod:`repro.server.protocol`; transports only frame and shuttle them.
 Failures never escape :meth:`handle` -- every exception becomes a
@@ -46,6 +50,7 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import TydiDrainingError
 from repro.server import protocol
+from repro.server.memo import MUTATING_METHODS, READ_METHODS, ReadMemo
 from repro.server.metrics import MethodMetrics
 from repro.server.pool import POOLED_METHODS, WorkerPool
 from repro.workspace import Workspace
@@ -86,6 +91,9 @@ class CompileService:
         ``remote_cache`` / ``options`` (the same knobs ``tydi-compile``
         exposes), so a served session and a CLI session share on-disk
         artefacts -- and, with a remote endpoint, the fleet-wide L2.
+        A workspace passed here must be mutated through the service only:
+        the read memo sees the service's mutating methods, not direct
+        ``Workspace`` calls, and would keep serving the reads they changed.
     jobs:
         Width of the compile thread pool (default: CPU count, capped at 8).
     workers:
@@ -179,6 +187,10 @@ class CompileService:
         self._watches: dict[int, _Watch] = {}
         self._next_watch_token = 0
         self._notify_tasks: set["asyncio.Task[None]"] = set()
+        #: Repeat reads of unchanged designs, answered without the pools.
+        self.read_memo = ReadMemo()
+        if self.pool is not None:
+            self.pool.on_respawn = self._drop_shard_reads
 
     # -- the request entry points ----------------------------------------------
 
@@ -222,6 +234,23 @@ class CompileService:
                     f"service is draining for shutdown; {method!r} rejected"
                 ),
             )
+        design = params.get("design")
+        target = params.get("target")
+        memoised = (
+            method in READ_METHODS
+            and isinstance(design, str)
+            and (target is None or isinstance(target, str))
+            and not (self.pool is not None and self.pool.worker_for(design).dead)
+        )
+        mutation = method in MUTATING_METHODS and isinstance(design, str)
+        if memoised:
+            key = (design, method, target)
+            result = self.read_memo.lookup(key)
+            if result is not None:
+                return protocol.success_envelope(request_id, result)
+            generation = self.read_memo.generation(design)
+        elif mutation:
+            self.read_memo.invalidate(design)
         self._enter_request(method)
         try:
             if self.pool is not None and method in POOLED_METHODS:
@@ -243,8 +272,12 @@ class CompileService:
             return protocol.error_envelope(request_id, exc)
         finally:
             self._exit_request(method)
+            if mutation:
+                self.read_memo.invalidate(design)
+        if memoised and envelope.get("ok"):
+            self.read_memo.store(key, generation, envelope["result"])
         if method == "update_file" and envelope.get("ok"):
-            self._schedule_watch_notify(params.get("design"))
+            self._schedule_watch_notify(design)
         return envelope
 
     def handle_sync(self, message: Any) -> dict[str, Any]:
@@ -521,6 +554,7 @@ class CompileService:
                 "draining": self.draining.is_set(),
             }
         server["latency"] = self.metrics.as_dict()
+        server["read_memo"] = self.read_memo.stats()
         if self.pool is not None:
             pool_stats = self.pool.stats()
             return {
@@ -538,6 +572,10 @@ class CompileService:
             self.pool.drain(timeout=self.drain_timeout)
         self.shutdown_requested.set()
         return {"stopping": True, "drained": True}
+
+    def _drop_shard_reads(self, shard: int) -> None:
+        """Forget a respawned worker's designs: its replacement answers them."""
+        self.read_memo.invalidate_where(lambda design: self.pool.shard_of(design) == shard)
 
     # -- watch subscriptions ---------------------------------------------------
 

@@ -105,6 +105,7 @@ class _Design:
         "memo_result",
         "memo_error",
         "extra_outputs",
+        "fingerprints",
         "sim_reports",
         "built_file_keys",
     )
@@ -132,6 +133,9 @@ class _Design:
         #: Lazily-emitted backend outputs beyond ``options.targets``,
         #: keyed by backend name; cleared whenever the memo turns over.
         self.extra_outputs: dict[str, dict[str, str]] = {}
+        #: The memo's implementation fingerprints by name, shared by every
+        #: lazily emitted target; cleared with ``extra_outputs``.
+        self.fingerprints: dict[str, str] = {}
         #: Memoised simulation reports keyed by plan fingerprint, valid for
         #: the current ``memo_key``; cleared whenever the memo turns over.
         self.sim_reports: dict[str, object] = {}
@@ -164,6 +168,7 @@ class _Design:
         self.memo_result = None
         self.memo_error = None
         self.extra_outputs.clear()
+        self.fingerprints.clear()
         self.sim_reports.clear()
 
 
@@ -450,6 +455,7 @@ class Workspace:
                 exc.__traceback__ = None
                 entry.memo_error = exc
                 entry.extra_outputs.clear()
+                entry.fingerprints.clear()
                 entry.sim_reports.clear()
                 entry.built_file_keys = None
                 raise
@@ -490,7 +496,7 @@ class Workspace:
 
             backend = get_backend(target, entry.options.backend_options_for(target))
             if self.cache is not None:
-                files = self.cache.emit_backend(result.project, backend)
+                files = self.cache.emit_backend(result.project, backend, entry.fingerprints)
                 self.cache.enforce_disk_budget()
             else:
                 files = backend.emit(result.project)
@@ -733,6 +739,7 @@ class Workspace:
         entry.memo_result = result
         entry.memo_error = None
         entry.extra_outputs.clear()
+        entry.fingerprints.clear()
         entry.sim_reports.clear()
         entry.built_file_keys = entry.file_keys()
 

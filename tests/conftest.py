@@ -14,12 +14,25 @@ builders.
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.arrow.tpch import generate_tpch_data
 from repro.testing import (  # noqa: F401 - shared differential-harness builders
     build_chain_design,
     build_random_design,
     mutate_design,
+)
+
+
+#: ``--hypothesis-profile=soak``: the served read memo's state machine
+#: (``tests/test_server_memo.py``) with many more examples and steps.
+#: Tier-1 runs keep hypothesis's default profile.
+settings.register_profile(
+    "soak",
+    max_examples=150,
+    stateful_step_count=50,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
 

@@ -200,17 +200,23 @@ def test_sigkilled_worker_is_respawned_and_request_retried():
                 victim = service.pool.workers[shard]
                 os.kill(victim.proc.pid, signal.SIGKILL)
 
-                # The very next request on that shard hits the corpse,
-                # respawns, replays the design mirror, retries -- and the
-                # caller never notices.
+                # The very next request on that shard (a read the front
+                # process has not memoised) hits the corpse, respawns,
+                # replays the design mirror, retries -- and the caller
+                # never notices.
+                client.get_diagnostics("gamma")
+                assert service.pool.total_restarts == 1
+                # The respawn dropped the shard's memoised reads, so the
+                # repeat read is answered by the replayed worker.
                 ir_after = client.get_ir("gamma")
                 assert ir_after == ir_before
-                assert service.pool.total_restarts == 1
 
                 stats = client.stats()
                 assert stats["pool"]["restarts"] == 1
                 assert stats["pool"]["per_worker"][shard]["restarts"] == 1
                 assert stats["pool"]["per_worker"][shard]["retries"] == 1
+                # open, get_ir, then get_diagnostics and get_ir after the kill.
+                assert stats["pool"]["per_worker"][shard]["dispatched"] == 4
                 client.shutdown()
 
 

@@ -18,6 +18,7 @@ from repro.lang.compile import compile_sources
 from repro.pipeline import StageCache
 from repro.pipeline.store import TieredStore
 from repro.server import CompileService
+from repro.server.memo import ReadMemo
 from repro.workspace import Workspace
 
 GOOD = (
@@ -139,6 +140,53 @@ class TestCacheStatsSnapshot:
         final = cache.stats_snapshot()
         # One snapshot lookup per compile: each either hit or stored.
         assert final["evaluate_hits"] + final["evaluate_misses"] == 3 * 10
+
+    def test_read_memo_snapshot_is_never_torn(self):
+        """The served read memo: every stored result has the same size, so a
+        snapshot whose ``bytes`` disagrees with its ``entries`` is torn."""
+        memo = ReadMemo()
+        result = {"design": "d", "ir": "x" * 64}
+        memo.store(("probe", "get_ir", None), memo.generation("probe"), result)
+        size = memo.stats()["bytes"]  # of one stored result
+        rounds, writers = 300, 4
+        progress = [0] * writers
+
+        def writer(index: int) -> None:
+            for round_index in range(rounds):
+                design = f"d{index}-{round_index % 8}"
+                key = (design, "get_ir", None)
+                if memo.lookup(key) is None:
+                    memo.store(key, memo.generation(design), result)
+                if round_index % 5 == 0:
+                    memo.invalidate(design)
+                progress[index] += 1
+
+        stop = threading.Event()
+        failures: list[str] = []
+
+        def reader() -> None:
+            while not stop.is_set():
+                snapshot = memo.stats()
+                if snapshot["bytes"] != snapshot["entries"] * size:
+                    failures.append(f"torn snapshot {snapshot}")
+                    return
+                if snapshot["hits"] + snapshot["misses"] > sum(progress) + writers:
+                    failures.append(f"more lookups than the writers made: {snapshot}")
+                    return
+
+        threads = [threading.Thread(target=writer, args=(i,)) for i in range(writers)]
+        watcher = threading.Thread(target=reader)
+        watcher.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        stop.set()
+        watcher.join(timeout=60)
+        assert not watcher.is_alive()
+        assert not failures, failures
+        assert memo.stats()["hits"] + memo.stats()["misses"] == writers * rounds
 
 
 class TestWorkspaceStats:

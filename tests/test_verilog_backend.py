@@ -98,10 +98,6 @@ class TestStructuralBody:
 
 
 class TestRegistryIntegration:
-    def test_registry_backend_matches_generate_verilog(self, pipeline_files):
-        files, project = pipeline_files
-        assert list(get_backend("verilog").emit(project).items()) == list(files.items())
-
     def test_emit_is_assemble_of_units(self, pipeline_files):
         _, project = pipeline_files
         backend = get_backend("verilog")

@@ -302,6 +302,33 @@ class TestCacheStack:
         ws.result("echo")
         assert scans == [tmp_path / "cache"]
 
+    def test_targets_read_after_an_edit_fingerprint_each_implementation_once(self, monkeypatch):
+        import repro.backends
+        from repro.backends import get_backend
+
+        ws = make_workspace()
+        sources = build_chain_design(6)
+        ws.add_design("chain", sources)
+        targets = ("vhdl", "verilog", "ir")
+        for target in targets:
+            ws.outputs("chain", target)
+        text, filename = sources[2]
+        ws.update_file("chain", filename, text.replace("Bit(", "Bit(1", 1))
+
+        calls: list[str] = []
+        fingerprint = repro.backends.implementation_fingerprint
+
+        def counting(project, implementation, tokens=None):
+            calls.append(implementation.name)
+            return fingerprint(project, implementation, tokens)
+
+        monkeypatch.setattr(repro.backends, "implementation_fingerprint", counting)
+        outputs = {target: ws.outputs("chain", target) for target in targets}
+        project = ws.result("chain").project
+        assert sorted(calls) == sorted(project.implementations)
+        for target in targets:
+            assert outputs[target] == get_backend(target).emit(project)
+
     def test_max_cache_mb_requires_cache_dir(self):
         with pytest.raises(TydiWorkspaceError, match="requires cache_dir"):
             make_workspace(max_cache_mb=64)
