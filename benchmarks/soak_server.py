@@ -16,7 +16,9 @@ The CI replacement for the old single-request server smoke job.  It:
    emitted Tydi-IR document is re-opened via ``open_ir_design`` and both
    designs must produce byte-identical outputs over the wire,
 4. then runs the same load against a ``--baseline-workers`` daemon and
-   compares aggregate warm request throughput,
+   compares aggregate warm request throughput; both daemons share a fresh
+   ``--cache-dir`` among their workers, under a ``--max-cache-mb`` budget
+   small enough that the disk tier evicts during the load,
 5. then (unless ``--no-remote``) runs a third phase against a daemon
    wired to a real ``tydi-cachesvc`` subprocess via ``--remote-cache``,
    and **kills the cache server halfway through the load** -- proving the
@@ -25,7 +27,8 @@ The CI replacement for the old single-request server smoke job.  It:
    load, **no protocol-level failures** (compile errors from fuzzed edits
    are expected and counted separately) *including through the mid-soak
    cache kill*, the **IR round trip holding in every phase**, a **clean
-   drain** on shutdown (``drained: true`` and exit code 0), and -- with
+   drain** on shutdown (``drained: true`` and exit code 0), a shared disk
+   tier that **evicts without a single disk error**, and -- with
    ``--assert-floor`` -- the multi-worker daemon serving >= ``--floor`` x
    the baseline's requests/s,
 7. writes one JSON artifact (``--output``) that CI uploads.
@@ -48,8 +51,10 @@ import os
 import pathlib
 import random
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 
@@ -62,6 +67,13 @@ from repro.server import CompileClient, RemoteCompileError  # noqa: E402
 from repro.testing import build_random_design, mutate_design  # noqa: E402
 
 _LISTENING = re.compile(r"listening on ([\d.]+):(\d+)")
+
+#: The disk budget of the multi-worker and baseline phases: small enough
+#: that the workers' shared disk tier evicts within a few seconds of load.
+DISK_BUDGET_MB = 0.25
+
+#: The per-worker ``stage_cache`` disk counters each phase records (summed).
+DISK_COUNTERS = ("disk_stores", "disk_hits", "disk_errors", "disk_evictions")
 
 
 def _spawn_announced(argv: list[str]) -> tuple[subprocess.Popen, str, int]:
@@ -99,12 +111,15 @@ class Daemon:
         workers: int,
         *,
         remote_cache: str | None = None,
+        cache_dir: str | None = None,
         profile_stages: bool = False,
     ) -> None:
         argv = [
             sys.executable, "-m", "repro.server.cli", "serve",
             "--port", "0", "--workers", str(workers),
         ]
+        if cache_dir:
+            argv += ["--cache-dir", cache_dir, "--max-cache-mb", str(DISK_BUDGET_MB)]
         if remote_cache:
             argv += ["--remote-cache", remote_cache]
         if profile_stages:
@@ -316,10 +331,11 @@ def soak(
     duration: float,
     seed: int,
     remote_cache: str | None = None,
+    cache_dir: str | None = None,
     profile_stages: bool = False,
 ) -> dict:
     """One full soak phase: spawn daemon, load it, collect stats, drain."""
-    daemon = Daemon(workers, remote_cache=remote_cache,
+    daemon = Daemon(workers, remote_cache=remote_cache, cache_dir=cache_dir,
                     profile_stages=profile_stages)
     try:
         load = run_load(daemon.host, daemon.port, clients=clients,
@@ -344,6 +360,10 @@ def soak(
     }
     if remote_cache is not None:
         phase["remote_cache"] = _aggregate_remote_counters(server_stats)
+    if cache_dir is not None:
+        # Pool mode sums the workers' stage_cache counters already.
+        stage = (server_stats.get("workspace") or {}).get("stage_cache") or {}
+        phase["disk_cache"] = {name: stage.get(name, 0) for name in DISK_COUNTERS}
     if profile_stages:
         phase["profiling"] = (server_stats.get("workspace") or {}).get("profiling")
     return phase
@@ -363,6 +383,15 @@ def _aggregate_remote_counters(server_stats: dict) -> dict[str, int]:
             if isinstance(value, int):
                 totals[key] = totals.get(key, 0) + value
     return totals
+
+
+def disk_soak(workers: int, **kwargs) -> dict:
+    """One soak phase whose workers share a fresh, budgeted cache dir."""
+    cache_dir = tempfile.mkdtemp(prefix="soak-cache-")
+    try:
+        return soak(workers, cache_dir=cache_dir, **kwargs)
+    finally:
+        shutil.rmtree(cache_dir, ignore_errors=True)
 
 
 def remote_soak(workers: int, *, clients: int, duration: float, seed: int) -> dict:
@@ -415,17 +444,17 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"soak: {args.workers} workers, {args.clients} clients, "
           f"{args.duration:.0f}s per phase", flush=True)
-    multi = soak(args.workers, clients=args.clients, duration=args.duration,
-                 seed=args.seed, profile_stages=args.profile_stages)
+    multi = disk_soak(args.workers, clients=args.clients, duration=args.duration,
+                      seed=args.seed, profile_stages=args.profile_stages)
     print(f"soak: multi-worker phase: {multi['requests']} requests "
           f"({multi['requests_per_s']}/s), {multi['compile_errors']} compile "
           f"errors, {multi['simulate_requests']} simulations, "
-          f"restarts={multi['worker_restarts']}", flush=True)
-    baseline = soak(args.baseline_workers, clients=args.clients,
-                    duration=args.duration, seed=args.seed)
+          f"restarts={multi['worker_restarts']}, disk {multi['disk_cache']}", flush=True)
+    baseline = disk_soak(args.baseline_workers, clients=args.clients,
+                         duration=args.duration, seed=args.seed)
     print(f"soak: baseline ({args.baseline_workers} worker): "
-          f"{baseline['requests']} requests ({baseline['requests_per_s']}/s)",
-          flush=True)
+          f"{baseline['requests']} requests ({baseline['requests_per_s']}/s), "
+          f"disk {baseline['disk_cache']}", flush=True)
     remote = None
     if not args.no_remote:
         remote = remote_soak(args.workers, clients=args.clients,
@@ -481,6 +510,11 @@ def main(argv: list[str] | None = None) -> int:
             problems.append(f"{tag}: implausibly few requests ({phase['requests']})")
         if not phase.get("simulate_requests"):
             problems.append(f"{tag}: no simulate_design traffic")
+        disk = phase.get("disk_cache")
+        if disk is not None and disk["disk_errors"]:
+            problems.append(f"{tag}: {disk['disk_errors']} disk error(s) in the shared cache dir")
+        if disk is not None and not disk["disk_evictions"]:
+            problems.append(f"{tag}: the {DISK_BUDGET_MB} MB disk budget never evicted")
         if not phase.get("ir_roundtrip", {}).get("ok"):
             problems.append(
                 f"{tag}: IR round-trip smoke failed "

@@ -30,10 +30,11 @@ cache snapshots.  :class:`StageCache` holds four tiers:
   plan fingerprint (:meth:`StageCache.sim_key`).
 
 Each tier is one :class:`~repro.pipeline.store.TieredStore` (namespaces
-``ast`` / ``eval`` / ``backend`` / ``sim``): a bounded
-memory LRU and, when ``cache_dir`` is set, ``<cache_dir>/stages/<ns>-<key>.pkl``
-on disk, then the remote L2.  A ``max_disk_bytes`` budget is enforced over
-the whole cache directory via LRU-by-mtime eviction, once per compile.
+``ast`` / ``eval`` / ``backend`` / ``sim``): a bounded memory LRU and, when
+``cache_dir`` is set, a row of the dir's one SQLite database
+(``<cache_dir>/stages.sqlite3``), then the remote L2.  A ``max_disk_bytes``
+budget reads the database's byte ledger once per compile and evicts the
+least recently used rows.
 
 :meth:`StageCache.compile` runs the *same* frontend and backend functions
 as the monolithic ``compile_sources``
@@ -66,7 +67,7 @@ from repro.pipeline.cache import (
     STAGE_SCHEMA_VERSION,
     canonical_option_repr,
 )
-from repro.pipeline.store import STAGE_DIR_NAME, TieredStore, evict_lru_files
+from repro.pipeline.store import DiskFault, TieredStore, disk_tier, remove_retired_layout
 
 #: The four stage tiers: ``StageStats`` counter prefix and store namespace.
 STAGE_TIERS = (
@@ -149,13 +150,15 @@ class StageStats:
     ``<stage>_hits`` counts lookups any tier answered.  ``<stage>_misses``
     counts recomputed artefacts as they are stored, so a stage that raises
     (a parse error) counts nothing.  ``disk_hits`` / ``disk_stores`` /
-    ``disk_errors`` sum over the four stores; ``disk_evictions`` counts
-    the cache's budget passes.
+    ``disk_errors`` sum over the four stores, and ``disk_errors`` also
+    counts failed budget passes and clears; ``disk_evictions`` counts the
+    rows the cache's budget passes deleted.
     """
 
     def __init__(self, stores: Mapping[str, TieredStore]) -> None:
         self._stores = stores
         self.disk_evictions = 0
+        self.maintenance_errors = 0
 
     def as_dict(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -166,6 +169,7 @@ class StageStats:
             counts[f"{stage}_misses"] = tier["stores"]
             for name in disk:
                 disk[name] += tier[name]
+        disk["disk_errors"] += self.maintenance_errors
         counts.update(disk, disk_evictions=self.disk_evictions)
         return counts
 
@@ -179,6 +183,7 @@ class StageStats:
         for store in self._stores.values():
             store.stats.reset()
         self.disk_evictions = 0
+        self.maintenance_errors = 0
 
 
 class StageCache:
@@ -187,12 +192,13 @@ class StageCache:
     Parameters
     ----------
     cache_dir:
-        Root of the on-disk store; artefacts live under
-        ``<cache_dir>/stages/``.
+        Root of the on-disk store; artefacts live in the SQLite database
+        ``<cache_dir>/stages.sqlite3``.
     max_disk_bytes:
-        Byte budget enforced over ``cache_dir`` (recursively) on opening
-        and after every compile; least-recently-used ``*.pkl`` artefacts
-        are deleted first.
+        Budget on the stored blob bytes, enforced on opening and after
+        every compile; least-recently-used rows are deleted first.  A
+        budgeted open also deletes what the retired one-file-per-blob
+        layout left in ``cache_dir``.
     remote:
         The shared remote L2 tier: a ``host:port`` endpoint string (a
         :class:`~repro.pipeline.remote.RemoteCacheClient` is built from
@@ -227,10 +233,12 @@ class StageCache:
             for _, namespace in STAGE_TIERS
         }
         self.stats = StageStats(self._stores)
+        self._disk = disk_tier(self.cache_dir) if self.cache_dir is not None else None
         self._lock = threading.Lock()
         # Apply the budget to whatever is already on disk: a store that only
         # ever *hits* would otherwise never shrink after a budget decrease.
-        if self.cache_dir is not None and self.cache_dir.is_dir():
+        if self.max_disk_bytes is not None and self._disk is not None and self.cache_dir.is_dir():
+            remove_retired_layout(self.cache_dir)
             self.enforce_disk_budget()
 
     # -- keying ---------------------------------------------------------------
@@ -460,36 +468,44 @@ class StageCache:
             state = frontend()
             self._stores["eval"].put(key, state)
         result = run_backends(state, options, stage_cache=self)
-        # One budget pass per compile (stores above defer theirs): a full
-        # rglob scan per artefact would make eviction O(files x entries).
         self.enforce_disk_budget()
         return result
 
     # -- maintenance ----------------------------------------------------------
 
     def clear(self, *, disk: bool = False) -> None:
-        """Drop the in-memory tiers and, with ``disk``, the ``*.pkl``
-        artefacts (plus ``*.tmp`` leaked by a crashed writer) in
-        ``<cache_dir>/stages/`` and, from older layouts, ``cache_dir``."""
+        """Drop the in-memory tiers and, with ``disk``, every row of the
+        database (emptied in place) and what the retired one-file-per-blob
+        layout left in ``cache_dir``."""
         for store in self._stores.values():
             store.clear()
-        if disk and self.cache_dir is not None:
-            for directory in (self.cache_dir, self.cache_dir / STAGE_DIR_NAME):
-                for pattern in ("*.pkl", "*.tmp"):
-                    for path in directory.glob(pattern):
-                        try:
-                            path.unlink()
-                        except OSError:
-                            pass
+        if disk and self._disk is not None:
+            remove_retired_layout(self.cache_dir)
+            try:
+                self._disk.clear()
+            except DiskFault:
+                with self._lock:
+                    self.stats.maintenance_errors += 1
 
     def __len__(self) -> int:
         return sum(len(store) for store in self._stores.values())
 
     def enforce_disk_budget(self) -> int:
-        """Apply ``max_disk_bytes`` over the whole cache directory."""
-        if self.cache_dir is None or self.max_disk_bytes is None:
+        """Write the recency stamps disk hits queued, then apply
+        ``max_disk_bytes``: read the byte ledger and, when it is over,
+        delete least-recently-used rows through an index.  Scans no
+        directory; the number of rows deleted."""
+        if self._disk is None:
             return 0
-        evicted = evict_lru_files(self.cache_dir, self.max_disk_bytes)
+        try:
+            self._disk.refresh()
+            if self.max_disk_bytes is None:
+                return 0
+            evicted = self._disk.evict(self.max_disk_bytes)
+        except DiskFault:
+            with self._lock:
+                self.stats.maintenance_errors += 1
+            return 0
         if evicted:
             with self._lock:
                 self.stats.disk_evictions += evicted

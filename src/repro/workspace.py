@@ -101,6 +101,7 @@ class _Design:
         "options",
         "kind",
         "lock",
+        "content_key",
         "memo_key",
         "memo_result",
         "memo_error",
@@ -126,6 +127,9 @@ class _Design:
         #: through the ingest frontend, :mod:`repro.interchange`).
         self.kind = kind
         self.lock = threading.RLock()
+        #: :meth:`fingerprint` of the current files and options (None: not
+        #: computed since they last changed; every mutator resets it).
+        self.content_key: Optional[str] = None
         #: Fingerprint the memo below belongs to (None: never computed).
         self.memo_key: Optional[str] = None
         self.memo_result: Optional["CompilationResult"] = None
@@ -147,7 +151,9 @@ class _Design:
         return tuple((text, filename) for filename, text in self.files.items())
 
     def fingerprint(self) -> str:
-        return self.options.fingerprint(self.normalized_sources(), kind=self.kind)
+        if self.content_key is None:
+            self.content_key = self.options.fingerprint(self.normalized_sources(), kind=self.kind)
+        return self.content_key
 
     def job(self) -> "CompileJob":
         """This design's current content as one compile job."""
@@ -351,6 +357,7 @@ class Workspace:
                 existing.files = file_map
                 existing.options = resolved
                 existing.kind = kind
+                existing.content_key = None
             # Move the replaced design to the end: compile_all order then
             # mirrors the caller's latest job order.
             self._designs[name] = self._designs.pop(name)
@@ -376,6 +383,7 @@ class Workspace:
         entry = self._design(design)
         with entry.lock:
             entry.files[filename] = text
+            entry.content_key = None
 
     def remove_file(self, design: str, filename: str) -> None:
         entry = self._design(design)
@@ -386,6 +394,7 @@ class Workspace:
                     f"design {design!r} has no file {filename!r} (files: {known})"
                 )
             del entry.files[filename]
+            entry.content_key = None
 
     def files(self, design: str) -> dict[str, str]:
         """A copy of one design's ``{filename: source_text}`` store."""
@@ -404,6 +413,7 @@ class Workspace:
         resolved = CompileOptions.coerce(options)
         with entry.lock:
             entry.options = resolved
+            entry.content_key = None
 
     def fingerprint(self, design: str) -> str:
         """The design's current content address (sources + options)."""

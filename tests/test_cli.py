@@ -99,10 +99,10 @@ class TestCli:
 
 
 class TestCliCache:
-    def test_cache_dir_single_design(self, design_file, tmp_path, capsys):
+    def test_cache_dir_single_design(self, design_file, tmp_path, capsys, disk_rows):
         cache_dir = tmp_path / ".tydi-cache"
         assert main([str(design_file), "--cache-dir", str(cache_dir)]) == 0
-        assert list((cache_dir / "stages").glob("eval-*.pkl"))
+        assert disk_rows(cache_dir).keys("eval")
         capsys.readouterr()
         # Warm run: same design served from the on-disk store.
         assert main([str(design_file), "--cache-dir", str(cache_dir), "--json"]) == 0
@@ -144,20 +144,20 @@ class TestCliCache:
         assert payload["cache"] is None
         assert payload["stage_cache"] is None
 
-    def test_max_cache_mb_reports_stage_stats(self, design_file, tmp_path, capsys):
+    def test_max_cache_mb_reports_stage_stats(self, design_file, tmp_path, capsys, disk_rows):
         cache_dir = tmp_path / ".tydi-cache"
         args = [str(design_file), "--cache-dir", str(cache_dir), "--max-cache-mb", "64", "--json"]
         assert main(args) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["stage_cache"]["parse_misses"] == 1
-        assert list((cache_dir / "stages").glob("*.pkl"))
+        assert disk_rows(cache_dir).rows() > 0
 
-    def test_max_cache_mb_zero_evicts_everything(self, design_file, tmp_path, capsys):
+    def test_max_cache_mb_zero_evicts_everything(self, design_file, tmp_path, capsys, disk_rows):
         """A zero budget still compiles; it just keeps nothing on disk."""
         cache_dir = tmp_path / ".tydi-cache"
         args = [str(design_file), "--cache-dir", str(cache_dir), "--max-cache-mb", "0"]
         assert main(args) == 0
-        assert not list(cache_dir.rglob("*.pkl"))
+        assert disk_rows(cache_dir).rows() == 0 and disk_rows(cache_dir).ledger() == 0
 
     def test_negative_max_cache_mb_rejected(self, design_file, capsys):
         assert main([str(design_file), "--cache-dir", "x", "--max-cache-mb", "-1"]) == 1
@@ -220,7 +220,7 @@ class TestCliBatch:
         assert warm["stage_cache"]["parse_misses"] == 0
         assert all(d["status"] == "compiled" for d in warm["designs"])
 
-    def test_batch_process_workers_share_the_remote_cache(self, design_dir, tmp_path, capsys):
+    def test_batch_process_workers_share_the_remote_cache(self, design_dir, tmp_path, capsys, disk_rows):
         from repro.server.cachesvc import CacheServerThread
 
         with CacheServerThread() as server:
@@ -234,8 +234,7 @@ class TestCliBatch:
                 assert main(argv) == 0
                 assert "batch: 3/3 succeeded" in capsys.readouterr().out
             assert server.store.stats_snapshot()["hits"] == 3
-        promoted = list((tmp_path / "caches" / "warm" / "stages").glob("eval-*.pkl"))
-        assert len(promoted) == 3
+        assert len(disk_rows(tmp_path / "caches" / "warm").keys("eval")) == 3
 
     def test_batch_vhdl_dir_per_design(self, design_dir, tmp_path, capsys):
         vhdl_dir = tmp_path / "vhdl"

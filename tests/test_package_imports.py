@@ -20,7 +20,7 @@ import pytest
 import repro
 
 #: Modules the light entry points must not load (nor any of their submodules).
-HEAVY = ("repro.lang", "repro.workspace", "asyncio")
+HEAVY = ("repro.lang", "repro.workspace", "asyncio", "sqlite3")
 
 
 def run_fresh(code: str) -> str:
@@ -58,3 +58,24 @@ def test_every_exported_name_resolves():
         "print(CompileService.__module__, TieredStore.__module__)\n"
     )
     assert run_fresh(code).split() == ["repro.server.service", "repro.pipeline.store"]
+
+
+def test_sqlite3_loads_only_when_a_disk_tier_opens(tmp_path):
+    """Compiles without a cache dir (the fleet and TPC-H workloads) and
+    lookups in a dir with no database never load ``sqlite3``; the first
+    disk write does."""
+    cache_dir = str(tmp_path / "cache")
+    code = (
+        "import sys\n"
+        "from repro.lang import compile_sources\n"
+        "from repro.queries import ALL_QUERIES\n"
+        "from repro.pipeline import TieredStore\n"
+        "compile_sources(['type t = Stream(Bit(8), d=1);'], targets=('vhdl', 'verilog'))\n"
+        "ALL_QUERIES[0].compile()\n"
+        f"store = TieredStore('ast', 1, cache_dir={cache_dir!r})\n"
+        "store.get('k')\n"
+        "print('sqlite3' in sys.modules)\n"
+        "store.put('k', 'v')\n"
+        "print('sqlite3' in sys.modules, store.stats.disk_stores)\n"
+    )
+    assert run_fresh(code).split() == ["False", "True", "1"]

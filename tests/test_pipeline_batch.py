@@ -130,15 +130,14 @@ class TestBatchWithCache:
         for a, b in zip(cold.results, warm.results):
             assert a.result.ir_text() == b.result.ir_text()
 
-    def test_process_foldback_does_not_rewrite_disk(self, tmp_path):
+    def test_process_foldback_does_not_rewrite_disk(self, tmp_path, disk_rows):
         """Workers pickle their artefacts to disk; the parent re-serialises
         none of them, and a later batch reads them back from disk."""
         cache = StageCache(cache_dir=tmp_path)
         jobs = make_jobs(3)
         cold = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
         assert cold.ok and cold.executor == "process"
-        snapshots = sorted((tmp_path / "stages").glob("eval-*.pkl"))
-        assert len(snapshots) == 3  # written by the workers
+        assert len(disk_rows(tmp_path).keys("eval")) == 3  # written by the workers
         assert cache.stats.disk_stores == 0  # ... not by the parent
         warm = run_jobs(jobs, cache=cache, executor="serial")
         assert cache.stats.evaluate_hits == 3
@@ -147,24 +146,26 @@ class TestBatchWithCache:
         for a, b in zip(cold.results, warm.results):
             assert a.result.ir_text() == b.result.ir_text()
 
-    def test_process_workers_share_disk_cache(self, tmp_path):
+    def test_process_workers_share_disk_cache(self, tmp_path, disk_rows):
         cache = StageCache(cache_dir=tmp_path)
         jobs = make_jobs(3)
         serial = run_jobs(jobs, cache=cache, executor="serial")
-        written = {path: path.stat().st_mtime_ns for path in tmp_path.rglob("*.pkl")}
+        rows = disk_rows(tmp_path)
+        written = rows.sql("SELECT ns, key FROM blobs ORDER BY ns, key")
+        assert written
 
         # A fresh batch over the same directory: workers hit the disk tier,
         # so they store nothing new.
         warm_cache = StageCache(cache_dir=tmp_path)
         warm = run_jobs(jobs, cache=warm_cache, executor="process", max_workers=2)
         assert warm.ok and warm.executor == "process"
-        assert set(tmp_path.rglob("*.pkl")) == set(written)
+        assert rows.sql("SELECT ns, key FROM blobs ORDER BY ns, key") == written
         for a, b in zip(serial.results, warm.results):
             assert a.result.ir_text() == b.result.ir_text()
 
     @pytest.mark.parametrize("with_dir", [False, True], ids=["memory", "disk"])
     @pytest.mark.parametrize("executor", ["serial", "process"])
-    def test_workers_share_the_remote_tier(self, tmp_path, executor, with_dir):
+    def test_workers_share_the_remote_tier(self, tmp_path, executor, with_dir, disk_rows):
         """Every executor uploads to the remote L2 and reads from it."""
         from repro.queries import ALL_QUERIES
         from repro.server.cachesvc import CacheServerThread
@@ -185,7 +186,7 @@ class TestBatchWithCache:
         # snapshot hit per design.
         assert stats["puts"] == 12 and stats["hits"] == 4
         if with_dir:
-            assert len(list((tmp_path / "warm" / "stages").glob("eval-*.pkl"))) == 4
+            assert len(disk_rows(tmp_path / "warm").keys("eval")) == 4
 
     def test_failed_jobs_are_not_cached(self):
         cache = StageCache()

@@ -147,17 +147,13 @@ class TestLru:
             StageCache()
 
 
-def _snapshots(cache_dir) -> list:
-    return sorted((cache_dir / "stages").glob("eval-*.pkl"))
-
-
 class TestDiskTier:
-    def test_persists_across_instances(self, tmp_path):
+    def test_persists_across_instances(self, tmp_path, disk_rows):
         cache_dir = tmp_path / ".tydi-cache"
         writer = StageCache(cache_dir=cache_dir)
         cold = compile_sources([(SOURCE, "a.td")], cache=writer)
         assert writer.stats.disk_stores >= 2  # the AST and the snapshot
-        assert len(_snapshots(cache_dir)) == 1
+        assert len(disk_rows(cache_dir).keys("eval")) == 1
 
         reader = StageCache(cache_dir=cache_dir)
         warm = compile_sources([(SOURCE, "a.td")], cache=reader)
@@ -166,10 +162,11 @@ class TestDiskTier:
         assert warm.project is not cold.project  # pickle round-trip, not an alias
         assert warm.ir_text() == cold.ir_text()
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    def test_corrupt_entry_is_a_miss(self, tmp_path, disk_rows):
         cache = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=cache)
-        _snapshots(tmp_path)[0].write_bytes(b"definitely not a pickle")
+        rows = disk_rows(tmp_path)
+        assert rows.overwrite("eval", b"definitely not a pickle") == 1
 
         fresh = StageCache(cache_dir=tmp_path)
         result = compile_sources([(SOURCE, "a.td")], cache=fresh)
@@ -178,19 +175,20 @@ class TestDiskTier:
         assert fresh.stats.evaluate_hits == 0
         assert fresh.stats.evaluate_misses == 1
         # The corrupt artefact was dropped and replaced by the recompile.
-        reloaded = pickle.loads(_snapshots(tmp_path)[0].read_bytes())
+        (key,) = rows.keys("eval")
+        reloaded = pickle.loads(rows.blob("eval", key))
         assert isinstance(reloaded, FrontendState)
         assert compile_sources([(SOURCE, "a.td")]).ir_text() == result.ir_text()
         assert [str(s) for s in reloaded.stages] == [str(s) for s in result.stages]
 
-    def test_old_layout_entry_is_never_deserialized(self, tmp_path, monkeypatch):
+    def test_old_layout_entry_is_never_deserialized(self, tmp_path, monkeypatch, disk_rows):
         """An older store layout misses instead of loading.
 
         The old entries address different keys (and, for the retired
-        whole-result tier, different paths), so the new layout recompiles
-        and stores under its own key; the stale artefacts are left untouched
-        until disk eviction (or a manual clear) reaps them -- they are never
-        loaded into the new layout.
+        one-file-per-blob layouts, different paths), so the new layout
+        recompiles and stores under its own key; the stale artefacts are
+        left untouched until disk eviction (or a manual clear) reaps them --
+        they are never loaded into the new layout.
         """
         # Write artefacts under the keys an *older* schema would compute --
         # with payloads that would blow up if they were ever unpickled.
@@ -205,6 +203,9 @@ class TestDiskTier:
         stale[0].parent.mkdir(parents=True)
         for path in stale:
             path.write_bytes(b"stale layout, do not load")
+        TieredStore("eval", 1, cache_dir=tmp_path).put("unrelated", "creates the database")
+        rows = disk_rows(tmp_path)
+        rows.insert("eval", [old_snapshot], b"stale schema, do not load")
 
         cache = StageCache(cache_dir=tmp_path)
         result = compile_sources([(SOURCE, "a.td")], cache=cache)
@@ -212,27 +213,26 @@ class TestDiskTier:
         assert cache.stats.disk_errors == 0  # the stale entries were never opened
         assert cache.stats.evaluate_misses == 1
         assert all(path.exists() for path in stale)
+        assert rows.blob("eval", old_snapshot) == b"stale schema, do not load"
 
-    def test_unreadable_stage_entry_is_a_miss(self, tmp_path):
+    def test_unreadable_stage_entry_is_a_miss(self, tmp_path, disk_rows):
         """Corrupt artefacts of every tier recover as misses."""
         cache = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=cache)
-        stage_pkls = list((tmp_path / "stages").glob("*.pkl"))
-        assert len(stage_pkls) >= 2
-        for path in stage_pkls:
-            path.write_bytes(b"truncated garbage")
+        rows = disk_rows(tmp_path)
+        assert rows.overwrite("ast", b"truncated garbage") + rows.overwrite("eval", b"truncated garbage") == 2
 
         fresh = StageCache(cache_dir=tmp_path)
         result = compile_sources([(SOURCE, "a.td")], cache=fresh)
         assert result.project.top == "echo_i"
         assert fresh.stats.disk_errors == 2  # the snapshot, then the AST
 
-    def test_clear_disk(self, tmp_path):
+    def test_clear_disk(self, tmp_path, disk_rows):
         cache = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=cache)
         cache.clear(disk=True)
         assert len(cache) == 0
-        assert not list(tmp_path.rglob("*.pkl"))
+        assert disk_rows(tmp_path).rows() == 0 and disk_rows(tmp_path).ledger() == 0
 
     def test_eviction_keeps_disk_copy(self, tmp_path, monkeypatch):
         monkeypatch.setitem(stages_module.STAGE_CAPACITY, "eval", 1)
@@ -258,18 +258,22 @@ class TestStats:
 
 
 class TestClearRecursive:
-    def test_clear_disk_removes_stage_artefacts_without_stage_caching(self, tmp_path):
+    def test_clear_disk_removes_stage_artefacts_without_stage_caching(self, tmp_path, disk_rows):
         """Regression: clear(disk=True) from an instance that never staged
         anything itself must still reclaim every artefact on disk (which
-        would otherwise count against max_disk_bytes)."""
+        would otherwise count against max_disk_bytes), the retired
+        one-file-per-blob layouts' files included."""
         warm = StageCache(cache_dir=tmp_path)
         compile_sources([(SOURCE, "a.td")], cache=warm)
-        assert list((tmp_path / "stages").glob("*.pkl"))
+        assert disk_rows(tmp_path).rows() == 2
         (tmp_path / "retired-layout.pkl").write_bytes(b"x")
+        (tmp_path / "stages").mkdir()
+        (tmp_path / "stages" / "eval-retired.pkl").write_bytes(b"x")
 
         cache = StageCache(cache_dir=tmp_path)
         cache.clear(disk=True)
         assert not list(tmp_path.rglob("*.pkl"))
+        assert disk_rows(tmp_path).rows() == 0
 
     def test_clear_disk_removes_leaked_tmp_files(self, tmp_path):
         (tmp_path / "stages").mkdir()
@@ -282,33 +286,40 @@ class TestClearRecursive:
 
 class TestTmpSweep:
     def test_stale_tmp_files_are_swept(self, tmp_path):
-        """Regression: a writer SIGKILLed mid-atomic_write_bytes leaks a
-        *.tmp file that eviction neither counted nor ever deleted."""
+        """Regression: a writer of the retired one-file-per-blob layout,
+        SIGKILLed mid-write, leaked a *.tmp file that eviction never
+        deleted.  A budgeted open sweeps them."""
         import os
 
-        from repro.pipeline.store import evict_lru_files
+        stale = [tmp_path / "orphan.pkl.tmp", tmp_path / "stages" / "orphan.pkl.tmp"]
+        stale[1].parent.mkdir()
+        for path in stale:
+            path.write_bytes(b"x" * 100)
+            old = path.stat().st_mtime - 3600
+            os.utime(path, (old, old))
+        cache = StageCache(cache_dir=tmp_path, max_disk_bytes=10_000)
+        assert cache.stats.disk_evictions == 0  # GC, not a budget eviction
+        assert not any(path.exists() for path in stale)
 
-        stale = tmp_path / "orphan.pkl.tmp"
-        stale.write_bytes(b"x" * 100)
-        old = stale.stat().st_mtime - 3600
-        os.utime(stale, (old, old))
-        evicted = evict_lru_files(tmp_path, max_bytes=10_000)
-        assert evicted == 0  # GC, not a budget eviction
-        assert not stale.exists()
+    def test_budgeted_open_deletes_the_retired_layout_once(self, tmp_path):
+        """The retired layout's files are outside the ledger, so a budgeted
+        open deletes them, and the budget covers the whole dir again; an
+        unbudgeted open leaves them, and no budget pass looks for them."""
+        retired = [tmp_path / "stages" / "eval-old.pkl", tmp_path / "stages" / "inflight.pkl.tmp"]
+        retired[0].parent.mkdir()
+        for path in retired:
+            path.write_bytes(b"y" * 600)
+        StageCache(cache_dir=tmp_path)
+        assert all(path.exists() for path in retired)
 
-    def test_fresh_tmp_files_survive_but_count_against_budget(self, tmp_path):
-        """An in-flight writer's .tmp must not be deleted under it, but its
-        bytes are real disk usage the budget has to see."""
-        from repro.pipeline.store import evict_lru_files
+        cache = StageCache(cache_dir=tmp_path, max_disk_bytes=1000)
+        assert not any(path.exists() for path in retired)
+        assert list(tmp_path.iterdir()) == []  # the emptied stages/ dir too
 
-        fresh = tmp_path / "inflight.pkl.tmp"
-        fresh.write_bytes(b"x" * 600)
-        victim = tmp_path / "old.pkl"
-        victim.write_bytes(b"y" * 600)
-        evicted = evict_lru_files(tmp_path, max_bytes=1000)
-        assert fresh.exists()
-        assert not victim.exists()
-        assert evicted == 1
+        late = tmp_path / "late.pkl"
+        late.write_bytes(b"z")
+        compile_sources([(SOURCE, "a.td")], cache=cache)
+        assert late.exists()
 
 
 class TestCanonicalOptions:

@@ -19,11 +19,11 @@ from repro.lang.compile import compile_sources
 from repro.pipeline import (
     CompileJob,
     StageCache,
+    TieredStore,
     file_fingerprint,
     run_jobs,
 )
 from repro.pipeline import stages as stages_module
-from repro.pipeline.stages import STAGE_DIR_NAME
 from repro.testing import build_chain_design, build_random_design, mutate_design
 
 TYPES = ("type byte_t = Stream(Bit(8), d=1);", "types.td")
@@ -164,11 +164,11 @@ class TestEvaluateTier:
 
 
 class TestDiskTier:
-    def test_stage_artefacts_persist_across_instances(self, tmp_path):
+    def test_stage_artefacts_persist_across_instances(self, tmp_path, disk_rows):
         first = StageCache(cache_dir=tmp_path)
         first.compile([TYPES, DESIGN], OPTIONS)
-        stage_dir = tmp_path / STAGE_DIR_NAME
-        assert list(stage_dir.glob("ast-*.pkl")) and list(stage_dir.glob("eval-*.pkl"))
+        rows = disk_rows(tmp_path)
+        assert rows.keys("ast") and rows.keys("eval")
 
         # A new instance (e.g. another process) hits both tiers from disk.
         second = StageCache(cache_dir=tmp_path)
@@ -176,11 +176,11 @@ class TestDiskTier:
         assert second.stats.evaluate_hits == 1
         assert second.stats.parse_misses == 0
 
-    def test_corrupt_stage_artefact_is_a_miss_not_a_crash(self, tmp_path):
+    def test_corrupt_stage_artefact_is_a_miss_not_a_crash(self, tmp_path, disk_rows):
         cache = StageCache(cache_dir=tmp_path)
         cache.compile([TYPES, DESIGN], OPTIONS)
-        for path in (tmp_path / STAGE_DIR_NAME).glob("*.pkl"):
-            path.write_bytes(b"\x80\x05not a pickle at all")
+        for namespace in ("ast", "eval"):
+            assert disk_rows(tmp_path).overwrite(namespace, b"\x80\x05not a pickle at all")
 
         fresh = StageCache(cache_dir=tmp_path)
         result = fresh.compile([TYPES, DESIGN], OPTIONS)
@@ -188,45 +188,94 @@ class TestDiskTier:
         assert fresh.stats.disk_errors >= 1
         assert fresh.stats.evaluate_misses == 1
 
-    def test_clear_disk(self, tmp_path):
+    def test_clear_disk(self, tmp_path, disk_rows):
         cache = StageCache(cache_dir=tmp_path)
         cache.compile([TYPES, DESIGN], OPTIONS)
         cache.clear(disk=True)
-        assert not list((tmp_path / STAGE_DIR_NAME).glob("*.pkl"))
+        rows = disk_rows(tmp_path)
+        assert rows.rows() == 0 and rows.ledger() == 0
         assert len(cache) == 0
 
 
 class TestDiskEviction:
-    def test_budget_bounds_stage_artefacts(self, tmp_path):
+    def test_budget_bounds_stage_artefacts(self, tmp_path, disk_rows):
         cache = StageCache(cache_dir=tmp_path, max_disk_bytes=8 * 1024)
         for index in range(6):
             sources = build_chain_design(3)
             tweaked = [(text + f"// v{index}\n", name) for text, name in sources]
             cache.compile(tweaked, OPTIONS)
-        total = sum(p.stat().st_size for p in tmp_path.rglob("*.pkl"))
-        assert total <= 8 * 1024
+        rows = disk_rows(tmp_path)
+        assert rows.stored_bytes() <= 8 * 1024
+        assert rows.ledger() == rows.stored_bytes()
         assert cache.stats.disk_evictions > 0
 
-    def test_recently_used_artefacts_survive(self, tmp_path):
-        import os
+    def test_recently_used_artefacts_survive(self, tmp_path, disk_rows):
         import time
 
         cache = StageCache(cache_dir=tmp_path, max_disk_bytes=1024 * 1024)
         cache.cached_parse(*TYPES)
         cache.cached_parse(*DESIGN)
-        stage_dir = tmp_path / STAGE_DIR_NAME
-        paths = sorted(stage_dir.glob("ast-*.pkl"))
-        assert len(paths) == 2
+        rows = disk_rows(tmp_path)
+        keys = rows.keys("ast")
+        assert len(keys) == 2
         # Make the first artefact look stale and the second recently used.
-        now = time.time()
-        os.utime(paths[0], (now - 1000, now - 1000))
-        os.utime(paths[1], (now, now))
-        cache.max_disk_bytes = paths[1].stat().st_size
-        cache.enforce_disk_budget()
-        assert not paths[0].exists()
-        assert paths[1].exists()
+        now = int(time.time())
+        rows.set_used("ast", keys[0], now - 1000)
+        rows.set_used("ast", keys[1], now)
+        cache.max_disk_bytes = len(rows.blob("ast", keys[1]))
+        assert cache.enforce_disk_budget() == 1
+        assert rows.keys("ast") == [keys[1]]
 
-    def test_process_batch_respects_disk_budget(self, tmp_path):
+    def test_eviction_shrinks_the_file(self, tmp_path, disk_rows):
+        """Evicted rows give their pages back: the checkpointed file stays
+        within the bound docs/cache.md states, the ledger plus 1 KiB per
+        row plus 64 KiB."""
+        cache = StageCache(cache_dir=tmp_path, max_disk_bytes=None)
+        store = TieredStore("backend", 1, cache_dir=tmp_path)
+        for index in range(400):
+            store.put(f"k{index}", random.Random(index).randbytes(700 + 37 * (index % 90)))
+        rows = disk_rows(tmp_path)
+        full = rows.file_bytes()
+        cache.max_disk_bytes = rows.ledger() // 10
+        assert cache.enforce_disk_budget() > 0
+        assert rows.ledger() == rows.stored_bytes() <= cache.max_disk_bytes
+        assert rows.file_bytes() <= rows.ledger() + 1024 * rows.rows() + 64 * 1024 < full / 4
+
+    def test_budgeted_put_cost_does_not_grow_with_stored_entries(self, tmp_path, disk_rows, monkeypatch):
+        """A put plus its budget pass costs about the same over 8,000
+        stored entries as over 500, and the pass scans no directory."""
+        import pathlib
+        import time
+
+        blob = bytes(512)
+        caches = {}
+        for count in (500, 8000):
+            cache_dir = tmp_path / str(count)
+            store = TieredStore("backend", 1, cache_dir=cache_dir)
+            store.put("first", blob)
+            disk_rows(cache_dir).insert("backend", (f"old-{index}" for index in range(count - 1)), blob)
+            cache = StageCache(cache_dir=cache_dir, max_disk_bytes=disk_rows(cache_dir).ledger())
+            caches[count] = (store, cache)
+
+        def scanned(*args, **kwargs):
+            raise AssertionError("a budget pass scanned a directory")
+
+        monkeypatch.setattr(pathlib.Path, "glob", scanned)
+        monkeypatch.setattr(pathlib.Path, "rglob", scanned)
+        samples = {count: [] for count in caches}
+        for step in range(60):
+            for count, (store, cache) in caches.items():
+                start = time.perf_counter()
+                store.put(f"new-{step}", blob)
+                assert cache.enforce_disk_budget() >= 1
+                samples[count].append(time.perf_counter() - start)
+        small, large = (sorted(samples[count])[30] for count in (500, 8000))
+        assert large < 2 * small, (small, large)
+        for count in caches:
+            rows = disk_rows(tmp_path / str(count))
+            assert rows.rows() <= count and rows.ledger() == rows.stored_bytes()
+
+    def test_process_batch_respects_disk_budget(self, tmp_path, disk_rows):
         """--max-cache-mb shape: every worker enforces the budget."""
         budget = 8 * 1024
         cache = StageCache(cache_dir=tmp_path, max_disk_bytes=budget)
@@ -238,36 +287,38 @@ class TestDiskEviction:
         ]
         outcome = run_jobs(jobs, cache=cache, executor="process", max_workers=2)
         assert outcome.ok
-        total = sum(p.stat().st_size for p in tmp_path.rglob("*.pkl"))
-        assert total <= budget
+        rows = disk_rows(tmp_path)
+        assert 0 < rows.stored_bytes() <= budget
+        assert rows.ledger() == rows.stored_bytes()
 
-    def test_clear_cascades_to_stage_tiers(self, tmp_path):
+    def test_clear_cascades_to_stage_tiers(self, tmp_path, disk_rows):
         cache = StageCache(cache_dir=tmp_path)
         compile_sources([TYPES, DESIGN], include_stdlib=False, cache=cache)
         assert len(cache) > 0
         cache.clear(disk=True)
         assert len(cache) == 0
-        assert not list(tmp_path.rglob("*.pkl"))
+        assert disk_rows(tmp_path).rows() == 0
 
-    def test_whole_cache_budget_covers_both_tiers(self, tmp_path):
+    def test_whole_cache_budget_covers_both_tiers(self, tmp_path, disk_rows):
         """StageCache(max_disk_bytes=...) bounds the snapshot and AST pkls
         of the compile_sources front door."""
         cache = StageCache(cache_dir=tmp_path, max_disk_bytes=8 * 1024)
         for index in range(6):
             sources = [(TYPES[0] + f"const v{index} = {index};\n", TYPES[1]), DESIGN]
             compile_sources(sources, include_stdlib=False, cache=cache)
-        total = sum(p.stat().st_size for p in tmp_path.rglob("*.pkl"))
-        assert total <= 8 * 1024
+        rows = disk_rows(tmp_path)
+        assert rows.namespaces() == {"ast", "eval"}
+        assert rows.stored_bytes() <= 8 * 1024
         assert cache.stats.disk_evictions > 0
 
 
 class TestConcurrency:
-    def test_two_batch_runs_share_one_cache_and_disk(self, tmp_path):
+    def test_two_batch_runs_share_one_cache_and_disk(self, tmp_path, disk_rows):
         """Two batches on two threads racing on one cache + one disk dir.
 
         Both must succeed with byte-identical results and leave only whole,
-        loadable artefacts behind (atomic write-to-temp-then-rename: no
-        torn pickles, no leftover temp files).
+        loadable artefacts behind (each row is written in one transaction:
+        no torn pickles, and a ledger that matches the rows).
         """
         rng = random.Random(99)
         designs = [build_random_design(rng) for _ in range(6)]
@@ -297,13 +348,12 @@ class TestConcurrency:
             assert a.name == b.name
             assert a.result.ir_text() == b.result.ir_text()
 
-        # No torn disk writes: every artefact on disk deserialises, and no
-        # temp files were left behind by the atomic-rename protocol.
-        import pickle
-
-        for path in tmp_path.rglob("*.pkl"):
-            pickle.loads(path.read_bytes())
-        assert not list(tmp_path.rglob("*.tmp"))
+        # No torn disk writes: every artefact on disk deserialises.
+        rows = disk_rows(tmp_path)
+        for namespace in ("ast", "eval"):
+            for key in rows.keys(namespace):
+                pickle.loads(rows.blob(namespace, key))
+        assert rows.ledger() == rows.stored_bytes()
 
         # A cold instance over the same store serves every design warm.
         fresh = StageCache(cache_dir=tmp_path)
@@ -422,11 +472,11 @@ class TestBackendTier:
         assert cache.stats.backend_hits == len(project.implementations)
         assert cache.stats.backend_misses == 0
 
-    def test_disk_tier_round_trip(self, tmp_path):
+    def test_disk_tier_round_trip(self, tmp_path, disk_rows):
         options = {**OPTIONS, "targets": ("vhdl",)}
         writer = StageCache(cache_dir=tmp_path)
         first = writer.compile([TYPES, DESIGN], options)
-        assert list((tmp_path / STAGE_DIR_NAME).glob("backend-*.pkl"))
+        assert disk_rows(tmp_path).keys("backend")
 
         reader = StageCache(cache_dir=tmp_path)
         second = reader.compile([TYPES, DESIGN], options)
@@ -434,12 +484,11 @@ class TestBackendTier:
         assert reader.stats.backend_misses == 0
         assert list(second.outputs["vhdl"].items()) == list(first.outputs["vhdl"].items())
 
-    def test_corrupt_backend_artefact_recovers(self, tmp_path):
+    def test_corrupt_backend_artefact_recovers(self, tmp_path, disk_rows):
         options = {**OPTIONS, "targets": ("vhdl",)}
         writer = StageCache(cache_dir=tmp_path)
         expected = writer.compile([TYPES, DESIGN], options)
-        for path in (tmp_path / STAGE_DIR_NAME).glob("backend-*.pkl"):
-            path.write_bytes(b"not a pickle")
+        assert disk_rows(tmp_path).overwrite("backend", b"not a pickle")
         reader = StageCache(cache_dir=tmp_path)
         result = reader.compile([TYPES, DESIGN], options)
         assert list(result.outputs["vhdl"].items()) == list(expected.outputs["vhdl"].items())

@@ -253,12 +253,12 @@ class TestService:
         with pytest.raises(ValueError):
             CompileService(Workspace(cache=None), cache_dir="somewhere")
 
-    def test_service_shares_cache_dir_with_cli_sessions(self, tmp_path):
+    def test_service_shares_cache_dir_with_cli_sessions(self, tmp_path, disk_rows):
         service = CompileService(cache_dir=tmp_path / "cache", jobs=1)
         try:
             call(service, "open_design", design="d", files={"d.td": GOOD_SOURCE})
             assert call(service, "get_ir", design="d")["ok"]
-            assert list((tmp_path / "cache" / "stages").glob("eval-*.pkl"))
+            assert disk_rows(tmp_path / "cache").keys("eval")
         finally:
             service.close()
 

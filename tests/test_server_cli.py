@@ -32,7 +32,7 @@ def _free_port() -> int:
 
 
 class TestServeCommand:
-    def test_serve_until_shutdown_request(self, tmp_path):
+    def test_serve_until_shutdown_request(self, tmp_path, disk_rows):
         port = _free_port()
         exit_codes: list[int] = []
 
@@ -53,7 +53,7 @@ class TestServeCommand:
         assert not daemon.is_alive(), "serve did not exit after shutdown"
         assert exit_codes == [0]
         # The served session left warm on-disk artefacts behind.
-        assert list((tmp_path / "cache" / "stages").glob("eval-*.pkl"))
+        assert disk_rows(tmp_path / "cache").keys("eval")
 
     def test_serve_rejects_bad_cache_wiring(self, capsys):
         assert main(["serve", "--max-cache-mb", "10"]) == 1

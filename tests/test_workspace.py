@@ -114,10 +114,50 @@ class TestDesignStore:
 
 
 class TestQueries:
-    def test_result_is_memoised(self):
+    def test_result_is_memoised(self, monkeypatch):
+        """A repeat read is served from the memo without hashing the
+        design's sources again."""
         ws = make_workspace()
         ws.add_design("echo", {"a.td": SOURCE})
-        assert ws.result("echo") is ws.result("echo")
+        first = ws.result("echo")
+        vhdl = ws.outputs("echo", "vhdl")
+        calls = []
+        fingerprint = CompileOptions.fingerprint
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return fingerprint(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompileOptions, "fingerprint", counting)
+        assert ws.result("echo") is first
+        assert ws.outputs("echo", "vhdl") is vhdl
+        assert ws.is_fresh("echo") and ws.cached_result("echo") is first
+        ws.fingerprint("echo")
+        assert calls == []
+
+    def test_every_mutator_rehashes_the_design(self):
+        """Each mutator drops the design's cached fingerprint: the next read
+        equals a fresh compile of the new content."""
+        ws = make_workspace()
+        ws.add_design("echo", {"a.td": SOURCE})
+        extra = "streamlet extra_s { i: byte_t in, o: byte_t out, }\n"
+
+        def assert_reads(files, options=None):
+            fresh = compile_sources(files, options=options)
+            served = ws.result("echo")
+            assert (served.ir_text(), served.stage_names()) == (fresh.ir_text(), fresh.stage_names())
+
+        assert_reads({"a.td": SOURCE})
+        ws.update_file("echo", "a.td", OTHER)
+        assert_reads({"a.td": OTHER})
+        ws.update_file("echo", "extra.td", extra)
+        assert_reads({"a.td": OTHER, "extra.td": extra})
+        ws.remove_file("echo", "extra.td")
+        assert_reads({"a.td": OTHER})
+        ws.set_options("echo", CompileOptions(sugaring=False))
+        assert_reads({"a.td": OTHER}, CompileOptions(sugaring=False))
+        ws.add_design("echo", {"a.td": SOURCE}, replace=True)
+        assert_reads({"a.td": SOURCE})
 
     def test_edit_invalidates_and_identical_rewrite_does_not(self):
         ws = make_workspace()
@@ -282,25 +322,26 @@ class TestCacheStack:
         assert stats.parse_hits >= len(sources) - 1
 
     def test_one_budget_pass_per_budgeted_edit(self, tmp_path, monkeypatch):
-        """A budgeted edit pays one budget pass (evict_lru_files), and each
-        pass is a full ``rglob("*.pkl")`` of the cache dir."""
+        """A budgeted edit pays one budget pass, and the pass reads the
+        byte ledger: it scans no directory."""
         import pathlib
 
         ws = make_workspace(cache_dir=tmp_path / "cache", max_cache_mb=64)
         ws.add_design("echo", {"a.td": SOURCE})
         ws.result("echo")
-        scans = []
-        rglob = pathlib.Path.rglob
+        passes, scans = [], []
+        enforce = StageCache.enforce_disk_budget
 
-        def counting_rglob(self, pattern, *args, **kwargs):
-            if pattern == "*.pkl":
-                scans.append(self)
-            return rglob(self, pattern, *args, **kwargs)
+        def counting_enforce(self):
+            passes.append(self)
+            return enforce(self)
 
-        monkeypatch.setattr(pathlib.Path, "rglob", counting_rglob)
+        monkeypatch.setattr(StageCache, "enforce_disk_budget", counting_enforce)
+        monkeypatch.setattr(pathlib.Path, "glob", lambda self, *a, **k: scans.append(self) or iter(()))
+        monkeypatch.setattr(pathlib.Path, "rglob", lambda self, *a, **k: scans.append(self) or iter(()))
         ws.update_file("echo", "a.td", OTHER)
         ws.result("echo")
-        assert scans == [tmp_path / "cache"]
+        assert passes == [ws.cache] and scans == []
 
     def test_targets_read_after_an_edit_fingerprint_each_implementation_once(self, monkeypatch):
         import repro.backends
