@@ -30,8 +30,8 @@ from corpus import fleet_workload
 
 from repro.lang import compile as compile_mod
 from repro.lang.compile import CompileOptions, run_pipeline
-from repro.profiling import PROFILER
 from repro.spec.logical_types import clear_intern_table
+from repro.tracing import STAGES
 
 ARTIFACT_DIR = pathlib.Path(os.environ.get("TYDI_BENCH_ARTIFACTS", "benchmark-artifacts"))
 
@@ -88,15 +88,15 @@ def test_cold_compile_speedup(benchmark):
     sources = fleet_workload()
     options = CompileOptions()
 
-    was_enabled = PROFILER.enabled
-    PROFILER.enable()
-    PROFILER.reset()
+    was_enabled = STAGES.enabled
+    STAGES.enable()
+    STAGES.reset()
     try:
         runs, result = run_once(benchmark, lambda: _cold_runs(sources, options))
-        profile = PROFILER.snapshot()["stages"]
+        profile = STAGES.stage_view()["stages"]
     finally:
         if not was_enabled:
-            PROFILER.disable()
+            STAGES.disable()
 
     # The workload must actually compile (and compile *the* fleet design).
     assert not result.diagnostics.has_errors()

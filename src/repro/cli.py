@@ -678,16 +678,16 @@ def main(argv: list[str] | None = None) -> int:
         if args.simulate and args.batch:
             raise _CliInputError("--simulate is not supported with --batch")
         if args.profile_stages:
-            from repro.profiling import enable_profiling
+            from repro.tracing import STAGES
 
-            enable_profiling()
+            STAGES.enable()
         try:
             return _run_batch(args) if args.batch else _run_single(args)
         finally:
             if args.profile_stages:
-                from repro.profiling import format_profile
+                from repro.tracing import format_stages
 
-                print(format_profile(), file=sys.stderr)
+                print(format_stages(), file=sys.stderr)
     except _CliInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,7 +35,7 @@ from repro.lang.compile import (
     finish_frontend,
     run_backends,
 )
-from repro.profiling import PROFILER
+from repro.tracing import STAGES
 
 
 def ingest_stage(
@@ -46,7 +46,7 @@ def ingest_stage(
     The stage-log entry mirrors the evaluate stage's statistics line, so
     logs of ingested and compiled designs read uniformly.
     """
-    with PROFILER.stage("ingest"):
+    with STAGES.span("ingest"):
         project = load_ir(text, filename=filename)
     stats = project.statistics()
     entry = CompilationStage(

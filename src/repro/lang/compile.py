@@ -48,8 +48,8 @@ from repro.lang.drc import DRCReport, check_project
 from repro.lang.evaluate import Evaluator, Program
 from repro.lang.parser import parse_source
 from repro.lang.sugaring import SugaringReport, apply_sugaring
-from repro.profiling import PROFILER
 from repro.stdlib.source import STDLIB_SOURCE
+from repro.tracing import STAGES
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.pipeline.stages import StageCache
@@ -393,7 +393,7 @@ def parse_stage(
     declarations), which is what makes sharing cached ASTs safe.
     """
     units: list[SourceUnit] = []
-    with PROFILER.stage("parse"):
+    with STAGES.span("parse"):
         if include_stdlib:
             units.append(_parsed_stdlib(STDLIB_SOURCE))
         units.extend(parse_file(text, filename) for text, filename in normalized)
@@ -413,7 +413,7 @@ def evaluate_stage(
     project_name: str = "design",
 ) -> tuple[Project, CompilationStage]:
     """Stage 2: evaluation / expansion ("code expansion & evaluation")."""
-    with PROFILER.stage("evaluate"):
+    with STAGES.span("evaluate"):
         program = Program.from_units(list(units))
         evaluator = Evaluator(program, diagnostics, project_name=project_name)
         project = evaluator.evaluate(top=top, top_args=top_args)
@@ -432,7 +432,7 @@ def sugar_stage(
     diagnostics: DiagnosticSink,
 ) -> tuple[SugaringReport, CompilationStage]:
     """Stage 3: sugaring ("desugaring" box of Figure 3).  Mutates ``project``."""
-    with PROFILER.stage("sugaring"):
+    with STAGES.span("sugaring"):
         report = apply_sugaring(project, diagnostics)
     return report, CompilationStage("sugaring", report.summary())
 
@@ -444,7 +444,7 @@ def drc_stage(
     strict: bool = True,
 ) -> tuple[DRCReport, CompilationStage]:
     """Stage 4: design rule check; ``strict`` raises on DRC errors."""
-    with PROFILER.stage("drc"):
+    with STAGES.span("drc"):
         report = check_project(project, diagnostics)
     entry = CompilationStage("drc", report.summary())
     if strict:
@@ -483,7 +483,7 @@ def backend_stage(
     fingerprints: dict[str, str] = {}  # every target keys the same implementations
     for target in normalize_targets(targets):
         backend = get_backend(target, options_by_name.get(target))
-        with PROFILER.stage(f"backend:{backend.name}"):
+        with STAGES.span(f"backend:{backend.name}"):
             if stage_cache is not None:
                 files = stage_cache.emit_backend(project, backend, fingerprints)
             else:

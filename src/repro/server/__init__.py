@@ -27,9 +27,7 @@ __all__ = [
     "CacheStore",
     "CompileClient",
     "CompileService",
-    "LatencyHistogram",
     "MAX_PIPELINE_REQUESTS",
-    "MethodMetrics",
     "POOLED_METHODS",
     "PROTOCOL_VERSION",
     "RemoteCompileError",
@@ -46,7 +44,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.server.cachesvc": ("CacheServer", "CacheServerThread", "CacheStore"),
         "repro.server.client": ("CompileClient", "http_post"),
-        "repro.server.metrics": ("LatencyHistogram", "MethodMetrics"),
         "repro.server.pool": ("POOLED_METHODS", "WorkerPool", "shard_for"),
         "repro.server.protocol": ("PROTOCOL_VERSION", "RemoteCompileError"),
         "repro.server.service": ("CompileService",),

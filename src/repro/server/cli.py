@@ -179,12 +179,12 @@ def _run_serve(args: argparse.Namespace) -> int:
     if args.profile_stages:
         import os
 
-        from repro.profiling import ENV_VAR, enable_profiling
+        from repro.tracing import ENV_VAR, STAGES
 
         # The env var (read at import time) makes forked/spawned pool
-        # workers profile too; enable_profiling() covers this process.
+        # workers profile too; STAGES.enable() covers this process.
         os.environ[ENV_VAR] = "1"
-        enable_profiling()
+        STAGES.enable()
 
     try:
         service = CompileService(

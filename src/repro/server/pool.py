@@ -114,7 +114,7 @@ class _PoolJob:
 
 
 class _Control:
-    """An out-of-band request to one worker (stats/report/ping)."""
+    """An out-of-band request to one worker (stats/report)."""
 
     __slots__ = ("kind", "token", "future")
 
@@ -248,7 +248,7 @@ class _Worker:
             control.future.set_result(None)
             return
         reply = self._exchange((control.kind, control.token))
-        if reply is None or reply[0] not in (control.kind, "pong"):
+        if reply is None or reply[0] != control.kind:
             # Controls are best-effort observability: never burn a restart
             # on them, just report the gap and let the next job respawn.
             control.future.set_result(None)

@@ -34,9 +34,9 @@ Requests and responses are plain dicts in the shape documented by
 :mod:`repro.server.protocol`; transports only frame and shuttle them.
 Failures never escape :meth:`handle` -- every exception becomes a
 structured error envelope carrying the :class:`~repro.errors.TydiError`
-stage and rendering.  Per-method latency histograms
-(:mod:`repro.server.metrics`) are recorded around the full dispatch,
-queueing included, and surfaced by ``stats``.
+stage and rendering.  Every request's latency, queueing included, goes
+into the service's :class:`~repro.tracing.Recorder`, whose request view
+is the ``stats`` endpoint's request counters and per-method histograms.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ from typing import Any, Mapping, Optional
 from repro.errors import TydiDrainingError
 from repro.server import protocol
 from repro.server.memo import MUTATING_METHODS, READ_METHODS, ReadMemo
-from repro.server.metrics import MethodMetrics
 from repro.server.pool import POOLED_METHODS, WorkerPool
+from repro.tracing import Recorder
 from repro.workspace import Workspace
 
 
@@ -171,14 +171,12 @@ class CompileService:
         self.draining = threading.Event()
         self._drain_lock = threading.Lock()
         self._drain_result: Optional[bool] = None
-        self.metrics = MethodMetrics(tuple(self._METHODS) + ("<unknown>",))
+        #: Every request's latency by method: see :meth:`record_request`.
+        self.requests = Recorder()
         self._counters_lock = threading.Lock()
-        self._requests = 0
-        self._errors = 0
         self._in_flight = 0
         self._max_in_flight = 0
         self._shutdowns_in_flight = 0
-        self._method_counts: dict[str, int] = {}
         self._closed = False
         # watch_design subscriptions: token -> _Watch.  Registered by the
         # NDJSON transport (which owns the delivery callbacks) and notified
@@ -204,14 +202,23 @@ class CompileService:
         try:
             request_id, method, params = protocol.parse_request(message)
         except Exception as exc:
-            self._count(None, ok=False)
-            self.metrics.record(None, time.perf_counter() - start, ok=False)
+            self.record_request(None, time.perf_counter() - start, ok=False)
             return protocol.error_envelope(protocol.recover_request_id(message), exc)
         envelope = await self._handle_parsed(request_id, method, params)
         ok = bool(envelope.get("ok"))
-        self._count(method, ok=ok)
-        self.metrics.record(method, time.perf_counter() - start, ok=ok)
+        self.record_request(method, time.perf_counter() - start, ok=ok)
         return envelope
+
+    def record_request(self, method: Optional[str], seconds: float, *, ok: bool) -> None:
+        """Count one answered request and its latency.
+
+        Only known method names get their own series: arbitrary strings
+        from misbehaving peers, and requests too malformed to name a
+        method, land in ``<unknown>``, so they cannot grow the recorder (or
+        the stats payload) without bound in a long-lived daemon.
+        """
+        name = method if method in self._METHODS else "<unknown>"
+        self.requests.record(name, seconds, ok=ok)
 
     async def _handle_parsed(
         self, request_id: Any, method: str, params: dict[str, Any]
@@ -296,7 +303,6 @@ class CompileService:
         try:
             request_id, method, params = protocol.parse_request(message)
         except Exception as exc:
-            self._count(None, ok=False)
             return protocol.error_envelope(protocol.recover_request_id(message), exc)
         handler = self._METHODS.get(method)
         try:
@@ -305,9 +311,7 @@ class CompileService:
             protocol.unknown_params_check(params, self._SIGNATURES[method][0], method)
             result = handler(self, params)
         except Exception as exc:
-            self._count(method, ok=False)
             return protocol.error_envelope(request_id, exc)
-        self._count(method, ok=True)
         return protocol.success_envelope(request_id, result)
 
     @classmethod
@@ -542,18 +546,19 @@ class CompileService:
         }
 
     def _stats(self, params: Mapping[str, Any]) -> dict[str, Any]:
+        requests = self.requests.request_view()
         with self._counters_lock:
             server = {
-                "requests": self._requests,
-                "errors": self._errors,
+                "requests": requests["requests"],
+                "errors": requests["errors"],
                 "in_flight": self._in_flight,
                 "max_in_flight": self._max_in_flight,
-                "methods": dict(sorted(self._method_counts.items())),
+                "methods": requests["methods"],
                 "jobs": self.jobs,
                 "workers": self.workers,
                 "draining": self.draining.is_set(),
             }
-        server["latency"] = self.metrics.as_dict()
+        server["latency"] = requests["latency"]
         server["read_memo"] = self.read_memo.stats()
         if self.pool is not None:
             pool_stats = self.pool.stats()
@@ -686,19 +691,7 @@ class CompileService:
             except Exception:  # pragma: no cover - dead connection callback
                 self.remove_watch(watch.token)
 
-    # -- accounting ------------------------------------------------------------
-
-    def _count(self, method: Optional[str], *, ok: bool) -> None:
-        with self._counters_lock:
-            self._requests += 1
-            if not ok:
-                self._errors += 1
-            if method is not None:
-                # Only known names get their own bucket: arbitrary strings
-                # from misbehaving peers must not grow the dict (or the
-                # stats payload) without bound in a long-lived daemon.
-                key = method if method in self._METHODS else "<unknown>"
-                self._method_counts[key] = self._method_counts.get(key, 0) + 1
+    # -- in-flight accounting --------------------------------------------------
 
     def _enter_request(self, method: Optional[str] = None) -> None:
         with self._counters_lock:
@@ -769,8 +762,7 @@ def _aggregate_worker_workspaces(pool_stats: Mapping[str, Any]) -> dict[str, Any
     """
     designs = {"total": 0, "fresh": 0, "stale": 0, "error": 0}
     stage_totals: dict[str, int] = {}
-    profile_totals: dict[str, dict[str, float]] = {}
-    profiling_enabled = False
+    profiling = Recorder()
     missing = 0
     for entry in pool_stats.get("per_worker", ()):
         workspace = entry.get("workspace")
@@ -783,24 +775,12 @@ def _aggregate_worker_workspaces(pool_stats: Mapping[str, Any]) -> dict[str, Any
         for key, value in (workspace.get("stage_cache") or {}).items():
             if isinstance(value, int):
                 stage_totals[key] = stage_totals.get(key, 0) + value
-        profiling = workspace.get("profiling")
-        if isinstance(profiling, Mapping):
-            profiling_enabled = profiling_enabled or bool(profiling.get("enabled"))
-            for stage, counters in (profiling.get("stages") or {}).items():
-                if not isinstance(counters, Mapping):
-                    continue
-                totals = profile_totals.setdefault(
-                    stage, {"count": 0, "wall_ms": 0.0, "cpu_ms": 0.0}
-                )
-                for key in totals:
-                    value = counters.get(key)
-                    if isinstance(value, (int, float)):
-                        totals[key] = round(totals[key] + value, 3)
+        profiling.merge(workspace.get("profiling"))
     summary: dict[str, Any] = {
         "designs": designs,
         "stage_cache": stage_totals or None,
         "workers_missing": missing,
     }
-    if profiling_enabled or profile_totals:
-        summary["profiling"] = {"enabled": profiling_enabled, "stages": profile_totals}
+    if profiling.enabled:
+        summary["profiling"] = profiling.stage_view()
     return summary

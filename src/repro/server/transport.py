@@ -411,10 +411,8 @@ class TydiServer:
             )
         except Exception as exc:
             envelope = error_envelope(request_id, exc)
-        ok = bool(envelope.get("ok"))
-        self.service._count("watch_design", ok=ok)
-        self.service.metrics.record(
-            "watch_design", _time.perf_counter() - start, ok=ok
+        self.service.record_request(
+            "watch_design", _time.perf_counter() - start, ok=bool(envelope.get("ok"))
         )
         return envelope
 

@@ -9,10 +9,10 @@ descriptors -- jobs in, results out:
 
 * frame    = ``!Q`` big-endian payload length + ``pickle`` payload
 * parent -> worker: ``("job", job_id, request_dict)`` |
-  ``("stats", token)`` | ``("report", token)`` | ``("ping", token)`` |
+  ``("stats", token)`` | ``("report", token)`` |
   EOF (close) = drain and exit
 * worker -> parent: ``("result", job_id, envelope)`` |
-  ``("stats"|"report", token, payload)`` | ``("pong", token, pid)``
+  ``("stats"|"report", token, payload)``
 
 The worker is strictly serial (one job at a time, FIFO), which is what
 makes the pool protocol trivial: the parent's per-worker dispatcher thread
@@ -149,10 +149,6 @@ def worker_main(
                 write_frame(result_fd, ("stats", message[1], workspace.stats()))
             elif kind == "report":
                 write_frame(result_fd, ("report", message[1], workspace.report()))
-            elif kind == "ping":
-                write_frame(result_fd, ("pong", message[1], os.getpid()))
-            elif kind == "exit":
-                break
             # Unknown kinds are skipped (a newer parent speaking to an
             # older worker fails loudly elsewhere; never crash the shard).
     except (BrokenPipeError, KeyboardInterrupt):  # pragma: no cover

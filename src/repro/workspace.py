@@ -108,7 +108,7 @@ class _Design:
         "extra_outputs",
         "fingerprints",
         "sim_reports",
-        "built_file_keys",
+        "built_files",
     )
 
     def __init__(
@@ -143,9 +143,10 @@ class _Design:
         #: Memoised simulation reports keyed by plan fingerprint, valid for
         #: the current ``memo_key``; cleared whenever the memo turns over.
         self.sim_reports: dict[str, object] = {}
-        #: Per-file fingerprints of the last *successful* build (None until
-        #: one succeeds); drives the changed/unchanged file reporting.
-        self.built_file_keys: Optional[dict[str, str]] = None
+        #: The files of the last *successful* build (None until one
+        #: succeeds): a copy of ``files`` that shares its strings, compared
+        #: by text for the changed/unchanged file reporting.
+        self.built_files: Optional[dict[str, str]] = None
 
     def normalized_sources(self) -> tuple[tuple[str, str], ...]:
         return tuple((text, filename) for filename, text in self.files.items())
@@ -160,14 +161,6 @@ class _Design:
         from repro.pipeline.batch import CompileJob
 
         return CompileJob(self.name, self.normalized_sources(), self.options, self.kind)
-
-    def file_keys(self) -> dict[str, str]:
-        from repro.pipeline.stages import file_fingerprint
-
-        return {
-            filename: file_fingerprint(text, filename)
-            for filename, text in self.files.items()
-        }
 
     def drop_memo(self) -> None:
         self.memo_key = None
@@ -467,7 +460,7 @@ class Workspace:
                 entry.extra_outputs.clear()
                 entry.fingerprints.clear()
                 entry.sim_reports.clear()
-                entry.built_file_keys = None
+                entry.built_files = None
                 raise
             self._fold_success(entry, key, result)
             return result
@@ -626,13 +619,13 @@ class Workspace:
             "cache": cache_stats,
             "stage_cache": stage_stats,
         }
-        from repro.profiling import PROFILER
+        from repro.tracing import STAGES
 
-        if PROFILER.enabled:
+        if STAGES.enabled:
             # Per-stage wall/CPU timers (opt-in via TYDI_PROFILE_STAGES or
             # --profile-stages); rides the stats plumbing unchanged through
             # the compile service's ``stats`` endpoint.
-            snapshot["profiling"] = PROFILER.snapshot()
+            snapshot["profiling"] = STAGES.stage_view()
         if self.label is not None:
             snapshot["label"] = self.label
         return snapshot
@@ -703,17 +696,16 @@ class Workspace:
                     report.reused.append(entry.name)
                     report.results[entry.name] = entry.memo_result
                     continue
-                current = entry.file_keys()
-                previous = entry.built_file_keys or {}
+                previous = entry.built_files or {}
                 report.changed_files[entry.name] = [
                     filename
-                    for filename, fkey in current.items()
-                    if previous.get(filename) != fkey
+                    for filename, text in entry.files.items()
+                    if previous.get(filename) != text
                 ]
                 report.unchanged_files[entry.name] = [
                     filename
-                    for filename, fkey in current.items()
-                    if previous.get(filename) == fkey
+                    for filename, text in entry.files.items()
+                    if previous.get(filename) == text
                 ]
                 dirty.append((entry, entry.job(), key))
 
@@ -738,7 +730,7 @@ class Workspace:
                         # must not serve an artefact that no longer matches
                         # the sources, and the next round retries.
                         entry.drop_memo()
-                        entry.built_file_keys = None
+                        entry.built_files = None
         return report
 
     # -- internals -------------------------------------------------------------
@@ -751,7 +743,7 @@ class Workspace:
         entry.extra_outputs.clear()
         entry.fingerprints.clear()
         entry.sim_reports.clear()
-        entry.built_file_keys = entry.file_keys()
+        entry.built_files = dict(entry.files)
 
     def _compute(self, entry: _Design) -> "CompilationResult":
         """One design's compile through the cache (design lock held).

@@ -1,61 +1,66 @@
-"""The opt-in per-stage profiler and its ride along the stats plumbing."""
+"""Opt-in stage profiling: the per-stage timers of :data:`repro.tracing.STAGES`
+and their ride along the stats plumbing.
+
+The recorder itself, against the code it replaced, is ``test_tracing.py``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro import profiling
+from repro import tracing
 from repro.lang.compile import CompileOptions, run_pipeline
-from repro.profiling import PROFILER, StageProfiler, format_profile
+from repro.tracing import STAGES, Recorder, format_stages
 
 
 @pytest.fixture(autouse=True)
 def _profiler_off():
-    """Leave the global profiler disabled and empty around every test."""
-    PROFILER.disable()
-    PROFILER.reset()
+    """Leave the global stage recorder disabled and empty around every test."""
+    STAGES.disable()
+    STAGES.reset()
     yield
-    PROFILER.disable()
-    PROFILER.reset()
+    STAGES.disable()
+    STAGES.reset()
 
 
 class TestStageProfiler:
     def test_disabled_by_default_and_noop(self):
-        profiler = StageProfiler()
+        profiler = Recorder()
         assert not profiler.enabled
-        with profiler.stage("parse"):
+        with profiler.span("parse"):
             pass
-        assert profiler.snapshot() == {"enabled": False, "stages": {}}
+        assert profiler.stage_view() == {"enabled": False, "stages": {}}
 
     def test_enabled_records_wall_and_cpu(self):
-        profiler = StageProfiler(enabled=True)
-        with profiler.stage("work"):
+        profiler = Recorder(enabled=True)
+        with profiler.span("work"):
             total = sum(range(10_000))
         assert total
-        snapshot = profiler.snapshot()
+        snapshot = profiler.stage_view()
         entry = snapshot["stages"]["work"]
         assert entry["count"] == 1
         assert entry["wall_ms"] >= 0
         assert entry["cpu_ms"] >= 0
 
     def test_counts_accumulate_and_reset(self):
-        profiler = StageProfiler(enabled=True)
+        profiler = Recorder(enabled=True)
         for _ in range(3):
-            with profiler.stage("s"):
+            with profiler.span("s"):
                 pass
-        assert profiler.snapshot()["stages"]["s"]["count"] == 3
+        assert profiler.stage_view()["stages"]["s"]["count"] == 3
         profiler.reset()
-        assert profiler.snapshot()["stages"] == {}
+        assert profiler.stage_view()["stages"] == {}
 
     def test_failing_stage_still_records(self):
-        profiler = StageProfiler(enabled=True)
+        profiler = Recorder(enabled=True)
         with pytest.raises(ValueError):
-            with profiler.stage("drc"):
+            with profiler.span("drc"):
                 raise ValueError("boom")
-        assert profiler.snapshot()["stages"]["drc"]["count"] == 1
+        assert profiler.stage_view()["stages"]["drc"]["count"] == 1
+        assert profiler.request_view()["latency"]["drc"]["errors"] == 1
 
     def test_env_parsing(self):
-        enabled = profiling._env_enabled
+        enabled = tracing._env_enabled
         assert not enabled(None)
         for falsy in ("", "0", "false", "no", "off", " False ", "NO"):
             assert not enabled(falsy)
@@ -65,22 +70,22 @@ class TestStageProfiler:
 
 class TestPipelineIntegration:
     def test_stages_recorded_when_enabled(self):
-        PROFILER.enable()
+        STAGES.enable()
         run_pipeline([("streamlet s { }", "x.td")], CompileOptions())
-        stages = PROFILER.snapshot()["stages"]
+        stages = STAGES.stage_view()["stages"]
         for name in ("parse", "evaluate", "sugaring", "drc"):
             assert stages[name]["count"] == 1, name
 
     def test_backend_stages_recorded(self):
-        PROFILER.enable()
+        STAGES.enable()
         run_pipeline(
             [("streamlet s { }", "x.td")], CompileOptions(targets=("ir",))
         )
-        assert "backend:ir" in PROFILER.snapshot()["stages"]
+        assert "backend:ir" in STAGES.stage_view()["stages"]
 
     def test_nothing_recorded_when_disabled(self):
         run_pipeline([("streamlet s { }", "x.td")], CompileOptions())
-        assert PROFILER.snapshot()["stages"] == {}
+        assert STAGES.stage_view()["stages"] == {}
 
     def test_workspace_stats_include_profiling_only_when_enabled(self):
         from repro.workspace import Workspace
@@ -90,7 +95,7 @@ class TestPipelineIntegration:
         workspace.result("d")
         assert "profiling" not in workspace.stats()
 
-        PROFILER.enable()
+        STAGES.enable()
         workspace.update_file("d", "x.td", "streamlet s2 { }")
         workspace.result("d")
         stats = workspace.stats()
@@ -100,14 +105,14 @@ class TestPipelineIntegration:
 
 class TestFormatProfile:
     def test_empty_snapshot(self):
-        assert "no stage timings" in format_profile({"enabled": True, "stages": {}})
+        assert "no stage timings" in format_stages({"enabled": True, "stages": {}})
 
     def test_table_rendering(self):
         snapshot = {
             "enabled": True,
             "stages": {"parse": {"count": 2, "wall_ms": 1.5, "cpu_ms": 1.25}},
         }
-        table = format_profile(snapshot)
+        table = format_stages(snapshot)
         assert "parse" in table and "1.500" in table and "1.250" in table
 
 
