@@ -26,7 +26,9 @@ The CI replacement for the old single-request server smoke job.  It:
 6. asserts the ops invariants: **zero worker restarts** under healthy
    load, **no protocol-level failures** (compile errors from fuzzed edits
    are expected and counted separately) *including through the mid-soak
-   cache kill*, the **IR round trip holding in every phase**, a **clean
+   cache kill*, the **IR round trip holding in every phase**, the
+   daemon's ``requests`` count equal to the request lines sent to it (one
+   per client is not JSON, and counts too), a **clean
    drain** on shutdown (``drained: true`` and exit code 0), a shared disk
    tier that **evicts without a single disk error**, and -- with
    ``--assert-floor`` -- the multi-worker daemon serving >= ``--floor`` x
@@ -52,6 +54,7 @@ import pathlib
 import random
 import re
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
@@ -172,16 +175,29 @@ def ir_roundtrip_smoke(host: str, port: int) -> dict:
     connection against the pool that just survived the soak load.
     """
     sources = build_random_design(random.Random(99))
+    targets = ("vhdl", "tydi-ir")
     with CompileClient(host, port, connect_retry_for=10) as client:
         client.open_design("smoke_lang", files={f: t for t, f in sources})
         document = next(iter(client.get_outputs("smoke_lang", "tydi-ir").values()))
         client.open_ir_design("smoke_ir", document)
-        identical = all(
+        identical = all([
             client.get_outputs("smoke_lang", target)
             == client.get_outputs("smoke_ir", target)
-            for target in ("vhdl", "tydi-ir")
-        )
-    return {"ok": identical, "document_bytes": len(document)}
+            for target in targets
+        ])
+    return {"ok": identical, "document_bytes": len(document),
+            "requests": 3 + 2 * len(targets)}
+
+
+def send_malformed(host: str, port: int) -> bool:
+    """One request line that is not JSON, on its own connection; whether it
+    was answered with a server-stage error envelope."""
+    with socket.create_connection((host, port), timeout=30) as sock:
+        handle = sock.makefile("rwb")
+        handle.write(b"{not json\n")
+        handle.flush()
+        envelope = json.loads(handle.readline())
+    return not envelope["ok"] and envelope["error"]["stage"] == "server"
 
 
 def tpch_jobs() -> list:
@@ -247,6 +263,9 @@ def run_load(
             for _ in range(3)
         ]
         try:
+            record.requests += 1
+            if not send_malformed(host, port):
+                record.failures.append(f"client {index}: a non-JSON line was not refused")
             with CompileClient(host, port, connect_retry_for=10) as client:
                 def call(method, *args, **kwargs):
                     record.requests += 1
@@ -351,6 +370,9 @@ def soak(
     phase = {
         "workers": workers,
         **load,
+        # Every request line sent before the stats call, the non-JSON ones
+        # included; the stats reply does not count itself.
+        "requests_sent": load["requests"] + roundtrip["requests"],
         "server_requests": server_stats["server"]["requests"],
         "read_memo": server_stats["server"]["read_memo"],
         "ir_roundtrip": roundtrip,
@@ -506,6 +528,9 @@ def main(argv: list[str] | None = None) -> int:
             problems.append(f"{tag}: unclean drain: {phase['shutdown']}")
         if phase["exit_code"] != 0:
             problems.append(f"{tag}: daemon exit code {phase['exit_code']}")
+        if phase["server_requests"] != phase["requests_sent"]:
+            problems.append(f"{tag}: the daemon counted {phase['server_requests']} "
+                            f"requests of the {phase['requests_sent']} sent")
         if phase["requests"] < args.clients * 2:
             problems.append(f"{tag}: implausibly few requests ({phase['requests']})")
         if not phase.get("simulate_requests"):

@@ -4,8 +4,10 @@ A read of an unchanged design (``get_ir``, ``get_outputs``,
 ``get_diagnostics``) depends only on the design's sources and options, and
 every change to those comes through one of the service's mutating methods.
 :class:`ReadMemo` keeps the last ``ok`` result of each (design, method,
-target), so a repeat read costs a dict lookup and a copy on the event loop
-instead of a pool round trip or a thread hop.
+target) as the JSON bytes it was sent as, so a repeat read costs a dict
+lookup and one splice of the request id into those bytes
+(:func:`repro.server.protocol.success_line`) on the event loop, instead of
+a pool round trip or a thread hop, and no JSON encode.
 
 Invalidation goes by per-design *generation*:
 
@@ -21,18 +23,19 @@ pool keeps no order), and its stale result may be stored; but the
 completion bump drops it before the mutation's response is sent, so no read
 sent after that response is answered from it.
 
-Stored results are copies, and every hit hands out a fresh copy: a caller
-that edits its result never edits the memo.
+Stored results are immutable ``bytes``: a caller decodes its own objects
+from the line it was sent, so it can never edit the memo, and no copy is
+made.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
-#: Byte budget of the stored results (the length of their strings); past it,
-#: the least recently used entries are evicted.
+#: Byte budget of the stored results (the length of their JSON bytes); past
+#: it, the least recently used entries are evicted.
 READ_MEMO_BYTES = 32 * 1024 * 1024
 
 #: Designs whose generations the memo tracks before it forgets them all at
@@ -52,7 +55,8 @@ Key = tuple[str, str, Optional[str]]
 
 
 class ReadMemo:
-    """Last ``ok`` read results by (design, method, target), LRU by bytes.
+    """Last ``ok`` read results, as JSON bytes, by (design, method, target);
+    LRU by bytes.
 
     Thread-safe: the service calls it from the event loop, the worker pool's
     dispatcher threads drop a shard's entries on a respawn, and ``stats``
@@ -61,7 +65,7 @@ class ReadMemo:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Key, tuple[Any, int]]" = OrderedDict()
+        self._entries: "OrderedDict[Key, bytes]" = OrderedDict()
         self._keys: dict[str, set[Key]] = {}
         self._bytes = 0
         self._clock = 0
@@ -74,41 +78,39 @@ class ReadMemo:
         self._misses = 0
         self._evictions = 0
 
-    def lookup(self, key: Key) -> Optional[Any]:
-        """A copy of the stored result, or ``None`` (counted as a miss)."""
+    def lookup(self, key: Key) -> Optional[bytes]:
+        """The stored result's JSON bytes, or ``None`` (counted as a miss)."""
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            result = self._entries.get(key)
+            if result is None:
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-        return _copy(entry[0])  # stored results are never mutated
+        return result
 
     def generation(self, design: str) -> int:
         """The design's generation, to hand back to :meth:`store`."""
         with self._lock:
             return self._generations.get(design, self._floor)
 
-    def store(self, key: Key, generation: int, result: Any) -> None:
-        """Store a copy of ``result`` if ``key``'s design is still at ``generation``."""
-        size = _size(result)
-        if size > READ_MEMO_BYTES:
+    def store(self, key: Key, generation: int, result: bytes) -> None:
+        """Store a result's JSON bytes if ``key``'s design is still at ``generation``."""
+        if len(result) > READ_MEMO_BYTES:
             return
-        value = _copy(result)
         design = key[0]
         with self._lock:
             if self._generations.get(design, self._floor) != generation:
                 return
             old = self._entries.pop(key, None)
             if old is not None:
-                self._bytes -= old[1]
-            self._entries[key] = (value, size)
+                self._bytes -= len(old)
+            self._entries[key] = result
             self._keys.setdefault(design, set()).add(key)
-            self._bytes += size
+            self._bytes += len(result)
             while self._bytes > READ_MEMO_BYTES:
-                evicted, (_, evicted_size) = self._entries.popitem(last=False)
-                self._bytes -= evicted_size
+                evicted, evicted_result = self._entries.popitem(last=False)
+                self._bytes -= len(evicted_result)
                 keys = self._keys[evicted[0]]
                 keys.discard(evicted)
                 if not keys:
@@ -146,24 +148,4 @@ class ReadMemo:
         self._clock += 1
         self._generations[design] = self._clock
         for key in self._keys.pop(design, ()):
-            self._bytes -= self._entries.pop(key)[1]
-
-
-def _copy(value: Any) -> Any:
-    """A copy of a JSON-ready value's containers (strings are immutable)."""
-    if isinstance(value, dict):
-        return {key: _copy(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [_copy(item) for item in value]
-    return value
-
-
-def _size(value: Any) -> int:
-    """Approximate bytes of a JSON-ready value: its strings' lengths."""
-    if isinstance(value, str):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(_size(key) + _size(item) for key, item in value.items())
-    if isinstance(value, list):
-        return sum(_size(item) for item in value)
-    return 8
+            self._bytes -= len(self._entries.pop(key))

@@ -29,10 +29,16 @@ report the failure exactly as the in-process toolchain would.  Non-Tydi
 exceptions are reported with ``stage: "internal"``; protocol violations
 (malformed envelope, unknown method, bad parameters) use ``stage:
 "server"`` via :class:`~repro.errors.TydiServerError`.
+
+Every response line comes from one compact, ASCII-only encoder
+(:func:`encode`).  A success result encoded once (:func:`encode_result`)
+can be spliced into the line of any later request id
+(:func:`success_line`), byte-identical to encoding the whole envelope.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Mapping, Optional
 
 from repro.errors import TydiError, TydiServerError, did_you_mean
@@ -45,6 +51,11 @@ PROTOCOL_VERSION = 1
 #: whole lines into memory; 64 MiB comfortably holds any TPC-H design yet
 #: stops a malicious or broken peer from ballooning the server).
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
+
+#: The one JSON encoder of responses: compact, ASCII-only.  Every line the
+#: server writes comes from it, so a result encoded once can be spliced
+#: into any later response unchanged.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class RemoteCompileError(TydiServerError):
@@ -94,6 +105,45 @@ def success_envelope(request_id: Any, result: Mapping[str, Any]) -> dict[str, An
 
 def error_envelope(request_id: Any, exc: BaseException) -> dict[str, Any]:
     return {"id": request_id, "ok": False, "error": encode_error(exc)}
+
+
+def encode(envelope: Mapping[str, Any]) -> bytes:
+    """One response envelope as its wire line (the NDJSON frame, and the HTTP body)."""
+    return _bounded(_ENCODER.encode(envelope).encode() + b"\n", envelope.get("id"))
+
+
+def encode_result(result: Mapping[str, Any]) -> bytes:
+    """A success result as the JSON bytes :func:`success_line` splices in."""
+    return _ENCODER.encode(result).encode()
+
+
+def success_line(request_id: Any, result: bytes) -> bytes:
+    """The wire line of a success envelope whose result is already encoded.
+
+    Byte-identical to ``encode(success_envelope(request_id, decoded))``: a
+    compact dict's encoding is its items' encodings joined in order.
+    """
+    return _bounded(
+        b'{"id":' + _ENCODER.encode(request_id).encode() + b',"ok":true,"result":'
+        + result + b"}\n",
+        request_id,
+    )
+
+
+def _bounded(line: bytes, request_id: Any) -> bytes:
+    """``line``, or an error line if it is past ``MAX_MESSAGE_BYTES``: a peer
+    reading with the documented line bound would only see a truncated,
+    unparseable line otherwise."""
+    if len(line) <= MAX_MESSAGE_BYTES:
+        return line
+    oversized = error_envelope(
+        request_id,
+        TydiServerError(
+            f"response of {len(line)} bytes exceeds the protocol bound "
+            f"of {MAX_MESSAGE_BYTES} (split the design or query fewer outputs)"
+        ),
+    )
+    return _ENCODER.encode(oversized).encode() + b"\n"
 
 
 def parse_request(message: Any) -> tuple[Any, str, dict[str, Any]]:

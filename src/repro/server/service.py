@@ -30,18 +30,22 @@ Both modes also share the read memo (:mod:`repro.server.memo`): a repeat
 ``get_ir`` / ``get_outputs`` / ``get_diagnostics`` of a design no mutation
 touched since is answered on the event loop, without reaching either pool.
 
-Requests and responses are plain dicts in the shape documented by
-:mod:`repro.server.protocol`; transports only frame and shuttle them.
-Failures never escape :meth:`handle` -- every exception becomes a
-structured error envelope carrying the :class:`~repro.errors.TydiError`
-stage and rendering.  Every request's latency, queueing included, goes
-into the service's :class:`~repro.tracing.Recorder`, whose request view
-is the ``stats`` endpoint's request counters and per-method histograms.
+Requests and responses have the shape documented by
+:mod:`repro.server.protocol`.  A transport decodes each request once and
+hands the document to :meth:`respond`, which returns the response line
+encoded once; a memoised read's line is spliced from stored JSON bytes, so
+a hit is never encoded at all.  Failures never escape :meth:`respond` --
+every exception becomes a structured error envelope carrying the
+:class:`~repro.errors.TydiError` stage and rendering.  Every request's
+latency, queueing and encoding included, goes into the service's
+:class:`~repro.tracing.Recorder`, whose request view is the ``stats``
+endpoint's request counters and per-method histograms.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 import os
 import threading
 import time
@@ -192,22 +196,49 @@ class CompileService:
 
     # -- the request entry points ----------------------------------------------
 
-    async def handle(self, message: Any) -> dict[str, Any]:
-        """One decoded request document in, one response envelope out.
+    async def respond(self, message: Any) -> tuple[bytes, Optional[str]]:
+        """One decoded request document in, its encoded response line out
+        (with the error's stage, as :meth:`finish` returns it).
 
         Never raises: malformed envelopes, unknown methods, bad parameters
-        and compile failures all come back as error envelopes.
+        and compile failures all come back as error lines.
         """
         start = time.perf_counter()
         try:
             request_id, method, params = protocol.parse_request(message)
         except Exception as exc:
-            self.record_request(None, time.perf_counter() - start, ok=False)
-            return protocol.error_envelope(protocol.recover_request_id(message), exc)
-        envelope = await self._handle_parsed(request_id, method, params)
-        ok = bool(envelope.get("ok"))
-        self.record_request(method, time.perf_counter() - start, ok=ok)
-        return envelope
+            reply = protocol.error_envelope(protocol.recover_request_id(message), exc)
+            return self.finish(None, start, reply)
+        return self.finish(method, start, await self._handle_parsed(request_id, method, params))
+
+    def finish(
+        self, method: Optional[str], start: float, reply: "dict[str, Any] | bytes"
+    ) -> tuple[bytes, Optional[str]]:
+        """Encode one reply, once, and record its request, encoding included.
+
+        ``reply`` is an envelope, or a success line the read memo already
+        spliced; ``start`` is the request's ``time.perf_counter()``.  Returns
+        the line and, for an error envelope, the error's ``stage`` (``None``
+        for a success), which is all the HTTP front needs to pick a status.
+        Transports call it for the requests they answer themselves: a line
+        that is not JSON, and ``watch_design`` on a streaming connection.
+        """
+        if isinstance(reply, bytes):
+            line, stage = reply, None
+        else:
+            line = protocol.encode(reply)
+            stage = None if reply["ok"] else reply["error"]["stage"]
+        self.record_request(method, time.perf_counter() - start, ok=stage is None)
+        return line, stage
+
+    async def handle(self, message: Any) -> dict[str, Any]:
+        """:meth:`respond`, decoded: the envelope a remote client would read.
+
+        Every call decodes fresh objects from its own response line, so an
+        in-process caller that edits its result edits nothing else.
+        """
+        line, _ = await self.respond(message)
+        return json.loads(line)
 
     def record_request(self, method: Optional[str], seconds: float, *, ok: bool) -> None:
         """Count one answered request and its latency.
@@ -222,7 +253,10 @@ class CompileService:
 
     async def _handle_parsed(
         self, request_id: Any, method: str, params: dict[str, Any]
-    ) -> dict[str, Any]:
+    ) -> "dict[str, Any] | bytes":
+        """The reply to one parsed request: an envelope, or for a memoised
+        read that succeeded, its success line (spliced from the memo's
+        bytes on a hit, and from the bytes it stores on a miss)."""
         handler = self._METHODS.get(method)
         if handler is None:
             return protocol.error_envelope(
@@ -252,9 +286,9 @@ class CompileService:
         mutation = method in MUTATING_METHODS and isinstance(design, str)
         if memoised:
             key = (design, method, target)
-            result = self.read_memo.lookup(key)
-            if result is not None:
-                return protocol.success_envelope(request_id, result)
+            stored = self.read_memo.lookup(key)
+            if stored is not None:
+                return protocol.success_line(request_id, stored)
             generation = self.read_memo.generation(design)
         elif mutation:
             self.read_memo.invalidate(design)
@@ -282,7 +316,9 @@ class CompileService:
             if mutation:
                 self.read_memo.invalidate(design)
         if memoised and envelope.get("ok"):
-            self.read_memo.store(key, generation, envelope["result"])
+            stored = protocol.encode_result(envelope["result"])
+            self.read_memo.store(key, generation, stored)
+            return protocol.success_line(request_id, stored)
         if method == "update_file" and envelope.get("ok"):
             self._schedule_watch_notify(design)
         return envelope
@@ -634,13 +670,13 @@ class CompileService:
         along only when it changed since the last push to that watcher
         (``sim_changed`` says which).
         """
-        import json
-
         with self._watch_lock:
             watches = [w for w in self._watches.values() if w.design == design]
         if not watches or self.draining.is_set():
             return
         diag_env = await self._handle_parsed(None, "get_diagnostics", {"design": design})
+        if isinstance(diag_env, bytes):  # a memoised read's success line
+            diag_env = json.loads(diag_env)
         if diag_env.get("ok"):
             diagnostics = diag_env.get("result", {}).get("diagnostics", [])
         else:

@@ -5,7 +5,8 @@ connection decides:
 
 * **NDJSON** (the native protocol): every line is one JSON request, every
   response one JSON line, many requests per connection.  The connection
-  is **pipelined**: requests are handled concurrently and responses may
+  is **pipelined**: the read loop awaits each line itself and hands it to
+  one task, so requests are handled concurrently and responses may
   return *out of request order* -- the echoed ``id`` pairs them -- so one
   slow cold compile never blocks the faster requests behind it.  A
   strictly request/response client (one request in flight, like
@@ -24,13 +25,17 @@ Everything is stdlib ``asyncio`` -- no third-party HTTP framework; the
 HTTP support is deliberately minimal (POST only, no keep-alive, no
 chunked bodies) because the NDJSON protocol is the production path.
 
+Each request line or body is decoded once, here, and handed to
+:meth:`CompileService.respond <repro.server.service.CompileService.respond>`,
+which returns the response already encoded: the transport writes bytes.
+
 Shutdown is drain-first: the service's ``shutdown`` method completes only
 after every in-flight request finished, so by the time the transport
-winds down, every response has been written.  Idle connections parked in
-a read are woken by an in-loop closing event rather than having their
-sockets yanked mid-write; each lingers up to :data:`CLOSE_LINGER_S` for a
-request already on its way, so a request racing the close (a second
-client's ``shutdown``, say) is answered instead of dropped.
+winds down, every response has been written.  Connections parked in a
+read are not yanked mid-write either: :data:`CLOSE_LINGER_S` after the
+close begins, each is woken once with end-of-file, so an idle connection
+never holds shutdown hostage and a request racing the close (a second
+client's ``shutdown``, say) is still answered.
 
 :class:`ServerThread` runs the whole stack on a background thread's event
 loop -- the harness the tests, the stress suite and the throughput
@@ -43,9 +48,11 @@ import asyncio
 import contextlib
 import json
 import threading
+import time
 from collections import deque
 from typing import Any, Mapping, Optional
 
+from repro.errors import TydiServerError
 from repro.server import protocol
 from repro.server.protocol import MAX_MESSAGE_BYTES, error_envelope
 from repro.server.service import CompileService
@@ -56,10 +63,11 @@ from repro.server.service import CompileService
 #: form of backpressure at the next layer down).
 MAX_PIPELINE_REQUESTS = 64
 
-#: How long a connection parked in a read keeps reading once the server
-#: closes; a request line that arrives meanwhile is still answered (after a
-#: ``shutdown``, new work with a draining error and a second ``shutdown``
-#: with the shared drain's result).
+#: How long connections parked in a read keep reading once the server
+#: closes, before they are woken with end-of-file; a request line that
+#: arrives meanwhile is still answered (after a ``shutdown``, new work with
+#: a draining error and a second ``shutdown`` with the shared drain's
+#: result).
 CLOSE_LINGER_S = 0.25
 
 #: Pending watch-event bound per NDJSON connection: a slow reader drops
@@ -122,7 +130,7 @@ class _WatchState:
                     self.dropped = 0
                 try:
                     async with self.write_lock:
-                        self.writer.write(_encode(frame))
+                        self.writer.write(protocol.encode(frame))
                         await self.writer.drain()
                 except (ConnectionError, RuntimeError):
                     return  # the peer went away; the read loop cleans up
@@ -134,28 +142,6 @@ class _WatchState:
         if self.flusher is not None:
             self.flusher.cancel()
             self.flusher = None
-
-
-def _encode(envelope: dict[str, Any]) -> bytes:
-    """One compact JSON line (the NDJSON frame; also the HTTP body).
-
-    Responses beyond ``MAX_MESSAGE_BYTES`` are replaced with an error
-    envelope: a peer reading with the documented line bound would only see
-    a truncated, unparseable line otherwise.
-    """
-    payload = json.dumps(envelope, separators=(",", ":")).encode() + b"\n"
-    if len(payload) > MAX_MESSAGE_BYTES:
-        from repro.errors import TydiServerError
-
-        oversized = error_envelope(
-            envelope.get("id"),
-            TydiServerError(
-                f"response of {len(payload)} bytes exceeds the protocol bound "
-                f"of {MAX_MESSAGE_BYTES} (split the design or query fewer outputs)"
-            ),
-        )
-        payload = json.dumps(oversized, separators=(",", ":")).encode() + b"\n"
-    return payload
 
 
 class TydiServer:
@@ -179,7 +165,9 @@ class TydiServer:
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._stop: Optional[asyncio.Event] = None
-        self._closing: Optional[asyncio.Event] = None
+        self._closing = False
+        #: Connections awaiting their next line, woken once at close.
+        self._parked: dict[asyncio.StreamReader, asyncio.StreamWriter] = {}
         self._connections: set[asyncio.StreamWriter] = set()
         self._conn_tasks: set["asyncio.Task[None]"] = set()
 
@@ -193,7 +181,6 @@ class TydiServer:
 
     async def start(self) -> tuple[str, int]:
         self._stop = asyncio.Event()
-        self._closing = asyncio.Event()
         self._server = await asyncio.start_server(
             self._handle_connection,
             host=self.host,
@@ -207,8 +194,7 @@ class TydiServer:
         """Block until a shutdown is requested, then close down cleanly."""
         assert self._stop is not None, "call start() first"
         await self._stop.wait()
-        if self._closing is not None:
-            self._closing.set()  # wake connections parked in a read
+        self._begin_close()
         server, self._server = self._server, None
         if server is not None:
             server.close()
@@ -226,10 +212,33 @@ class TydiServer:
     def stop(self) -> None:
         """Request shutdown from inside the loop (idempotent)."""
         self.service.shutdown_requested.set()
-        if self._closing is not None:
-            self._closing.set()
+        self._begin_close()
         if self._stop is not None:
             self._stop.set()
+
+    def _begin_close(self) -> None:
+        """Stop reading new lines: connections leave their read loops after
+        the line in hand, and those parked in a read are woken once,
+        :data:`CLOSE_LINGER_S` from now."""
+        if not self._closing:
+            self._closing = True
+            asyncio.get_running_loop().call_later(CLOSE_LINGER_S, self._wake_parked)
+
+    def _wake_parked(self) -> None:
+        for reader, writer in list(self._parked.items()):
+            writer.transport.pause_reading()  # nothing may follow the EOF
+            reader.feed_eof()
+
+    async def _read_line(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    ) -> bytes:
+        """The connection's next line; ``b""`` at end-of-file, which
+        :meth:`_wake_parked` also delivers once the server is closing."""
+        self._parked[reader] = writer
+        try:
+            return await reader.readline()
+        finally:
+            del self._parked[reader]
 
     # -- connection handling ---------------------------------------------------
 
@@ -241,7 +250,7 @@ class TydiServer:
             self._conn_tasks.add(task)
         self._connections.add(writer)
         try:
-            first = await self._read_or_closing(reader)
+            first = await self._read_line(reader, writer)
             if not first:
                 return
             if _looks_like_http(first):
@@ -273,19 +282,19 @@ class TydiServer:
     ) -> None:
         """The pipelined request loop of one NDJSON connection.
 
-        Every request line becomes its own task; a per-connection write
-        lock keeps response frames whole while letting them interleave in
-        completion order.  The read loop races the next line against the
-        server's closing event, so an idle connection never holds
+        The loop awaits each line itself and hands it to one response task;
+        a per-connection write lock keeps response frames whole while
+        letting them interleave in completion order.  Once the server is
+        closing the loop reads no further line, and a read already parked
+        is woken by :meth:`_wake_parked`, so an idle connection never holds
         shutdown hostage and a closing connection still finishes writing
         what it already accepted.
         """
-        assert self._closing is not None
         write_lock = asyncio.Lock()
         slots = asyncio.Semaphore(MAX_PIPELINE_REQUESTS)
         watch_state = _WatchState(asyncio.get_running_loop(), writer, write_lock)
         tasks: set["asyncio.Task[None]"] = set()
-        line: Optional[bytes] = first_line
+        line = first_line
         error: Optional[BaseException] = None
         try:
             while line:
@@ -297,9 +306,9 @@ class TydiServer:
                     )
                     tasks.add(response_task)
                     response_task.add_done_callback(tasks.discard)
-                if self._closing.is_set() or self.service.shutdown_requested.is_set():
+                if self._closing or self.service.shutdown_requested.is_set():
                     break
-                line = await self._read_or_closing(reader)
+                line = await self._read_line(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError, ValueError) as exc:
             error = exc
         finally:
@@ -309,57 +318,47 @@ class TydiServer:
         if error is not None:
             raise error
 
-    async def _read_or_closing(self, reader: asyncio.StreamReader) -> Optional[bytes]:
-        """The next request line, or ``None`` once the server is closing and
-        no line arrived within :data:`CLOSE_LINGER_S`."""
-        assert self._closing is not None
-        read_task = asyncio.create_task(reader.readline())
-        closing_task = asyncio.create_task(self._closing.wait())
-        try:
-            await asyncio.wait(
-                {read_task, closing_task}, return_when=asyncio.FIRST_COMPLETED
-            )
-            if not read_task.done():
-                await asyncio.wait({read_task}, timeout=CLOSE_LINGER_S)
-        finally:
-            for pending in (read_task, closing_task):
-                if not pending.done():
-                    pending.cancel()
-                    with contextlib.suppress(asyncio.CancelledError):
-                        await pending
-        if read_task.cancelled():
-            return None
-        return read_task.result()  # may raise: handled by the caller
-
     async def _respond_one(
         self,
         payload: bytes,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
         slots: asyncio.Semaphore,
-        watch_state: Optional[_WatchState] = None,
+        watch_state: _WatchState,
     ) -> None:
         try:
-            message: Any = None
-            try:
-                message = json.loads(payload)
-            except ValueError:
-                pass
-            if (
-                watch_state is not None
-                and isinstance(message, Mapping)
-                and message.get("method") == "watch_design"
-            ):
-                envelope = self._register_watch(message, watch_state)
-            else:
-                envelope = await self._handle_raw(payload)
+            line, _ = await self._answer(payload, watch_state)
             async with write_lock:
-                writer.write(_encode(envelope))
+                writer.write(line)
                 await writer.drain()
         except (ConnectionError, RuntimeError):
             pass  # the peer (or the transport) went away mid-response
         finally:
             slots.release()
+
+    async def _answer(
+        self, payload: bytes, watch_state: Optional[_WatchState] = None
+    ) -> tuple[bytes, Optional[str]]:
+        """Decode one request, the only time it is decoded, and answer it:
+        the response line and its error stage (see ``CompileService.finish``).
+
+        ``watch_design`` on a streaming connection (``watch_state``) is
+        registered here; everything else goes to the service.
+        """
+        start = time.perf_counter()
+        try:
+            message = json.loads(payload)
+        except (ValueError, RecursionError) as exc:
+            error = TydiServerError(f"request is not valid JSON: {exc}")
+            return self.service.finish(None, start, error_envelope(None, error))
+        if (
+            watch_state is not None
+            and isinstance(message, Mapping)
+            and message.get("method") == "watch_design"
+        ):
+            envelope = self._register_watch(message, watch_state)
+            return self.service.finish("watch_design", start, envelope)
+        return await self.service.respond(message)
 
     def _register_watch(
         self, message: Mapping[str, Any], watch_state: _WatchState
@@ -372,9 +371,6 @@ class TydiServer:
         closes.  Rejections during drain and parameter validation mirror
         the service's behaviour so both paths answer identically.
         """
-        import time as _time
-
-        start = _time.perf_counter()
         request_id = protocol.recover_request_id(message)
         try:
             request_id, _, params = protocol.parse_request(message)
@@ -388,8 +384,6 @@ class TydiServer:
                 )
             plan = params.get("plan")
             if plan is not None and not isinstance(plan, Mapping):
-                from repro.errors import TydiServerError
-
                 raise TydiServerError(
                     f"watch_design: 'plan' must be a JSON object, "
                     f"got {type(plan).__name__}"
@@ -400,7 +394,7 @@ class TydiServer:
             token = self.service.add_watch(design, watch_state.deliver, plan)
             watch_state.tokens.append(token)
             watch_state.ensure_flusher()
-            envelope = protocol.success_envelope(
+            return protocol.success_envelope(
                 request_id,
                 {
                     "design": design,
@@ -410,20 +404,7 @@ class TydiServer:
                 },
             )
         except Exception as exc:
-            envelope = error_envelope(request_id, exc)
-        self.service.record_request(
-            "watch_design", _time.perf_counter() - start, ok=bool(envelope.get("ok"))
-        )
-        return envelope
-
-    async def _handle_raw(self, payload: bytes) -> dict[str, Any]:
-        try:
-            message = json.loads(payload)
-        except ValueError as exc:
-            from repro.errors import TydiServerError
-
-            return error_envelope(None, TydiServerError(f"request is not valid JSON: {exc}"))
-        return await self.service.handle(message)
+            return error_envelope(request_id, exc)
 
     async def _serve_http(
         self,
@@ -431,8 +412,6 @@ class TydiServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
-        from repro.errors import TydiServerError
-
         parts = request_line.decode("latin-1").split()
         method = parts[0].upper() if parts else ""
         content_length = 0
@@ -450,27 +429,23 @@ class TydiServer:
             envelope = error_envelope(
                 None, TydiServerError(f"HTTP method {method or '?'} not supported (use POST)")
             )
-            await _write_http(writer, 405, envelope)
+            await _write_http(writer, 405, protocol.encode(envelope))
             return
         if content_length < 0 or content_length > MAX_MESSAGE_BYTES:
             envelope = error_envelope(
                 None, TydiServerError("missing or unacceptable Content-Length")
             )
-            await _write_http(writer, 400, envelope)
+            await _write_http(writer, 400, protocol.encode(envelope))
             return
         body = await reader.readexactly(content_length) if content_length else b""
-        envelope = await self._handle_raw(body or b"null")
-        status = 200 if envelope.get("ok") else 400
-        if not envelope.get("ok") and envelope.get("error", {}).get("stage") != "server":
-            # Compile failures are a *successful* protocol exchange: the
-            # envelope is the answer.  Only protocol violations are 400s.
-            status = 200
-        await _write_http(writer, status, envelope)
+        line, stage = await self._answer(body or b"null")
+        # Compile failures are a *successful* protocol exchange: the
+        # envelope is the answer.  Only protocol violations are 400s.
+        await _write_http(writer, 400 if stage == "server" else 200, line)
 
 
-async def _write_http(writer: asyncio.StreamWriter, status: int, envelope: dict[str, Any]) -> None:
+async def _write_http(writer: asyncio.StreamWriter, status: int, body: bytes) -> None:
     reasons = {200: "OK", 400: "Bad Request", 405: "Method Not Allowed"}
-    body = _encode(envelope)
     head = (
         f"HTTP/1.1 {status} {reasons.get(status, 'OK')}\r\n"
         f"Content-Type: application/json\r\n"

@@ -10,6 +10,7 @@ Three layers, mirroring the subsystem's structure:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
 import time
@@ -319,6 +320,58 @@ class TestTransport:
         assert not envelope["ok"]
         assert envelope["error"]["stage"] == "server"
         assert envelope["id"] is None
+
+    def test_every_malformed_request_counts_in_stats(self):
+        """A line or body that is not JSON (too deeply nested to decode,
+        too) counts like any other request that names no method: under
+        ``<unknown>``, over NDJSON and HTTP."""
+        lines = (b"{not json", b"[" * 100_000, b"[1, 2]", b'{"id": 3, "method": "bogus"}')
+        with ServerThread() as server:
+            host, port = server.address
+            with socket.create_connection((host, port), timeout=10) as sock:
+                handle = sock.makefile("rwb")
+                for line in lines:
+                    handle.write(line + b"\n")
+                    handle.flush()
+                    assert not json.loads(handle.readline())["ok"]
+            with socket.create_connection((host, port), timeout=10) as sock:
+                sock.sendall(b"POST / HTTP/1.1\r\nContent-Length: 9\r\n\r\n{not json")
+                assert sock.makefile("rb").readline().startswith(b"HTTP/1.1 400")
+            with CompileClient(host, port) as client:
+                stats = client.stats()["server"]
+        assert (stats["requests"], stats["errors"]) == (5, 5)
+        assert stats["methods"] == {"<unknown>": 5}
+        assert stats["latency"]["<unknown>"]["errors"] == 5
+
+    def test_each_request_line_makes_at_most_one_task(self, monkeypatch):
+        """The read loop awaits each line itself: the only task a request
+        line makes is the one that answers it."""
+        created = [0]
+
+        def counting(loop, coro, **kwargs):
+            created[0] += 1
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        serve = transport.serve
+
+        async def counted(*args, **kwargs):
+            asyncio.get_running_loop().set_task_factory(counting)
+            await serve(*args, **kwargs)
+
+        monkeypatch.setattr(transport, "serve", counted)
+        with ServerThread() as server:
+            with CompileClient(*server.address) as client:
+                client.open_design("d", files={"d.td": GOOD_SOURCE})
+                client.get_ir("d")  # the miss that fills the memo
+                before = created[0]
+                for _ in range(100):
+                    client.get_ir("d")
+                for _ in range(100):
+                    client.ping()
+                tasks = created[0] - before
+                memo = client.stats()["server"]["read_memo"]
+        assert memo["hits"] == 100
+        assert tasks <= 200, f"{tasks / 200:.2f} tasks per request line"
 
     def test_http_post_ping(self):
         with ServerThread() as server:

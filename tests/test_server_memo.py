@@ -27,6 +27,7 @@ keep error envelopes or simulation reports, or grow past its byte bound.
 from __future__ import annotations
 
 import itertools
+import json
 import os
 import random
 import signal
@@ -404,21 +405,26 @@ def test_an_out_of_service_shard_answers_errors_even_for_memoised_reads():
         assert "restart budget" in dead["error"]["message"]
 
 
+def as_json(result: dict) -> bytes:
+    """A read result as the memo stores it: the JSON bytes it was sent as."""
+    return json.dumps(result, separators=(",", ":")).encode()
+
+
 def test_the_memo_evicts_least_recently_used_entries_by_bytes(monkeypatch):
     monkeypatch.setattr(memo_module, "READ_MEMO_BYTES", 100)
     memo = ReadMemo()
     for name in ("a", "b", "c"):
         memo.invalidate(name)
-    memo.store(("a", "get_ir", None), memo.generation("a"), {"ir": "x" * 40})
-    memo.store(("b", "get_ir", None), memo.generation("b"), {"ir": "y" * 40})
-    assert memo.lookup(("a", "get_ir", None)) == {"ir": "x" * 40}
-    memo.store(("c", "get_ir", None), memo.generation("c"), {"ir": "z" * 40})
+    memo.store(("a", "get_ir", None), memo.generation("a"), as_json({"ir": "x" * 40}))
+    memo.store(("b", "get_ir", None), memo.generation("b"), as_json({"ir": "y" * 40}))
+    assert memo.lookup(("a", "get_ir", None)) == as_json({"ir": "x" * 40})
+    memo.store(("c", "get_ir", None), memo.generation("c"), as_json({"ir": "z" * 40}))
     assert memo.lookup(("b", "get_ir", None)) is None  # least recently used
     assert memo.lookup(("a", "get_ir", None)) is not None
     stats = memo.stats()
     assert (stats["entries"], stats["evictions"]) == (2, 1)
     assert stats["bytes"] <= 100
-    memo.store(("a", "get_outputs", "vhdl"), memo.generation("a"), {"files": {"a.vhd": "w" * 200}})
+    memo.store(("a", "get_outputs", "vhdl"), memo.generation("a"), as_json({"files": {"a.vhd": "w" * 200}}))
     assert memo.lookup(("a", "get_outputs", "vhdl")) is None  # larger than the whole bound
 
 
@@ -426,10 +432,10 @@ def test_a_read_is_stored_only_if_its_design_did_not_move():
     memo = ReadMemo()
     generation = memo.generation("a")
     memo.invalidate("a")  # a mutation submitted while the read was in flight
-    memo.store(("a", "get_ir", None), generation, {"ir": "old"})
+    memo.store(("a", "get_ir", None), generation, as_json({"ir": "old"}))
     assert memo.lookup(("a", "get_ir", None)) is None
     generation = memo.generation("a")
-    memo.store(("a", "get_ir", None), generation, {"ir": "new"})
+    memo.store(("a", "get_ir", None), generation, as_json({"ir": "new"}))
     memo.invalidate_where(lambda design: design == "a")  # the shard's worker respawned
     assert memo.lookup(("a", "get_ir", None)) is None
 
@@ -441,7 +447,7 @@ def test_forgetting_generations_never_revives_an_old_one(monkeypatch):
     memo.invalidate("a")  # a mutation submitted while the read is in flight
     memo.invalidate("b")
     memo.invalidate("c")  # past the bound: every generation is forgotten
-    memo.store(("a", "get_ir", None), generation, {"ir": "old"})
+    memo.store(("a", "get_ir", None), generation, as_json({"ir": "old"}))
     assert memo.lookup(("a", "get_ir", None)) is None
-    memo.store(("a", "get_ir", None), memo.generation("a"), {"ir": "new"})
-    assert memo.lookup(("a", "get_ir", None)) == {"ir": "new"}
+    memo.store(("a", "get_ir", None), memo.generation("a"), as_json({"ir": "new"}))
+    assert memo.lookup(("a", "get_ir", None)) == as_json({"ir": "new"})
