@@ -28,7 +28,6 @@ __all__ = [
     "CompileClient",
     "CompileService",
     "MAX_PIPELINE_REQUESTS",
-    "POOLED_METHODS",
     "PROTOCOL_VERSION",
     "RemoteCompileError",
     "ServerThread",
@@ -44,7 +43,7 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.server.cachesvc": ("CacheServer", "CacheServerThread", "CacheStore"),
         "repro.server.client": ("CompileClient", "http_post"),
-        "repro.server.pool": ("POOLED_METHODS", "WorkerPool", "shard_for"),
+        "repro.server.pool": ("WorkerPool", "shard_for"),
         "repro.server.protocol": ("PROTOCOL_VERSION", "RemoteCompileError"),
         "repro.server.service": ("CompileService",),
         "repro.server.transport": ("MAX_PIPELINE_REQUESTS", "ServerThread", "TydiServer", "serve"),

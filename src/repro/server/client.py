@@ -122,16 +122,7 @@ class CompileClient:
     def request_envelope(self, method: str, params: Mapping[str, Any]) -> dict[str, Any]:
         """Send one request and return the raw response envelope."""
         self.connect()
-        self._next_id += 1
-        request_id = self._next_id
-        message: dict[str, Any] = {"id": request_id, "method": method}
-        if params:
-            message["params"] = dict(params)
-        payload = json.dumps(message, separators=(",", ":")).encode() + b"\n"
-        if len(payload) > MAX_MESSAGE_BYTES:
-            raise TydiServerError(
-                f"request of {len(payload)} bytes exceeds the protocol bound"
-            )
+        request_id, payload = self._encode(method, params)
         try:
             self._file.write(payload)
             self._file.flush()
@@ -154,6 +145,17 @@ class CompileClient:
                 f"response id {envelope.get('id')!r} does not match request {request_id}"
             )
         return envelope if isinstance(envelope, dict) else {"ok": False, "error": {}}
+
+    def _encode(self, method: str, params: Mapping[str, Any]) -> tuple[int, bytes]:
+        """The next request id and its request line, checked against the bound."""
+        self._next_id += 1
+        message: dict[str, Any] = {"id": self._next_id, "method": method}
+        if params:
+            message["params"] = dict(params)
+        payload = json.dumps(message, separators=(",", ":")).encode() + b"\n"
+        if len(payload) > MAX_MESSAGE_BYTES:
+            raise TydiServerError(f"request of {len(payload)} bytes exceeds the protocol bound")
+        return self._next_id, payload
 
     def _read_envelope(self) -> Any:
         """Read and decode one NDJSON frame (response or event)."""
@@ -191,16 +193,8 @@ class CompileClient:
         ids: list[int] = []
         lines: list[bytes] = []
         for method, params in requests:
-            self._next_id += 1
-            message: dict[str, Any] = {"id": self._next_id, "method": method}
-            if params:
-                message["params"] = dict(params)
-            payload = json.dumps(message, separators=(",", ":")).encode() + b"\n"
-            if len(payload) > MAX_MESSAGE_BYTES:
-                raise TydiServerError(
-                    f"request of {len(payload)} bytes exceeds the protocol bound"
-                )
-            ids.append(self._next_id)
+            request_id, payload = self._encode(method, params)
+            ids.append(request_id)
             lines.append(payload)
         if not ids:
             return []

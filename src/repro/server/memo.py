@@ -42,15 +42,6 @@ READ_MEMO_BYTES = 32 * 1024 * 1024
 #: once (so arbitrary design names from a peer cannot grow it without bound).
 MAX_TRACKED_DESIGNS = 4096
 
-#: The memoised reads.  ``simulate_design`` is not one: its reports are keyed
-#: by plan, and the worker memoises them per plan and in the ``sim:`` tier.
-READ_METHODS = frozenset({"get_ir", "get_outputs", "get_diagnostics"})
-
-#: The methods that change a design, and so invalidate its reads.
-MUTATING_METHODS = frozenset(
-    {"open_design", "open_ir_design", "update_file", "remove_file", "remove_design"}
-)
-
 Key = tuple[str, str, Optional[str]]
 
 

@@ -40,34 +40,18 @@ without it keep the ``workers=0`` in-process thread path.
 from __future__ import annotations
 
 import hashlib
+import json
 import multiprocessing
 import os
 import queue
 import threading
+from concurrent.futures import Future
+from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Mapping, Optional
 
 from repro.errors import TydiBackpressureError, TydiDrainingError, TydiServerError
 from repro.server import protocol
 from repro.server.worker import read_frame, worker_main, write_frame
-
-#: Methods the pool routes by their ``design`` parameter; everything else
-#: (ping, stats, list_backends, shutdown) is answered by the parent.
-POOLED_METHODS = frozenset(
-    {
-        "open_design",
-        "open_ir_design",
-        "update_file",
-        "remove_file",
-        "remove_design",
-        "get_ir",
-        "get_outputs",
-        "get_diagnostics",
-        # Read-only like get_ir: routed to the owning shard so simulation
-        # reports come out of that worker's warm sim: cache tier; never
-        # mirrored (nothing to replay on a respawn).
-        "simulate_design",
-    }
-)
 
 
 def shard_for(design: str, shards: int) -> int:
@@ -99,31 +83,24 @@ def fork_available() -> bool:
 
 
 class _PoolJob:
-    """One design-addressed request travelling through a worker queue."""
+    """One request travelling through a worker queue: a design job, or (when
+    ``collect``) one worker's share of a ``stats`` / ``get_report`` answer."""
 
-    __slots__ = ("job_id", "request_id", "method", "params", "future")
+    __slots__ = ("job_id", "method", "params", "collect", "future")
 
-    def __init__(self, job_id: int, request_id: Any, method: str, params: dict) -> None:
+    def __init__(self, job_id: int, method: str, params: dict, collect: bool = False) -> None:
         self.job_id = job_id
-        self.request_id = request_id
         self.method = method
         self.params = params
-        from concurrent.futures import Future
+        self.collect = collect
+        #: Resolves to the worker's ``(ok, payload)`` (see ``methods.run``);
+        #: a collection resolves to ``None`` when the worker could not answer.
+        self.future: "Future[Optional[tuple[bool, Any]]]" = Future()
 
-        self.future: "Future[dict]" = Future()
 
-
-class _Control:
-    """An out-of-band request to one worker (stats/report)."""
-
-    __slots__ = ("kind", "token", "future")
-
-    def __init__(self, kind: str, token: int) -> None:
-        self.kind = kind
-        self.token = token
-        from concurrent.futures import Future
-
-        self.future: "Future[Any]" = Future()
+def _error_reply(message: str) -> tuple[bool, Any]:
+    """A worker reply the pool answers itself: a structured server error."""
+    return False, protocol.encode_error(TydiServerError(message))
 
 
 #: Queue sentinel: drain this worker (EOF the job pipe, join the process).
@@ -210,14 +187,11 @@ class _Worker:
 
     def _run(self) -> None:
         while True:
-            item = self.queue.get()
-            if item is _EXIT:
+            job = self.queue.get()
+            if job is _EXIT:
                 self._graceful_exit()
                 return
-            if isinstance(item, _Control):
-                self._do_control(item)
-            else:
-                self._do_job(item)
+            self._do_job(job)
 
     def _graceful_exit(self) -> None:
         proc = self.proc
@@ -235,74 +209,60 @@ class _Worker:
         self._close_pipes()
         self.proc = None
 
-    def _exchange(self, frame: tuple) -> Optional[tuple]:
-        """One frame out, one frame in; ``None`` means the worker died."""
+    def _exchange(self, job_id: int, method: str, params: Mapping[str, Any]) -> Optional[tuple]:
+        """One frame out, its ``(ok, payload)`` back; ``None`` means the
+        worker died (or desynced, which gets the same treatment)."""
         try:
-            write_frame(self.job_w, frame)
-            return read_frame(self.result_r)
+            write_frame(self.job_w, (job_id, method, params))
+            reply = read_frame(self.result_r)
         except (OSError, ValueError):
             return None
-
-    def _do_control(self, control: _Control) -> None:
-        if self.dead:
-            control.future.set_result(None)
-            return
-        reply = self._exchange((control.kind, control.token))
-        if reply is None or reply[0] != control.kind:
-            # Controls are best-effort observability: never burn a restart
-            # on them, just report the gap and let the next job respawn.
-            control.future.set_result(None)
-            return
-        control.future.set_result(reply[2])
+        if reply is None or reply[0] != job_id:
+            return None
+        return reply[1:]
 
     def _do_job(self, job: _PoolJob) -> None:
+        if job.collect:
+            # Collection is best-effort observability: it is not dispatched
+            # work and never burns a restart (the next job respawns).
+            reply = None if self.dead else self._exchange(job.job_id, job.method, job.params)
+            job.future.set_result(reply)
+            return
         if self.dead:
-            job.future.set_result(self._dead_envelope(job))
+            job.future.set_result(self._dead_reply())
             return
         self.dispatched += 1
-        request = {"id": job.request_id, "method": job.method, "params": job.params}
         for attempt in (1, 2):
-            reply = self._exchange(("job", job.job_id, request))
-            if (
-                reply is not None
-                and reply[0] == "result"
-                and reply[1] == job.job_id
-            ):
-                envelope = reply[2]
-                if envelope.get("ok"):
+            reply = self._exchange(job.job_id, job.method, job.params)
+            if reply is not None:
+                if reply[0]:
                     self._mirror(job.method, job.params)
                 else:
                     self.errors += 1
-                job.future.set_result(envelope)
+                job.future.set_result(reply)
                 return
-            # The worker died under this job (or desynced, which gets the
-            # same treatment: a fresh process with replayed state).
+            # The worker died under this job: a fresh process with
+            # replayed state, then one retry.
             if not self._respawn_and_replay():
-                job.future.set_result(self._dead_envelope(job))
+                job.future.set_result(self._dead_reply())
                 return
             if attempt == 1:
                 self.retries += 1
         self.errors += 1
         job.future.set_result(
-            protocol.error_envelope(
-                job.request_id,
-                TydiServerError(
-                    f"worker {self.index} crashed twice while serving "
-                    f"{job.method!r}; giving up on this request (the worker "
-                    f"was restarted and its designs replayed)"
-                ),
+            _error_reply(
+                f"worker {self.index} crashed twice while serving "
+                f"{job.method!r}; giving up on this request (the worker "
+                f"was restarted and its designs replayed)"
             )
         )
 
-    def _dead_envelope(self, job: _PoolJob) -> dict:
+    def _dead_reply(self) -> tuple[bool, Any]:
         self.errors += 1
-        return protocol.error_envelope(
-            job.request_id,
-            TydiServerError(
-                f"worker {self.index} exceeded its restart budget "
-                f"({self.pool.restart_budget} restarts) and is out of service; "
-                f"restart the daemon"
-            ),
+        return _error_reply(
+            f"worker {self.index} exceeded its restart budget "
+            f"({self.pool.restart_budget} restarts) and is out of service; "
+            f"restart the daemon"
         )
 
     def _respawn_and_replay(self) -> bool:
@@ -338,9 +298,7 @@ class _Worker:
                 params["files"] = files
             if options is not None:
                 params["options"] = options
-            request = {"id": None, "method": method, "params": params}
-            reply = self._exchange(("job", -1, request))
-            if reply is None:
+            if self._exchange(-1, method, params) is None:
                 return False  # died during replay: caller loops on budget
         return True
 
@@ -492,8 +450,10 @@ class WorkerPool:
                     fds.append(fd)
         return tuple(fds)
 
-    def submit(self, method: str, params: Mapping[str, Any], request_id: Any = None):
-        """Queue one design-addressed request; returns a ``Future[envelope]``.
+    def submit(self, method: str, params: Mapping[str, Any]) -> "Future[tuple[bool, Any]]":
+        """Queue one design-addressed request; returns a future of the
+        worker's ``(ok, payload)``: the result's JSON bytes, or the error
+        object.
 
         Raises :class:`~repro.errors.TydiDrainingError` once draining and
         :class:`~repro.errors.TydiBackpressureError` when the target
@@ -505,9 +465,7 @@ class WorkerPool:
                 f"(in-flight requests are completing)"
             )
         worker = self.worker_for(params.get("design"))
-        with self._lock:
-            self._next_job_id += 1
-            job = _PoolJob(self._next_job_id, request_id, method, dict(params))
+        job = self._job(method, params)
         try:
             worker.queue.put_nowait(job)
         except queue.Full:
@@ -516,6 +474,11 @@ class WorkerPool:
                 f"backlog); back off and retry {method!r}"
             ) from None
         return job.future
+
+    def _job(self, method: str, params: Mapping[str, Any], collect: bool = False) -> _PoolJob:
+        with self._lock:
+            self._next_job_id += 1
+            return _PoolJob(self._next_job_id, method, dict(params), collect)
 
     # -- observability ---------------------------------------------------------
 
@@ -550,7 +513,7 @@ class WorkerPool:
 
     def report(self, *, timeout: float = 10.0) -> dict[str, Any]:
         """Aggregated ``get_report``: merged designs plus per-worker reports."""
-        reports = self._collect("report", timeout=timeout)
+        reports = self._collect("get_report", timeout=timeout)
         merged_designs: dict[str, Any] = {}
         per_worker: dict[str, Any] = {}
         for worker, report in zip(self.workers, reports):
@@ -563,26 +526,24 @@ class WorkerPool:
                 merged_designs.update(designs)
         return {"designs": merged_designs, "workers": per_worker}
 
-    def _collect(self, kind: str, *, timeout: float) -> list[Optional[dict]]:
-        controls: list[Optional[_Control]] = []
+    def _collect(self, method: str, *, timeout: float) -> list[Optional[dict]]:
+        """Every worker's answer to one session method (``None`` for a
+        worker that could not give one in time)."""
+        jobs: list[Optional[_PoolJob]] = []
         for worker in self.workers:
-            with self._lock:
-                self._next_job_id += 1
-                control = _Control(kind, self._next_job_id)
+            job = self._job(method, {}, collect=True)
             try:
-                worker.queue.put(control, timeout=1.0)
-                controls.append(control)
+                worker.queue.put(job, timeout=1.0)
+                jobs.append(job)
             except queue.Full:
-                controls.append(None)
+                jobs.append(None)
         results: list[Optional[dict]] = []
-        for control in controls:
-            if control is None:
-                results.append(None)
-                continue
+        for job in jobs:
             try:
-                results.append(control.future.result(timeout=timeout))
-            except Exception:
-                results.append(None)
+                reply = job.future.result(timeout=timeout) if job is not None else None
+            except FutureTimeoutError:
+                reply = None
+            results.append(json.loads(reply[1]) if reply is not None and reply[0] else None)
         return results
 
     # -- lifecycle -------------------------------------------------------------

@@ -99,10 +99,6 @@ def encode_error(exc: BaseException) -> dict[str, Any]:
     }
 
 
-def success_envelope(request_id: Any, result: Mapping[str, Any]) -> dict[str, Any]:
-    return {"id": request_id, "ok": True, "result": dict(result)}
-
-
 def error_envelope(request_id: Any, exc: BaseException) -> dict[str, Any]:
     return {"id": request_id, "ok": False, "error": encode_error(exc)}
 
@@ -120,8 +116,9 @@ def encode_result(result: Mapping[str, Any]) -> bytes:
 def success_line(request_id: Any, result: bytes) -> bytes:
     """The wire line of a success envelope whose result is already encoded.
 
-    Byte-identical to ``encode(success_envelope(request_id, decoded))``: a
-    compact dict's encoding is its items' encodings joined in order.
+    Byte-identical to ``encode({"id": request_id, "ok": True, "result":
+    decoded})``: a compact dict's encoding is its items' encodings joined in
+    order.
     """
     return _bounded(
         b'{"id":' + _ENCODER.encode(request_id).encode() + b',"ok":true,"result":'

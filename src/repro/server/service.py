@@ -32,10 +32,14 @@ touched since is answered on the event loop, without reaching either pool.
 
 Requests and responses have the shape documented by
 :mod:`repro.server.protocol`.  A transport decodes each request once and
-hands the document to :meth:`respond`, which returns the response line
-encoded once; a memoised read's line is spliced from stored JSON bytes, so
-a hit is never encoded at all.  Failures never escape :meth:`respond` --
-every exception becomes a structured error envelope carrying the
+hands the document to :meth:`respond`.  The method table
+(:mod:`repro.server.methods`) says where it runs, and both modes run a
+design method through the same :func:`~repro.server.methods.run`, which
+encodes the result where it is computed: on a compile thread, or in the
+pool worker.  :meth:`respond` splices those bytes into the response line
+and stores the same bytes in the read memo, so no result is decoded or
+encoded twice.  Failures never escape :meth:`respond` -- every exception
+becomes a structured error envelope carrying the
 :class:`~repro.errors.TydiError` stage and rendering.  Every request's
 latency, queueing and encoding included, goes into the service's
 :class:`~repro.tracing.Recorder`, whose request view is the ``stats``
@@ -54,8 +58,9 @@ from typing import Any, Mapping, Optional
 
 from repro.errors import TydiDrainingError
 from repro.server import protocol
-from repro.server.memo import MUTATING_METHODS, READ_METHODS, ReadMemo
-from repro.server.pool import POOLED_METHODS, WorkerPool
+from repro.server.memo import ReadMemo
+from repro.server.methods import METHODS, MUTATION, READ, SHUTDOWN, WATCH, Method, run
+from repro.server.pool import WorkerPool
 from repro.tracing import Recorder
 from repro.workspace import Workspace
 
@@ -182,9 +187,9 @@ class CompileService:
         self._max_in_flight = 0
         self._shutdowns_in_flight = 0
         self._closed = False
-        # watch_design subscriptions: token -> _Watch.  Registered by the
-        # NDJSON transport (which owns the delivery callbacks) and notified
-        # from _handle_parsed after each successful update_file.
+        # watch_design subscriptions: token -> _Watch.  Registered through
+        # the NDJSON connection's watch state (which owns the delivery
+        # callback) and notified after each successful update_file.
         self._watch_lock = threading.Lock()
         self._watches: dict[int, _Watch] = {}
         self._next_watch_token = 0
@@ -194,12 +199,16 @@ class CompileService:
         if self.pool is not None:
             self.pool.on_respawn = self._drop_shard_reads
 
-    # -- the request entry points ----------------------------------------------
+    # -- the request path ------------------------------------------------------
 
-    async def respond(self, message: Any) -> tuple[bytes, Optional[str]]:
+    async def respond(
+        self, message: Any, watch: Any = None
+    ) -> tuple[bytes, Optional[str]]:
         """One decoded request document in, its encoded response line out
         (with the error's stage, as :meth:`finish` returns it).
 
+        ``watch`` is the NDJSON connection's watch state, which a
+        ``watch_design`` subscribes; without one the method is rejected.
         Never raises: malformed envelopes, unknown methods, bad parameters
         and compile failures all come back as error lines.
         """
@@ -207,37 +216,36 @@ class CompileService:
         try:
             request_id, method, params = protocol.parse_request(message)
         except Exception as exc:
-            reply = protocol.error_envelope(protocol.recover_request_id(message), exc)
-            return self.finish(None, start, reply)
-        return self.finish(method, start, await self._handle_parsed(request_id, method, params))
+            request_id, method = protocol.recover_request_id(message), None
+            ok, payload = False, protocol.encode_error(exc)
+        else:
+            ok, payload = await self._answer(method, params, watch)
+        return self.finish(request_id, method, start, ok, payload)
 
     def finish(
-        self, method: Optional[str], start: float, reply: "dict[str, Any] | bytes"
+        self, request_id: Any, method: Optional[str], start: float, ok: bool, payload: Any
     ) -> tuple[bytes, Optional[str]]:
-        """Encode one reply, once, and record its request, encoding included.
+        """The response line of one answered request, recorded with its
+        latency (``start`` is its ``time.perf_counter()``).
 
-        ``reply`` is an envelope, or a success line the read memo already
-        spliced; ``start`` is the request's ``time.perf_counter()``.  Returns
-        the line and, for an error envelope, the error's ``stage`` (``None``
-        for a success), which is all the HTTP front needs to pick a status.
-        Transports call it for the requests they answer themselves: a line
-        that is not JSON, and ``watch_design`` on a streaming connection.
+        ``payload`` is the result's JSON bytes, spliced into the line as
+        they are, or the error object.  Returns the line and, for an error,
+        its ``stage`` (``None`` for a success), which is all the HTTP front
+        needs to pick a status.  The transport calls it for a line that is
+        not JSON.
         """
-        if isinstance(reply, bytes):
-            line, stage = reply, None
+        if ok:
+            line, stage = protocol.success_line(request_id, payload), None
         else:
-            line = protocol.encode(reply)
-            stage = None if reply["ok"] else reply["error"]["stage"]
-        self.record_request(method, time.perf_counter() - start, ok=stage is None)
+            line = protocol.encode({"id": request_id, "ok": False, "error": payload})
+            stage = payload["stage"]
+        self.record_request(method, time.perf_counter() - start, ok=ok)
         return line, stage
 
-    async def handle(self, message: Any) -> dict[str, Any]:
-        """:meth:`respond`, decoded: the envelope a remote client would read.
-
-        Every call decodes fresh objects from its own response line, so an
-        in-process caller that edits its result edits nothing else.
-        """
-        line, _ = await self.respond(message)
+    def handle_sync(self, message: Any) -> dict[str, Any]:
+        """:meth:`respond` for callers without a loop, decoded: the envelope
+        a remote client would read, made of fresh objects every call."""
+        line, _ = asyncio.run(self.respond(message))
         return json.loads(line)
 
     def record_request(self, method: Optional[str], seconds: float, *, ok: bool) -> None:
@@ -248,112 +256,74 @@ class CompileService:
         method, land in ``<unknown>``, so they cannot grow the recorder (or
         the stats payload) without bound in a long-lived daemon.
         """
-        name = method if method in self._METHODS else "<unknown>"
+        name = method if method in METHODS else "<unknown>"
         self.requests.record(name, seconds, ok=ok)
 
-    async def _handle_parsed(
-        self, request_id: Any, method: str, params: dict[str, Any]
-    ) -> "dict[str, Any] | bytes":
-        """The reply to one parsed request: an envelope, or for a memoised
-        read that succeeded, its success line (spliced from the memo's
-        bytes on a hit, and from the bytes it stores on a miss)."""
-        handler = self._METHODS.get(method)
-        if handler is None:
-            return protocol.error_envelope(
-                request_id, protocol.unknown_method_error(method, self.methods())
-            )
+    async def _answer(
+        self, method: str, params: dict[str, Any], watch: Any
+    ) -> tuple[bool, Any]:
+        """One parsed request's ``(ok, payload)``, as :func:`run` returns it.
+
+        A memoised read that succeeded stores its result bytes, and a repeat
+        is answered with them, on the event loop."""
+        entry = METHODS.get(method)
         try:
-            protocol.unknown_params_check(params, self._SIGNATURES[method][0], method)
-        except Exception as exc:
-            return protocol.error_envelope(request_id, exc)
-        if method == "shutdown":
-            return await self._handle_shutdown(request_id)
-        if self.draining.is_set() and method in self._DRAIN_REJECTED:
-            return protocol.error_envelope(
-                request_id,
-                TydiDrainingError(
+            if entry is None:
+                raise protocol.unknown_method_error(method, sorted(METHODS))
+            protocol.unknown_params_check(params, entry.params, method)
+            if self.draining.is_set() and entry.drain_rejected:
+                raise TydiDrainingError(
                     f"service is draining for shutdown; {method!r} rejected"
-                ),
-            )
+                )
+        except Exception as exc:
+            return False, protocol.encode_error(exc)
         design = params.get("design")
         target = params.get("target")
         memoised = (
-            method in READ_METHODS
+            entry.kind == READ
             and isinstance(design, str)
             and (target is None or isinstance(target, str))
             and not (self.pool is not None and self.pool.worker_for(design).dead)
         )
-        mutation = method in MUTATING_METHODS and isinstance(design, str)
+        mutation = entry.kind == MUTATION and isinstance(design, str)
         if memoised:
             key = (design, method, target)
             stored = self.read_memo.lookup(key)
             if stored is not None:
-                return protocol.success_line(request_id, stored)
+                return True, stored
             generation = self.read_memo.generation(design)
         elif mutation:
             self.read_memo.invalidate(design)
-        self._enter_request(method)
+        self._enter_request(entry.kind)
         try:
-            if self.pool is not None and method in POOLED_METHODS:
-                # The worker computes the full envelope (same dispatch code
-                # as in-process serving) and already stamped the id.
-                future = self.pool.submit(method, params, request_id)
-                envelope = await asyncio.wrap_future(future)
-            else:
-                in_executor = self._SIGNATURES[method][1]
-                if in_executor:
-                    loop = asyncio.get_running_loop()
-                    result = await loop.run_in_executor(
-                        self._executor, lambda: handler(self, params)
-                    )
-                else:
-                    result = handler(self, params)
-                envelope = protocol.success_envelope(request_id, result)
-        except Exception as exc:
-            return protocol.error_envelope(request_id, exc)
+            ok, payload = await self._execute(entry, method, params, watch)
+        except Exception as exc:  # backpressure, a draining pool, a closed executor
+            ok, payload = False, protocol.encode_error(exc)
         finally:
-            self._exit_request(method)
+            self._exit_request(entry.kind)
             if mutation:
                 self.read_memo.invalidate(design)
-        if memoised and envelope.get("ok"):
-            stored = protocol.encode_result(envelope["result"])
-            self.read_memo.store(key, generation, stored)
-            return protocol.success_line(request_id, stored)
-        if method == "update_file" and envelope.get("ok"):
+        if ok and memoised:
+            self.read_memo.store(key, generation, payload)
+        if ok and method == "update_file":
             self._schedule_watch_notify(design)
-        return envelope
+        return ok, payload
 
-    def handle_sync(self, message: Any) -> dict[str, Any]:
-        """Blocking :meth:`handle` for transports/tests without a loop."""
-        return asyncio.run(self.handle(message))
-
-    def dispatch(self, message: Any) -> dict[str, Any]:
-        """Synchronous inline :meth:`handle`: no executor, no pool routing.
-
-        The execution primitive of the pool worker loop
-        (:mod:`repro.server.worker`) -- one request document in, one
-        envelope out, computed entirely on the calling thread, through the
-        exact validation and handler code the async path uses.  Never
-        raises.
-        """
-        try:
-            request_id, method, params = protocol.parse_request(message)
-        except Exception as exc:
-            return protocol.error_envelope(protocol.recover_request_id(message), exc)
-        handler = self._METHODS.get(method)
-        try:
-            if handler is None:
-                raise protocol.unknown_method_error(method, self.methods())
-            protocol.unknown_params_check(params, self._SIGNATURES[method][0], method)
-            result = handler(self, params)
-        except Exception as exc:
-            return protocol.error_envelope(request_id, exc)
-        return protocol.success_envelope(request_id, result)
-
-    @classmethod
-    def methods(cls) -> list[str]:
-        """Every request method name, sorted (``ping`` reports these)."""
-        return sorted(cls._METHODS)
+    async def _execute(
+        self, entry: Method, method: str, params: dict[str, Any], watch: Any
+    ) -> tuple[bool, Any]:
+        """Run one validated request where its kind says it runs."""
+        if entry.kind == SHUTDOWN:
+            return True, protocol.encode_result(await entry.handler(self, params))
+        if entry.kind == WATCH:
+            return run(watch, method, params)
+        if not entry.in_executor:
+            return run(self, method, params)
+        if entry.pooled and self.pool is not None:
+            return await asyncio.wrap_future(self.pool.submit(method, params))
+        target = self.workspace if entry.pooled else self
+        loop = asyncio.get_running_loop()
+        return await loop.run_in_executor(self._executor, run, target, method, params)
 
     def close(self) -> None:
         """Release workers and the compile pool (idempotent; pending work
@@ -372,25 +342,18 @@ class CompileService:
 
     # -- the drain path --------------------------------------------------------
 
-    async def _handle_shutdown(self, request_id: Any) -> dict[str, Any]:
+    async def drain(self) -> bool:
         """Drain, then stop: in-flight responses are never dropped.
 
         Sets :attr:`draining` immediately (new work is rejected), waits --
         off the event loop, and *not* on a compile-pool thread, so a full
         compile pool cannot deadlock the drain -- for every other
         in-flight request to complete, drains the worker pool, and only
-        then sets :attr:`shutdown_requested` for the transport.
+        then sets :attr:`shutdown_requested` for the transport.  Returns
+        whether everything finished within ``drain_timeout``.
         """
-        self._enter_request("shutdown")
-        try:
-            self.draining.set()
-            loop = asyncio.get_running_loop()
-            drained = await loop.run_in_executor(None, self._drain_blocking)
-        finally:
-            self._exit_request("shutdown")
-        return protocol.success_envelope(
-            request_id, {"stopping": True, "drained": bool(drained)}
-        )
+        self.draining.set()
+        return await asyncio.get_running_loop().run_in_executor(None, self._drain_blocking)
 
     def _drain_blocking(self) -> bool:
         with self._drain_lock:  # concurrent shutdowns share one drain
@@ -416,172 +379,10 @@ class CompileService:
                 return False
             time.sleep(0.005)
 
-    # -- method handlers -------------------------------------------------------
-    # Each takes the validated params dict and returns the JSON-ready result
-    # payload; they run on compile-pool threads (except the pure ones) so
-    # they are free to block on workspace locks.
+    # -- the session views (``stats`` and ``get_report``) --------------------------
 
-    def _ping(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        import repro
-
-        return {
-            "protocol": protocol.PROTOCOL_VERSION,
-            "version": repro.__version__,
-            "methods": self.methods(),
-            "jobs": self.jobs,
-            "workers": self.workers,
-        }
-
-    def _open_design(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        name = protocol.require_param(params, "design", str, "open_design")
-        files = params.get("files", {})
-        if not isinstance(files, (Mapping, list)):
-            from repro.errors import TydiServerError
-
-            raise TydiServerError(
-                f"open_design: 'files' must be a JSON object or array, "
-                f"got {type(files).__name__}"
-            )
-        options = protocol.coerce_options(params.get("options"), "open_design")
-        replace = bool(params.get("replace", True))
-        self.workspace.add_design(name, files, options, replace=replace)
-        return {
-            "design": name,
-            "files": sorted(self.workspace.files(name)),
-            "fingerprint": self.workspace.fingerprint(name),
-        }
-
-    def _open_ir_design(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        """Open a design from one Tydi-IR interchange document.
-
-        The served twin of :meth:`~repro.workspace.Workspace.add_ir_design`:
-        the document text replaces Tydi-lang sources as the design's input,
-        everything downstream (``get_outputs``, ``get_diagnostics``,
-        ``simulate_design``) works unchanged.  In pool mode the request is
-        routed to the owning shard and mirrored for crash replay just like
-        ``open_design``.
-        """
-        name = protocol.require_param(params, "design", str, "open_ir_design")
-        text = protocol.require_param(params, "text", str, "open_ir_design")
-        options = protocol.coerce_options(params.get("options"), "open_ir_design")
-        replace = bool(params.get("replace", True))
-        self.workspace.add_ir_design(name, text, options, replace=replace)
-        return {
-            "design": name,
-            "files": sorted(self.workspace.files(name)),
-            "fingerprint": self.workspace.fingerprint(name),
-        }
-
-    def _update_file(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        design = protocol.require_param(params, "design", str, "update_file")
-        filename = protocol.require_param(params, "filename", str, "update_file")
-        text = protocol.require_param(params, "text", str, "update_file")
-        self.workspace.update_file(design, filename, text)
-        return {
-            "design": design,
-            "filename": filename,
-            "fingerprint": self.workspace.fingerprint(design),
-            "fresh": self.workspace.is_fresh(design),
-        }
-
-    def _remove_file(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        design = protocol.require_param(params, "design", str, "remove_file")
-        filename = protocol.require_param(params, "filename", str, "remove_file")
-        self.workspace.remove_file(design, filename)
-        return {
-            "design": design,
-            "filename": filename,
-            "fingerprint": self.workspace.fingerprint(design),
-        }
-
-    def _remove_design(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        design = protocol.require_param(params, "design", str, "remove_design")
-        self.workspace.remove_design(design)
-        return {"design": design, "removed": True}
-
-    def _get_ir(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        design = protocol.require_param(params, "design", str, "get_ir")
-        ir = self.workspace.ir(design)
-        return {
-            "design": design,
-            "ir": ir,
-            "fingerprint": self.workspace.fingerprint(design),
-        }
-
-    def _get_outputs(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        design = protocol.require_param(params, "design", str, "get_outputs")
-        target = protocol.require_param(params, "target", str, "get_outputs")
-        files = self.workspace.outputs(design, target)
-        return {"design": design, "target": target, "files": dict(files)}
-
-    def _get_diagnostics(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        design = protocol.require_param(params, "design", str, "get_diagnostics")
-        sink = self.workspace.diagnostics(design)
-        return {
-            "design": design,
-            "diagnostics": [
-                {
-                    "severity": diag.severity,
-                    "stage": diag.stage,
-                    "message": diag.message,
-                    "span": str(diag.span) if diag.span is not None else None,
-                }
-                for diag in sink
-            ],
-        }
-
-    def _simulate_design(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        design = protocol.require_param(params, "design", str, "simulate_design")
-        plan = params.get("plan")
-        if plan is not None and not isinstance(plan, Mapping):
-            from repro.errors import TydiServerError
-
-            raise TydiServerError(
-                f"simulate_design: 'plan' must be a JSON object, "
-                f"got {type(plan).__name__}"
-            )
-        from repro.sim.harness import SimulationPlan
-
-        report = self.workspace.simulate(design, SimulationPlan.coerce(plan))
-        return {
-            "design": design,
-            "fingerprint": self.workspace.fingerprint(design),
-            "report": report.as_dict(),
-        }
-
-    def _watch_design(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        # Subscriptions need a connection to push event frames down; the
-        # NDJSON transport intercepts this method and registers the watch
-        # itself (see repro.server.transport).  Reaching this handler means
-        # the request came over HTTP or a one-shot dispatch.
-        from repro.errors import TydiServerError
-
-        protocol.require_param(params, "design", str, "watch_design")
-        raise TydiServerError(
-            "watch_design requires a streaming NDJSON connection "
-            "(the HTTP front and one-shot dispatch cannot push event frames)"
-        )
-
-    def _get_report(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        if self.pool is not None:
-            return self.pool.report()
-        return dict(self.workspace.report())
-
-    def _list_backends(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        from repro.backends import available_backends, backend_class, option_schema
-
-        return {
-            "backends": [
-                {
-                    "name": name,
-                    "description": backend_class(name).description,
-                    "options": option_schema(backend_class(name)),
-                }
-                for name in available_backends()
-            ]
-        }
-
-    def _stats(self, params: Mapping[str, Any]) -> dict[str, Any]:
+    def stats(self) -> dict[str, Any]:
+        """The ``stats`` result: the request counters around every workspace's."""
         requests = self.requests.request_view()
         with self._counters_lock:
             server = {
@@ -605,14 +406,14 @@ class CompileService:
             }
         return {"server": server, "workspace": self.workspace.stats()}
 
-    def _shutdown(self, params: Mapping[str, Any]) -> dict[str, Any]:
-        # The inline/dispatch path (pool workers never receive shutdown;
-        # the async path intercepts the method and drains instead).
-        self.draining.set()
-        if self.pool is not None:  # pragma: no cover - defensive
-            self.pool.drain(timeout=self.drain_timeout)
-        self.shutdown_requested.set()
-        return {"stopping": True, "drained": True}
+    def report(self) -> dict[str, Any]:
+        """The ``get_report`` result.  Refused once draining, like compile
+        work: a draining pool has no workers left to report."""
+        if self.draining.is_set():
+            raise TydiDrainingError("service is draining for shutdown; 'get_report' rejected")
+        if self.pool is not None:
+            return self.pool.report()
+        return self.workspace.report()
 
     def _drop_shard_reads(self, shard: int) -> None:
         """Forget a respawned worker's designs: its replacement answers them."""
@@ -663,7 +464,7 @@ class CompileService:
         """Push one diagnostics + sim-delta event to every watcher of a design.
 
         Diagnostics and simulation reports are computed through the normal
-        dispatch path, so pool mode routes to the owning shard and the
+        request path, so pool mode routes to the owning shard and the
         ``sim:`` cache tier absorbs repeat plans; one simulation runs per
         *distinct* plan even when many watchers share it.  The pushed
         event always carries the diagnostics; the simulation report rides
@@ -674,40 +475,36 @@ class CompileService:
             watches = [w for w in self._watches.values() if w.design == design]
         if not watches or self.draining.is_set():
             return
-        diag_env = await self._handle_parsed(None, "get_diagnostics", {"design": design})
-        if isinstance(diag_env, bytes):  # a memoised read's success line
-            diag_env = json.loads(diag_env)
-        if diag_env.get("ok"):
-            diagnostics = diag_env.get("result", {}).get("diagnostics", [])
+        ok, payload = await self._answer("get_diagnostics", {"design": design}, None)
+        if ok:
+            diagnostics = json.loads(payload)["diagnostics"]
         else:
             # A design that no longer compiles answers get_diagnostics with
-            # an error envelope; fold it into the diagnostics shape so the
-            # watcher still sees what broke.
-            error = diag_env.get("error") or {}
+            # an error; fold it into the diagnostics shape so the watcher
+            # still sees what broke.
             diagnostics = [
                 {
                     "severity": "error",
-                    "stage": error.get("stage"),
-                    "message": error.get("message"),
-                    "span": error.get("span"),
+                    "stage": payload.get("stage"),
+                    "message": payload.get("message"),
+                    "span": payload.get("span"),
                 }
             ]
-        sims: dict[str, dict[str, Any]] = {}
+        sims: dict[str, tuple[bool, Any]] = {}
         for watch in watches:
             plan_key = json.dumps(watch.plan, sort_keys=True)
             if plan_key not in sims:
                 sim_params: dict[str, Any] = {"design": design}
                 if watch.plan is not None:
                     sim_params["plan"] = watch.plan
-                sims[plan_key] = await self._handle_parsed(
-                    None, "simulate_design", sim_params
-                )
-            envelope = sims[plan_key]
-            if envelope.get("ok"):
-                sim = {"report": envelope["result"]["report"], "error": None}
-                fingerprint = envelope["result"].get("fingerprint")
+                sims[plan_key] = await self._answer("simulate_design", sim_params, None)
+            ok, payload = sims[plan_key]
+            if ok:
+                result = json.loads(payload)
+                sim = {"report": result["report"], "error": None}
+                fingerprint = result.get("fingerprint")
             else:
-                sim = {"report": None, "error": envelope.get("error")}
+                sim = {"report": None, "error": payload}
                 fingerprint = None
             marker = json.dumps(sim, sort_keys=True)
             changed = marker != watch.last_sim
@@ -729,63 +526,18 @@ class CompileService:
 
     # -- in-flight accounting --------------------------------------------------
 
-    def _enter_request(self, method: Optional[str] = None) -> None:
+    def _enter_request(self, kind: str) -> None:
         with self._counters_lock:
             self._in_flight += 1
             self._max_in_flight = max(self._max_in_flight, self._in_flight)
-            if method == "shutdown":
+            if kind == SHUTDOWN:
                 self._shutdowns_in_flight += 1
 
-    def _exit_request(self, method: Optional[str] = None) -> None:
+    def _exit_request(self, kind: str) -> None:
         with self._counters_lock:
             self._in_flight -= 1
-            if method == "shutdown":
+            if kind == SHUTDOWN:
                 self._shutdowns_in_flight -= 1
-
-    #: method name -> handler.  The parallel signature table records the
-    #: allowed parameter names and whether the handler must run on a
-    #: compile-pool thread (everything that can touch a workspace or design
-    #: lock does; the pure introspection methods answer inline).
-    _METHODS = {
-        "ping": _ping,
-        "open_design": _open_design,
-        "open_ir_design": _open_ir_design,
-        "update_file": _update_file,
-        "remove_file": _remove_file,
-        "remove_design": _remove_design,
-        "get_ir": _get_ir,
-        "get_outputs": _get_outputs,
-        "get_diagnostics": _get_diagnostics,
-        "simulate_design": _simulate_design,
-        "watch_design": _watch_design,
-        "get_report": _get_report,
-        "list_backends": _list_backends,
-        "stats": _stats,
-        "shutdown": _shutdown,
-    }
-
-    _SIGNATURES: dict[str, tuple[tuple[str, ...], bool]] = {
-        "ping": ((), False),
-        "open_design": (("design", "files", "options", "replace"), True),
-        "open_ir_design": (("design", "text", "options", "replace"), True),
-        "update_file": (("design", "filename", "text"), True),
-        "remove_file": (("design", "filename"), True),
-        "remove_design": (("design",), True),
-        "get_ir": (("design",), True),
-        "get_outputs": (("design", "target"), True),
-        "get_diagnostics": (("design",), True),
-        "simulate_design": (("design", "plan"), True),
-        "watch_design": (("design", "plan"), False),
-        "get_report": ((), True),
-        "list_backends": ((), False),
-        "stats": ((), True),
-        "shutdown": ((), False),
-    }
-
-    #: Methods rejected once draining: everything that would start new
-    #: compile work or mutate design state.  ``ping`` / ``stats`` /
-    #: ``list_backends`` stay up so operators can observe the drain.
-    _DRAIN_REJECTED = POOLED_METHODS | {"get_report", "watch_design"}
 
 
 def _aggregate_worker_workspaces(pool_stats: Mapping[str, Any]) -> dict[str, Any]:

@@ -88,12 +88,17 @@ class _WatchState:
     and buffer anything with an ``"event"`` key.
     """
 
+    #: Reported in the ``watch_design`` acknowledgement.
+    depth = WATCH_QUEUE_DEPTH
+
     def __init__(
         self,
+        service: CompileService,
         loop: asyncio.AbstractEventLoop,
         writer: asyncio.StreamWriter,
         write_lock: asyncio.Lock,
     ) -> None:
+        self.service = service
         self.loop = loop
         self.writer = writer
         self.write_lock = write_lock
@@ -114,9 +119,13 @@ class _WatchState:
         self.events.append(event)
         self.ready.set()
 
-    def ensure_flusher(self) -> None:
+    def subscribe(self, design: str, plan: Optional[Mapping[str, Any]]) -> int:
+        """Subscribe this connection to ``design``; returns the watch token."""
+        token = self.service.add_watch(design, self.deliver, plan)
+        self.tokens.append(token)
         if self.flusher is None:
             self.flusher = self.loop.create_task(self._flush())
+        return token
 
     async def _flush(self) -> None:
         while True:
@@ -135,9 +144,9 @@ class _WatchState:
                 except (ConnectionError, RuntimeError):
                     return  # the peer went away; the read loop cleans up
 
-    def close(self, service: CompileService) -> None:
+    def close(self) -> None:
         for token in self.tokens:
-            service.remove_watch(token)
+            self.service.remove_watch(token)
         self.tokens.clear()
         if self.flusher is not None:
             self.flusher.cancel()
@@ -229,14 +238,19 @@ class TydiServer:
             writer.transport.pause_reading()  # nothing may follow the EOF
             reader.feed_eof()
 
-    async def _read_line(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+    async def _read(
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        size: Optional[int] = None,
     ) -> bytes:
-        """The connection's next line; ``b""`` at end-of-file, which
-        :meth:`_wake_parked` also delivers once the server is closing."""
+        """The connection's next line, or with ``size`` its next ``size``
+        bytes.  Parked until then: at end-of-file, which :meth:`_wake_parked`
+        also delivers once the server is closing, a line read returns
+        ``b""`` and an exact read raises ``IncompleteReadError``."""
         self._parked[reader] = writer
         try:
-            return await reader.readline()
+            return await (reader.readline() if size is None else reader.readexactly(size))
         finally:
             del self._parked[reader]
 
@@ -250,7 +264,7 @@ class TydiServer:
             self._conn_tasks.add(task)
         self._connections.add(writer)
         try:
-            first = await self._read_line(reader, writer)
+            first = await self._read(reader, writer)
             if not first:
                 return
             if _looks_like_http(first):
@@ -292,7 +306,7 @@ class TydiServer:
         """
         write_lock = asyncio.Lock()
         slots = asyncio.Semaphore(MAX_PIPELINE_REQUESTS)
-        watch_state = _WatchState(asyncio.get_running_loop(), writer, write_lock)
+        watch_state = _WatchState(self.service, asyncio.get_running_loop(), writer, write_lock)
         tasks: set["asyncio.Task[None]"] = set()
         line = first_line
         error: Optional[BaseException] = None
@@ -308,13 +322,13 @@ class TydiServer:
                     response_task.add_done_callback(tasks.discard)
                 if self._closing or self.service.shutdown_requested.is_set():
                     break
-                line = await self._read_line(reader, writer)
+                line = await self._read(reader, writer)
         except (ConnectionError, asyncio.IncompleteReadError, ValueError) as exc:
             error = exc
         finally:
             if tasks:  # flush accepted work before the connection dies
                 await asyncio.gather(*tasks, return_exceptions=True)
-            watch_state.close(self.service)
+            watch_state.close()
         if error is not None:
             raise error
 
@@ -341,70 +355,15 @@ class TydiServer:
     ) -> tuple[bytes, Optional[str]]:
         """Decode one request, the only time it is decoded, and answer it:
         the response line and its error stage (see ``CompileService.finish``).
-
-        ``watch_design`` on a streaming connection (``watch_state``) is
-        registered here; everything else goes to the service.
+        A streaming connection passes its ``watch_state`` for ``watch_design``.
         """
         start = time.perf_counter()
         try:
             message = json.loads(payload)
         except (ValueError, RecursionError) as exc:
             error = TydiServerError(f"request is not valid JSON: {exc}")
-            return self.service.finish(None, start, error_envelope(None, error))
-        if (
-            watch_state is not None
-            and isinstance(message, Mapping)
-            and message.get("method") == "watch_design"
-        ):
-            envelope = self._register_watch(message, watch_state)
-            return self.service.finish("watch_design", start, envelope)
-        return await self.service.respond(message)
-
-    def _register_watch(
-        self, message: Mapping[str, Any], watch_state: _WatchState
-    ) -> dict[str, Any]:
-        """Handle ``watch_design`` on a streaming connection.
-
-        This is the transport-level twin of the service handler (which can
-        only reject the method): the subscription is bound to *this*
-        connection's event queue, and torn down when the connection
-        closes.  Rejections during drain and parameter validation mirror
-        the service's behaviour so both paths answer identically.
-        """
-        request_id = protocol.recover_request_id(message)
-        try:
-            request_id, _, params = protocol.parse_request(message)
-            protocol.unknown_params_check(params, ("design", "plan"), "watch_design")
-            design = protocol.require_param(params, "design", str, "watch_design")
-            if self.service.draining.is_set():
-                from repro.errors import TydiDrainingError
-
-                raise TydiDrainingError(
-                    "service is draining for shutdown; 'watch_design' rejected"
-                )
-            plan = params.get("plan")
-            if plan is not None and not isinstance(plan, Mapping):
-                raise TydiServerError(
-                    f"watch_design: 'plan' must be a JSON object, "
-                    f"got {type(plan).__name__}"
-                )
-            from repro.sim.harness import SimulationPlan
-
-            SimulationPlan.coerce(plan)  # reject malformed plans up front
-            token = self.service.add_watch(design, watch_state.deliver, plan)
-            watch_state.tokens.append(token)
-            watch_state.ensure_flusher()
-            return protocol.success_envelope(
-                request_id,
-                {
-                    "design": design,
-                    "watching": True,
-                    "watch": token,
-                    "queue_depth": WATCH_QUEUE_DEPTH,
-                },
-            )
-        except Exception as exc:
-            return error_envelope(request_id, exc)
+            return self.service.finish(None, None, start, False, protocol.encode_error(error))
+        return await self.service.respond(message, watch_state)
 
     async def _serve_http(
         self,
@@ -416,7 +375,9 @@ class TydiServer:
         method = parts[0].upper() if parts else ""
         content_length = 0
         while True:  # drain headers
-            header = await reader.readline()
+            header = await self._read(reader, writer)
+            if not header and self._closing:
+                return  # woken by the close before the request ended
             if not header or header in (b"\r\n", b"\n"):
                 break
             name, _, value = header.decode("latin-1").partition(":")
@@ -437,7 +398,7 @@ class TydiServer:
             )
             await _write_http(writer, 400, protocol.encode(envelope))
             return
-        body = await reader.readexactly(content_length) if content_length else b""
+        body = await self._read(reader, writer, content_length) if content_length else b""
         line, stage = await self._answer(body or b"null")
         # Compile failures are a *successful* protocol exchange: the
         # envelope is the answer.  Only protocol violations are 400s.

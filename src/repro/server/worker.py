@@ -2,26 +2,28 @@
 
 One worker process owns one :class:`~repro.workspace.Workspace` (the warm
 shard memory: its parse/evaluate/backend stage tiers and per-design memos
-serve every design hashed onto this shard) wrapped in a ``workers=0``
-:class:`~repro.server.service.CompileService`, and speaks a
-**length-prefixed pickle** protocol over two inherited pipe file
-descriptors -- jobs in, results out:
+serve every design hashed onto this shard) and speaks a **length-prefixed
+pickle** protocol over two inherited pipe file descriptors -- jobs in,
+results out:
 
 * frame    = ``!Q`` big-endian payload length + ``pickle`` payload
-* parent -> worker: ``("job", job_id, request_dict)`` |
-  ``("stats", token)`` | ``("report", token)`` |
-  EOF (close) = drain and exit
-* worker -> parent: ``("result", job_id, envelope)`` |
-  ``("stats"|"report", token, payload)``
+* parent -> worker: ``(job_id, method, params)`` | EOF (close) = drain and exit
+* worker -> parent: ``(job_id, ok, payload)``
+
+Every frame is one call of :func:`repro.server.methods.run` over the bare
+workspace: a design method, a crash replay's re-open, or the worker's share
+of a ``stats`` / ``get_report`` answer.  ``payload`` is the result's JSON
+bytes, encoded here where it was computed, or the structured error object;
+the front splices the bytes into its response line without decoding them.
+The front validated the request before it queued it, so the worker does not
+validate again.
 
 The worker is strictly serial (one job at a time, FIFO), which is what
 makes the pool protocol trivial: the parent's per-worker dispatcher thread
 writes one frame and reads one frame; a short read means the worker died
-mid-job.  All request semantics -- validation, did-you-mean errors,
-structured :class:`~repro.errors.TydiError` envelopes -- come from the
-same :meth:`CompileService.dispatch` code path the in-process server uses,
-so pooled and threaded serving are differentially identical
-(``tests/test_pool.py``).
+mid-job.  Pooled and threaded serving run the same handlers through the
+same :func:`~repro.server.methods.run`, so they are differentially
+identical (``tests/test_pool.py``).
 
 Workers are forked *after* the parent warmed the stdlib parse (see
 :func:`repro.server.pool.warm_stdlib`), so every worker starts with the
@@ -122,7 +124,7 @@ def worker_main(
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
 
-    from repro.server.service import CompileService
+    from repro.server.methods import run
     from repro.workspace import Workspace
 
     # remote_cache travels as an endpoint string: the client (socket +
@@ -134,27 +136,16 @@ def worker_main(
         options=config.get("options"),
         label=f"worker-{index}",
     )
-    service = CompileService(workspace=workspace, jobs=1)
     try:
         while True:
-            message = read_frame(job_fd)
-            if message is None:
+            frame = read_frame(job_fd)
+            if frame is None:
                 break  # parent closed the pipe (drain) or vanished
-            kind = message[0]
-            if kind == "job":
-                _, job_id, request = message
-                envelope = service.dispatch(request)
-                write_frame(result_fd, ("result", job_id, envelope))
-            elif kind == "stats":
-                write_frame(result_fd, ("stats", message[1], workspace.stats()))
-            elif kind == "report":
-                write_frame(result_fd, ("report", message[1], workspace.report()))
-            # Unknown kinds are skipped (a newer parent speaking to an
-            # older worker fails loudly elsewhere; never crash the shard).
+            job_id, method, params = frame
+            write_frame(result_fd, (job_id, *run(workspace, method, params)))
     except (BrokenPipeError, KeyboardInterrupt):  # pragma: no cover
         pass
     finally:
-        service.close()
         try:
             os.close(result_fd)
         except OSError:  # pragma: no cover - already closed

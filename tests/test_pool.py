@@ -24,7 +24,10 @@ unavailable (the service's ``workers=0`` path is tested everywhere else).
 
 from __future__ import annotations
 
+import asyncio
+import json
 import os
+import re
 import signal
 import threading
 import time
@@ -33,7 +36,8 @@ import pytest
 
 from repro.errors import TydiBackpressureError, TydiDrainingError
 from repro.server import CompileClient, CompileService, ServerThread
-from repro.server.pool import POOLED_METHODS, WorkerPool, fork_available, shard_for
+from repro.server.methods import METHODS
+from repro.server.pool import WorkerPool, fork_available, shard_for
 from repro.server.worker import read_frame, write_frame
 from repro.testing import build_chain_design
 
@@ -80,8 +84,8 @@ def test_shard_for_spreads_designs():
 def test_frame_roundtrip_and_truncation():
     r, w = os.pipe()
     try:
-        write_frame(w, ("job", 7, {"method": "ping"}))
-        assert read_frame(r) == ("job", 7, {"method": "ping"})
+        write_frame(w, (7, "get_ir", {"design": "d"}))
+        assert read_frame(r) == (7, "get_ir", {"design": "d"})
 
         # A truncated frame (peer died mid-write) reads as None, not junk.
         os.write(w, b"\x00\x00\x00\x00\x00\x00\x00\x10abc")
@@ -110,19 +114,22 @@ def test_frame_header_bound_rejects_corrupt_lengths():
 # -- differential identity: workers=N == workers=0 -----------------------------
 
 
-def _drive(service: CompileService) -> list[dict]:
-    """One fixed request script, returning every response envelope."""
-    envelopes = []
+def _drive(service: CompileService) -> list[bytes]:
+    """One fixed request script, returning every raw response line."""
+    lines = []
 
     def send(method, **params):
-        message = {"id": len(envelopes) + 1, "method": method}
+        message = {"id": len(lines) + 1, "method": method}
         if params:
             message["params"] = params
-        envelopes.append(service.handle_sync(message))
+        line, _ = asyncio.run(service.respond(message))
+        lines.append(line)
 
     send("open_design", design="alpha", files=_files(3))
     send("open_design", design="beta", files=_files(4))
-    send("get_ir", design="alpha")
+    send("get_ir", design="alpha")  # a memo miss ...
+    send("get_ir", design="alpha")  # ... and its hit
+    send("get_ir", design="beta")
     send("get_ir", design="beta")
     send("update_file", design="alpha", filename="step1.td", text="const k = 1;\n")
     send("get_diagnostics", design="alpha")
@@ -132,22 +139,41 @@ def _drive(service: CompileService) -> list[dict]:
     send("remove_file", design="beta", filename="missing.td")  # error envelope
     send("remove_design", design="beta")
     send("get_ir", design="beta")  # now unknown: error envelope
-    return envelopes
+    return lines
+
+
+def _scrub(line: bytes) -> bytes:
+    """An unknown-design error lists the designs it knows, and a worker
+    legitimately lists its *shard*, not the whole session."""
+    return re.sub(rb"\(designs: [^)]*\)", b"(designs: <elided>)", line)
 
 
 def test_pooled_service_is_byte_identical_to_threaded():
     with CompileService(jobs=2) as threaded:
-        reference = _drive(threaded)
+        reference_lines = _drive(threaded)
+        assert threaded.read_memo.stats()["hits"] == 2
     with CompileService(workers=2) as pooled:
         assert pooled.pool is not None
-        observed = _drive(pooled)
+        observed_lines = _drive(pooled)
+        assert pooled.read_memo.stats()["hits"] == 2
+    reference = [json.loads(line) for line in reference_lines]
+    observed = [json.loads(line) for line in observed_lines]
+
+    # The raw lines: a result is encoded on a compile thread in one mode
+    # and in a worker process in the other, and the front splices both.
+    # Success lines (IR text, outputs, diagnostics, fingerprints) are
+    # byte-identical, memo hits included; error lines match once scrubbed.
+    assert len(observed_lines) == len(reference_lines)
+    for envelope, mine, theirs in zip(reference, observed_lines, reference_lines):
+        if envelope["ok"]:
+            assert mine == theirs
+        else:
+            assert _scrub(mine) == _scrub(theirs)
 
     # Success envelopes (IR text, outputs, diagnostics, fingerprints) are
     # byte-identical.  Error envelopes match in type/stage/id; only the
     # "(designs: ...)" tail of unknown-design messages may differ, since a
     # worker legitimately lists its *shard*, not the whole session.
-    import re
-
     def normalized(envelope):
         if envelope["ok"]:
             return envelope
@@ -174,16 +200,13 @@ def test_pooled_methods_cover_every_design_addressed_method():
     # Every method with a 'design' parameter must route to its shard;
     # a new design-addressed method that forgets to register here would
     # silently run on the parent (where no designs live).
-    design_addressed = {
-        name
-        for name, (param_names, _) in CompileService._SIGNATURES.items()
-        if "design" in param_names
-    }
+    design_addressed = {name for name, entry in METHODS.items() if "design" in entry.params}
+    pooled = {name for name, entry in METHODS.items() if entry.pooled}
     # watch_design is the one deliberate exception: the subscription is
     # per NDJSON connection so it lives on the parent, and the events it
     # pushes come from get_diagnostics/simulate_design calls that *do*
     # route to the owning shard.
-    assert design_addressed == set(POOLED_METHODS) | {"watch_design"}
+    assert design_addressed == pooled | {"watch_design"}
 
 
 # -- lifespan: crash, respawn, replay, budget ----------------------------------
@@ -253,7 +276,7 @@ def test_full_worker_queue_rejects_with_backpressure_error():
     with WorkerPool(1, backlog=1) as pool:
         worker = pool.workers[0]
         open_future = pool.submit("open_design", {"design": "alpha", "files": _files(2)})
-        assert open_future.result(timeout=30)["ok"]
+        assert open_future.result(timeout=30)[0]
 
         # Freeze the worker process: the dispatcher blocks mid-exchange,
         # so the bounded queue fills deterministically.
@@ -267,12 +290,12 @@ def test_full_worker_queue_rejects_with_backpressure_error():
         finally:
             os.kill(worker.proc.pid, signal.SIGCONT)
         for future in futures:
-            assert future.result(timeout=30)["ok"]
+            assert future.result(timeout=30)[0]
 
 
 def test_draining_pool_rejects_new_submits():
     pool = WorkerPool(1)
-    assert pool.submit("open_design", {"design": "a", "files": {}}).result(30)["ok"]
+    assert pool.submit("open_design", {"design": "a", "files": {}}).result(30)[0]
     assert pool.drain(timeout=30) is True
     with pytest.raises(TydiDrainingError):
         pool.submit("get_ir", {"design": "a"})

@@ -3,7 +3,7 @@
 Three layers, mirroring the subsystem's structure:
 
 * protocol: envelope parsing/encoding and the structured error objects,
-* service: :meth:`CompileService.handle` driven directly (no sockets),
+* service: :meth:`CompileService.handle_sync` driven directly (no sockets),
 * transport: a live :class:`ServerThread` driven through
   :class:`CompileClient` (NDJSON) and :func:`http_post` (HTTP/1.1).
 """
@@ -433,6 +433,28 @@ class TestTransport:
             assert time.perf_counter() - start < 1.0
         finally:
             idle.close()
+
+    def test_shutdown_completes_with_a_stalled_http_body(self, caplog):
+        """HTTP clients stalled mid-body or mid-headers are woken at close
+        like an idle NDJSON one: they neither hold shutdown up nor leave a
+        traceback, and the requests they never finished get no answer."""
+        server = ServerThread().start()
+        stalled = [socket.create_connection(server.address, timeout=10) for _ in range(2)]
+        try:
+            stalled[0].sendall(b"POST / HTTP/1.1\r\nContent-Length: 20\r\n\r\n{")
+            stalled[1].sendall(b"POST / HTTP/1.1\r\nHost: tydi\r\n")
+            time.sleep(0.2)  # let the server reach the body and header reads
+            start = time.perf_counter()
+            with CompileClient(*server.address) as client:
+                client.shutdown()
+            server.stop(timeout=15)
+            assert time.perf_counter() - start < 1.0
+            assert [sock.recv(4096) for sock in stalled] == [b"", b""]
+        finally:
+            for sock in stalled:
+                sock.close()
+        assert server.service.stats()["server"]["methods"] == {"shutdown": 1}
+        assert not [record for record in caplog.records if record.exc_info], caplog.text
 
     def test_request_racing_the_close_is_answered(self, monkeypatch):
         """A client whose request arrives just after the server began

@@ -17,7 +17,7 @@ import threading
 from repro.lang.compile import compile_sources
 from repro.pipeline import StageCache
 from repro.pipeline.store import TieredStore
-from repro.server import CompileService
+from repro.server import CompileService, protocol
 from repro.server.memo import ReadMemo
 from repro.workspace import Workspace
 
@@ -145,7 +145,7 @@ class TestCacheStatsSnapshot:
         """The served read memo: every stored result has the same size, so a
         snapshot whose ``bytes`` disagrees with its ``entries`` is torn."""
         memo = ReadMemo()
-        result = {"design": "d", "ir": "x" * 64}
+        result = protocol.encode_result({"design": "d", "ir": "x" * 64})
         memo.store(("probe", "get_ir", None), memo.generation("probe"), result)
         size = memo.stats()["bytes"]  # of one stored result
         rounds, writers = 300, 4

@@ -33,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import tracing
-from repro.server import CompileService
+from repro.server import CompileService, methods
 from repro.server.pool import fork_available
 from repro.tracing import Recorder
 from repro.workspace import Workspace
@@ -240,7 +240,7 @@ DURATIONS = st.one_of(
 STAGE_NAMES = st.sampled_from(("parse", "evaluate", "sugaring", "drc", "ingest", "backend:vhdl"))
 #: Method names as peers send them: every known one, unknown ones, and
 #: ``None`` for a request too malformed to name one.
-METHODS = st.sampled_from((*sorted(CompileService._METHODS), "bogus", "get_IR", "", None))
+METHODS = st.sampled_from((*sorted(methods.METHODS), "bogus", "get_IR", "", None))
 
 
 # -- the views against the references -------------------------------------------
@@ -272,14 +272,14 @@ def test_histogram_equals_latency_histogram(runs):
 @given(st.lists(st.tuples(METHODS, DURATIONS, st.booleans()), max_size=60))
 def test_request_view_equals_method_metrics(requests):
     # The service built its MethodMetrics this way.
-    reference = MethodMetrics(tuple(CompileService._METHODS) + ("<unknown>",))
+    reference = MethodMetrics(tuple(methods.METHODS) + ("<unknown>",))
     with CompileService(workspace=Workspace(cache=None), jobs=1) as service:
         for method, seconds, ok in requests:
             reference.record(method, seconds, ok=ok)
             service.record_request(method, seconds, ok=ok)
         view = service.requests.request_view()
     assert view["latency"] == reference.as_dict()
-    names = Counter(m if m in CompileService._METHODS else "<unknown>" for m, _, _ in requests)
+    names = Counter(m if m in methods.METHODS else "<unknown>" for m, _, _ in requests)
     assert view["methods"] == dict(names)
     assert list(view["methods"]) == sorted(view["methods"])
     assert view["requests"] == len(requests)
