@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 
 from repro.errors import TydiBackendError
 from repro.ir.model import Implementation, Port, Project, Streamlet
@@ -63,7 +64,8 @@ def render_value(value: object) -> str:
             )
         return repr(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        # What json.dumps(value) returns, without its dispatch.
+        return encode_basestring_ascii(value)
     if isinstance(value, LogicalType):
         return value.to_tydi()
     if isinstance(value, TypeValue):
@@ -86,7 +88,7 @@ def render_value(value: object) -> str:
                 raise TydiBackendError(
                     f"tydi-ir interchange dict keys must be strings, got {key!r}"
                 )
-            parts.append(f"{json.dumps(key)}: {render_value(item)}")
+            parts.append(f"{encode_basestring_ascii(key)}: {render_value(item)}")
         return "{" + ", ".join(parts) + "}"
     raise TydiBackendError(
         f"tydi-ir interchange cannot serialise a {type(value).__name__} value "

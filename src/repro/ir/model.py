@@ -139,9 +139,6 @@ class Streamlet:
             raise TydiBackendError(f"streamlet {self.name!r} has no port {name!r}")
         return port
 
-    def has_port(self, name: str) -> bool:
-        return name in self._ports_by_name()
-
     def inputs(self) -> list[Port]:
         return [p for p in self.ports if p.direction is PortDirection.IN]
 
@@ -239,9 +236,6 @@ class Implementation:
             raise TydiBackendError(f"implementation {self.name!r} has no instance {name!r}")
         return inst
 
-    def has_instance(self, name: str) -> bool:
-        return name in self._instances_by_name()
-
     def add_connection(self, connection: Connection) -> Connection:
         self.connections.append(connection)
         return connection
@@ -302,12 +296,27 @@ class Project:
         return self.implementation(self.top)
 
     def resolve_port(self, implementation: Implementation, ref: PortRef) -> Port:
-        """Resolve a port reference within ``implementation`` to its Port."""
+        """Resolve a port reference within ``implementation`` to its Port.
+
+        Called per connection end by every pass, so it reads the indexes
+        directly, raising the errors of the accessors it bypasses.
+        """
         if ref.instance is None:
-            return self.streamlet_of(implementation).port(ref.port)
-        inst = implementation.instance(ref.instance)
-        inner_impl = self.implementation(inst.implementation)
-        return self.streamlet_of(inner_impl).port(ref.port)
+            streamlet = self.streamlets[implementation.streamlet]
+        else:
+            inst = implementation._instances_by_name().get(ref.instance)
+            if inst is None:
+                raise TydiBackendError(
+                    f"implementation {implementation.name!r} has no instance {ref.instance!r}"
+                )
+            inner_impl = self.implementations.get(inst.implementation)
+            if inner_impl is None:
+                raise TydiBackendError(f"project has no implementation {inst.implementation!r}")
+            streamlet = self.streamlets[inner_impl.streamlet]
+        port = streamlet._ports_by_name().get(ref.port)
+        if port is None:
+            raise TydiBackendError(f"streamlet {streamlet.name!r} has no port {ref.port!r}")
+        return port
 
     def iter_connections(self) -> Iterator[tuple[Implementation, Connection]]:
         for impl in self.implementations.values():

@@ -142,51 +142,44 @@ def _check_implementation(
                     )
                 )
 
-    # Collect all endpoints that must be used exactly once.
-    source_usage: dict[str, int] = {}
-    sink_usage: dict[str, int] = {}
-    endpoint_ports: dict[str, Port] = {}
-
-    def register(ref: PortRef, role: str, port: Port) -> None:
-        key = str(ref)
-        endpoint_ports[key] = port
-        if role == "source":
-            source_usage.setdefault(key, 0)
-        else:
-            sink_usage.setdefault(key, 0)
-
+    # Collect all endpoints that must be used exactly once, keyed by
+    # (instance, port) like the connections' PortRefs (instance None for a
+    # port of the implementation's own streamlet).
+    source_usage: dict[tuple[str | None, str], int] = {}
+    sink_usage: dict[tuple[str | None, str], int] = {}
     for port in streamlet.ports:
-        ref = PortRef(port=port.name)
-        role = "source" if port.direction is PortDirection.IN else "sink"
-        register(ref, role, port)
+        usage = source_usage if port.direction is PortDirection.IN else sink_usage
+        usage.setdefault((None, port.name), 0)
         report.ports_checked += 1
     for instance in implementation.instances:
         inner = project.streamlet_of(project.implementation(instance.implementation))
         for port in inner.ports:
-            ref = PortRef(port=port.name, instance=instance.name)
-            role = "source" if port.direction is PortDirection.OUT else "sink"
-            register(ref, role, port)
+            usage = source_usage if port.direction is PortDirection.OUT else sink_usage
+            usage.setdefault((instance.name, port.name), 0)
             report.ports_checked += 1
 
     # Rule 1 & 2 prerequisites: walk the connections.
     for connection in implementation.connections:
         report.connections_checked += 1
-        _check_connection(project, implementation, connection, report)
-        source_role, _ = _endpoint_role(project, implementation, connection.source)
-        sink_role, _ = _endpoint_role(project, implementation, connection.sink)
+        source_role, sink_role = _check_connection(project, implementation, connection, report)
         if source_role == "source":
-            source_usage[str(connection.source)] = source_usage.get(str(connection.source), 0) + 1
+            key = (connection.source.instance, connection.source.port)
+            source_usage[key] = source_usage.get(key, 0) + 1
         if sink_role == "sink":
-            sink_usage[str(connection.sink)] = sink_usage.get(str(connection.sink), 0) + 1
+            key = (connection.sink.instance, connection.sink.port)
+            sink_usage[key] = sink_usage.get(key, 0) + 1
 
     # Rule 2: port usage count -- every endpoint used exactly once.
-    for key, count in source_usage.items():
+    for (instance_name, port_name), count in source_usage.items():
         if count == 0:
             report.violations.append(
                 DRCViolation(
                     rule="port-usage",
                     implementation=implementation.name,
-                    message=f"source endpoint {key} is never used (enable sugaring to auto-void it)",
+                    message=(
+                        f"source endpoint {_endpoint_text(instance_name, port_name)} is never "
+                        "used (enable sugaring to auto-void it)"
+                    ),
                 )
             )
         elif count > 1:
@@ -195,18 +188,18 @@ def _check_implementation(
                     rule="port-usage",
                     implementation=implementation.name,
                     message=(
-                        f"source endpoint {key} drives {count} sinks "
-                        "(enable sugaring to auto-insert a duplicator)"
+                        f"source endpoint {_endpoint_text(instance_name, port_name)} drives "
+                        f"{count} sinks (enable sugaring to auto-insert a duplicator)"
                     ),
                 )
             )
-    for key, count in sink_usage.items():
+    for (instance_name, port_name), count in sink_usage.items():
         if count == 0:
             report.violations.append(
                 DRCViolation(
                     rule="port-usage",
                     implementation=implementation.name,
-                    message=f"sink endpoint {key} is never driven",
+                    message=f"sink endpoint {_endpoint_text(instance_name, port_name)} is never driven",
                 )
             )
         elif count > 1:
@@ -214,9 +207,17 @@ def _check_implementation(
                 DRCViolation(
                     rule="port-usage",
                     implementation=implementation.name,
-                    message=f"sink endpoint {key} is driven {count} times",
+                    message=(
+                        f"sink endpoint {_endpoint_text(instance_name, port_name)} is driven "
+                        f"{count} times"
+                    ),
                 )
             )
+
+
+def _endpoint_text(instance_name: str | None, port_name: str) -> str:
+    """An endpoint as its PortRef prints: ``port`` or ``instance.port``."""
+    return port_name if instance_name is None else f"{instance_name}.{port_name}"
 
 
 def _check_connection(
@@ -224,7 +225,8 @@ def _check_connection(
     implementation: Implementation,
     connection: Connection,
     report: DRCReport,
-) -> None:
+) -> tuple[str, str]:
+    """Check one connection's direction and types; returns its (source, sink) roles."""
     source_role, source_port = _endpoint_role(project, implementation, connection.source)
     sink_role, sink_port = _endpoint_role(project, implementation, connection.sink)
 
@@ -241,7 +243,7 @@ def _check_connection(
                 ),
             )
         )
-        return
+        return source_role, sink_role
 
     # Type equality, complexity, throughput and clock domain.
     compatibility = check_connection_compatibility(
@@ -260,3 +262,4 @@ def _check_connection(
                     message=f"connection {connection}: {reason}",
                 )
             )
+    return source_role, sink_role

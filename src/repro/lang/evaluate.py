@@ -102,6 +102,18 @@ class Program:
                 raise TydiEvaluationError(f"duplicate declaration of {name!r}", decl.span)
 
 
+def _indexed(base: str, index_expr: Optional[ast.Expr], scope: Scope, span: object) -> str:
+    """``base`` or, for an indexed port/instance array reference, ``base_<index>``."""
+    if index_expr is None:
+        return base
+    index = evaluate_expr(index_expr, scope)
+    if isinstance(index, bool) or not isinstance(index, int):
+        raise TydiEvaluationError(
+            f"index of {base!r} must be an integer, got {describe_value(index)}", span
+        )
+    return f"{base}_{index}"
+
+
 class Evaluator:
     """Evaluates a :class:`Program` into an :class:`repro.ir.Project`."""
 
@@ -573,59 +585,49 @@ class Evaluator:
         implementation: Implementation,
         streamlet: Streamlet,
         loop_suffix: str = "",
-    ) -> PortRef:
-        def indexed(base: str, index_expr: Optional[ast.Expr]) -> str:
-            if index_expr is None:
-                return base
-            index = evaluate_expr(index_expr, scope)
-            if isinstance(index, bool) or not isinstance(index, int):
-                raise TydiEvaluationError(
-                    f"index of {base!r} must be an integer, got {describe_value(index)}", ref.span
-                )
-            return f"{base}_{index}"
-
+    ) -> tuple[PortRef, Port]:
+        """The IR reference of one connection end, and the port it names."""
         if ref.owner is None:
-            port_name = indexed(ref.port, ref.port_index)
-            if not streamlet.has_port(port_name):
+            port_name = _indexed(ref.port, ref.port_index, scope, ref.span)
+            port = streamlet._ports_by_name().get(port_name)
+            if port is None:
                 raise TydiNameError(
                     f"implementation {implementation.name!r} has no port {port_name!r} "
                     f"on its streamlet {streamlet.name!r}",
                     ref.span,
                 )
-            return PortRef(port=port_name)
+            return PortRef(port=port_name), port
 
-        instance_name = indexed(ref.owner, ref.owner_index)
-        if not implementation.has_instance(instance_name):
+        instance_name = _indexed(ref.owner, ref.owner_index, scope, ref.span)
+        instances = implementation._instances_by_name()
+        instance = instances.get(instance_name)
+        if instance is None and loop_suffix and ref.owner_index is None:
             # Inside (possibly nested) for loops, a plain reference to an
             # instance declared in an enclosing iteration resolves to its
             # suffixed name; try the longest suffix first so the innermost
             # declaration wins.
-            resolved = None
-            if loop_suffix and ref.owner_index is None:
-                parts = loop_suffix.split("_")[1:]  # leading "" from the first "_"
-                for depth in range(len(parts), 0, -1):
-                    candidate = instance_name + "_" + "_".join(parts[:depth])
-                    if implementation.has_instance(candidate):
-                        resolved = candidate
-                        break
-            if resolved is not None:
-                instance_name = resolved
-            else:
-                raise TydiNameError(
-                    f"implementation {implementation.name!r} has no instance {instance_name!r}",
-                    ref.span,
-                )
-        inner_impl = self.project.implementation(
-            implementation.instance(instance_name).implementation
-        )
+            parts = loop_suffix.split("_")[1:]  # leading "" from the first "_"
+            for depth in range(len(parts), 0, -1):
+                candidate = instance_name + "_" + "_".join(parts[:depth])
+                instance = instances.get(candidate)
+                if instance is not None:
+                    instance_name = candidate
+                    break
+        if instance is None:
+            raise TydiNameError(
+                f"implementation {implementation.name!r} has no instance {instance_name!r}",
+                ref.span,
+            )
+        inner_impl = self.project.implementation(instance.implementation)
         inner_streamlet = self.project.streamlet(inner_impl.streamlet)
-        port_name = indexed(ref.port, ref.port_index)
-        if not inner_streamlet.has_port(port_name):
+        port_name = _indexed(ref.port, ref.port_index, scope, ref.span)
+        port = inner_streamlet._ports_by_name().get(port_name)
+        if port is None:
             raise TydiNameError(
                 f"instance {instance_name!r} ({inner_impl.name}) has no port {port_name!r}",
                 ref.span,
             )
-        return PortRef(port=port_name, instance=instance_name)
+        return PortRef(port=port_name, instance=instance_name), port
 
     def _expand_connection(
         self,
@@ -635,9 +637,10 @@ class Evaluator:
         streamlet: Streamlet,
         loop_suffix: str = "",
     ) -> None:
-        source = self._resolve_port_ref(item.source, scope, implementation, streamlet, loop_suffix)
-        sink = self._resolve_port_ref(item.sink, scope, implementation, streamlet, loop_suffix)
-        source_port = self.project.resolve_port(implementation, source)
+        source, source_port = self._resolve_port_ref(
+            item.source, scope, implementation, streamlet, loop_suffix
+        )
+        sink, _ = self._resolve_port_ref(item.sink, scope, implementation, streamlet, loop_suffix)
         implementation.add_connection(
             Connection(
                 source=source,

@@ -45,6 +45,7 @@ import multiprocessing
 import os
 import queue
 import threading
+import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Any, Callable, Mapping, Optional
@@ -528,19 +529,22 @@ class WorkerPool:
 
     def _collect(self, method: str, *, timeout: float) -> list[Optional[dict]]:
         """Every worker's answer to one session method (``None`` for a
-        worker that could not give one in time)."""
+        worker that could not give one within ``timeout``, one deadline
+        shared by all the waits)."""
+        deadline = time.monotonic() + timeout
         jobs: list[Optional[_PoolJob]] = []
         for worker in self.workers:
             job = self._job(method, {}, collect=True)
             try:
-                worker.queue.put(job, timeout=1.0)
+                worker.queue.put(job, timeout=max(0.0, min(1.0, deadline - time.monotonic())))
                 jobs.append(job)
             except queue.Full:
                 jobs.append(None)
         results: list[Optional[dict]] = []
         for job in jobs:
             try:
-                reply = job.future.result(timeout=timeout) if job is not None else None
+                remaining = max(0.0, deadline - time.monotonic())
+                reply = job.future.result(timeout=remaining) if job is not None else None
             except FutureTimeoutError:
                 reply = None
             results.append(json.loads(reply[1]) if reply is not None and reply[0] else None)

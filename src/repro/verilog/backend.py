@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from repro.ir.model import (
     Implementation,
+    Instance,
     Port,
     PortDirection,
-    PortRef,
     Project,
     Streamlet,
 )
@@ -32,6 +32,7 @@ from repro.stdlib.components import primitive_kind
 from repro.utils.text import count_loc
 from repro.vhdl.signals import (
     ConnectionNet,
+    EndpointNets,
     SignalsOf,
     VhdlPortSignal,
     connection_nets,
@@ -179,15 +180,14 @@ class VerilogBackend:
 
         lines: list[str] = []
         for net in nets:
-            for signal in net.signals:
-                lines.append(f"  wire {_range_suffix(signal.width)}{signal.name};")
+            for name, width, _ in net.wires:
+                lines.append(f"  wire {_range_suffix(width)}{name};")
         if nets:
             lines.append("")
 
         # Wire the implementation's own ports to their nets.
         for port in streamlet.ports:
-            ref = PortRef(port=port.name)
-            net = endpoint_net.get(str(ref))
+            net = endpoint_net.get((None, port.name))
             if net is None:
                 continue
             lines.extend(self._self_port_assigns(port, net))
@@ -195,7 +195,7 @@ class VerilogBackend:
 
         # Instantiate the inner modules.
         for instance in implementation.instances:
-            lines.extend(self._instantiation(implementation, instance.name, endpoint_net))
+            lines.extend(self._instantiation(instance, endpoint_net))
             lines.append("")
 
         return "\n".join(lines) + "\n"
@@ -208,40 +208,31 @@ class VerilogBackend:
         """
         lines: list[str] = []
         for signal in self._signals_of(port):
-            net_signal = net.signal_for(signal.origin)
-            if net_signal is None:
+            wire = net.wire_for(signal.origin)
+            if wire is None:
                 continue
             port_is_source = port.direction is PortDirection.IN
             forward = signal.origin != "ready"
             if (port_is_source and forward) or (not port_is_source and not forward):
-                lines.append(f"  assign {net_signal.name} = {signal.name};")
+                lines.append(f"  assign {wire} = {signal.name};")
             else:
-                lines.append(f"  assign {signal.name} = {net_signal.name};")
+                lines.append(f"  assign {signal.name} = {wire};")
         return lines
 
-    def _instantiation(
-        self,
-        implementation: Implementation,
-        instance_name: str,
-        endpoint_net: dict[str, ConnectionNet],
-    ) -> list[str]:
+    def _instantiation(self, instance: Instance, endpoint_net: EndpointNets) -> list[str]:
         project = self.project
-        instance = implementation.instance(instance_name)
-        inner_impl = project.implementation(instance.implementation)
-        inner_streamlet = project.streamlet_of(inner_impl)
+        inner_streamlet = project.streamlet_of(project.implementation(instance.implementation))
 
-        lines = [f"  {inner_streamlet.name} {instance_name} ("]
+        lines = [f"  {inner_streamlet.name} {instance.name} ("]
         mappings = ["    .clk(clk)", "    .rst(rst)"]
         for port in inner_streamlet.ports:
-            ref = PortRef(port=port.name, instance=instance_name)
-            net = endpoint_net.get(str(ref))
+            net = endpoint_net.get((instance.name, port.name))
             for signal in self._signals_of(port):
                 if net is None:
                     # Should not happen after the DRC; keep the output legal.
                     target = "" if signal.mode == "out" else _zero_literal(signal.width)
                 else:
-                    net_signal = net.signal_for(signal.origin)
-                    target = net_signal.name if net_signal is not None else ""
+                    target = net.wire_for(signal.origin) or ""
                 mappings.append(f"    .{signal.name}({target})")
         lines.extend(f"{m}," for m in mappings[:-1])
         lines.append(mappings[-1])

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from repro.ir.model import (
     Implementation,
+    Instance,
     Port,
     PortDirection,
-    PortRef,
     Project,
     Streamlet,
 )
@@ -25,6 +25,7 @@ from repro.stdlib.components import primitive_kind
 from repro.utils.text import count_loc
 from repro.vhdl.signals import (
     ConnectionNet,
+    EndpointNets,
     SignalsOf,
     VhdlPortSignal,
     connection_nets,
@@ -165,15 +166,14 @@ class VhdlBackend:
             declaration_lines.append(emit_component_declaration(inner, signals_of))
             declaration_lines.append("")
         for net in nets:
-            for signal in net.signals:
-                declaration_lines.append(f"  signal {signal.name} : {vhdl_type(signal.width)};")
+            for name, width, _ in net.wires:
+                declaration_lines.append(f"  signal {name} : {vhdl_type(width)};")
 
         body_lines: list[str] = []
 
         # Wire the implementation's own ports to their nets.
         for port in streamlet.ports:
-            ref = PortRef(port=port.name)
-            net = endpoint_net.get(str(ref))
+            net = endpoint_net.get((None, port.name))
             if net is None:
                 continue
             body_lines.extend(self._self_port_assignments(port, net))
@@ -181,7 +181,7 @@ class VhdlBackend:
 
         # Instantiate the inner components.
         for instance in implementation.instances:
-            body_lines.extend(self._instance_port_map(implementation, instance.name, endpoint_net))
+            body_lines.extend(self._instance_port_map(instance, endpoint_net))
             body_lines.append("")
 
         declarations = "\n".join(declaration_lines)
@@ -203,33 +203,25 @@ class VhdlBackend:
         """
         lines: list[str] = []
         for signal in self._signals_of(port):
-            net_signal = net.signal_for(signal.origin)
-            if net_signal is None:
+            wire = net.wire_for(signal.origin)
+            if wire is None:
                 continue
             port_is_source = port.direction is PortDirection.IN
             forward = signal.origin != "ready"
             if (port_is_source and forward) or (not port_is_source and not forward):
-                lines.append(f"{net_signal.name} <= {signal.name};")
+                lines.append(f"{wire} <= {signal.name};")
             else:
-                lines.append(f"{signal.name} <= {net_signal.name};")
+                lines.append(f"{signal.name} <= {wire};")
         return lines
 
-    def _instance_port_map(
-        self,
-        implementation: Implementation,
-        instance_name: str,
-        endpoint_net: dict[str, ConnectionNet],
-    ) -> list[str]:
+    def _instance_port_map(self, instance: Instance, endpoint_net: EndpointNets) -> list[str]:
         project = self.project
-        instance = implementation.instance(instance_name)
-        inner_impl = project.implementation(instance.implementation)
-        inner_streamlet = project.streamlet_of(inner_impl)
+        inner_streamlet = project.streamlet_of(project.implementation(instance.implementation))
 
-        lines = [f"{instance_name} : {inner_streamlet.name}", "  port map ("]
+        lines = [f"{instance.name} : {inner_streamlet.name}", "  port map ("]
         mappings = ["    clk => clk", "    rst => rst"]
         for port in inner_streamlet.ports:
-            ref = PortRef(port=port.name, instance=instance_name)
-            net = endpoint_net.get(str(ref))
+            net = endpoint_net.get((instance.name, port.name))
             for signal in self._signals_of(port):
                 if net is None:
                     # Should not happen after the DRC; keep the output legal.
@@ -237,8 +229,7 @@ class VhdlBackend:
                         "'0'" if signal.width <= 1 else "(others => '0')"
                     )
                 else:
-                    net_signal = net.signal_for(signal.origin)
-                    target = net_signal.name if net_signal is not None else "open"
+                    target = net.wire_for(signal.origin) or "open"
                 mappings.append(f"    {signal.name} => {target}")
         lines.extend(f"{m}," for m in mappings[:-1])
         lines.append(f"{mappings[-1]}")

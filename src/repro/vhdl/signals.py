@@ -13,7 +13,7 @@ interconnect (:func:`connection_nets`) is built here once for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.ir.model import Implementation, Port, PortDirection, Project
 from repro.spec.logical_types import Stream
@@ -113,50 +113,54 @@ def port_signal_memo() -> SignalsOf:
 
 
 class ConnectionNet:
-    """The interconnect signals created for one connection."""
+    """The interconnect wires of one connection: a ``(name, width, origin)``
+    per physical signal of its source port, named ``<prefix>_<origin>``."""
 
-    __slots__ = ("signals", "_by_origin")
+    __slots__ = ("wires",)
 
-    def __init__(self, signals: list[VhdlPortSignal]) -> None:
-        self.signals = signals
-        self._by_origin = {signal.origin: signal for signal in reversed(signals)}
+    def __init__(self, prefix: str, source_signals: list[VhdlPortSignal]) -> None:
+        self.wires = [
+            (f"{prefix}_{signal.origin}", signal.width, signal.origin) for signal in source_signals
+        ]
 
-    def signal_for(self, origin: str) -> VhdlPortSignal | None:
-        return self._by_origin.get(origin)
+    def wire_for(self, origin: str) -> str | None:
+        """Name of the (first) wire carrying the ``origin`` signal, if any."""
+        for name, _, wire_origin in self.wires:
+            if wire_origin == origin:
+                return name
+        return None
+
+
+#: Endpoint -> net, keyed by a ``PortRef``'s ``(instance, port)`` pair.
+EndpointNets = dict[tuple[Optional[str], str], ConnectionNet]
 
 
 def connection_nets(
     project: Project,
     implementation: Implementation,
     signals_of: SignalsOf = port_signals,
-) -> tuple[list[ConnectionNet], dict[str, ConnectionNet]]:
+) -> tuple[list[ConnectionNet], EndpointNets]:
     """One net per connection of ``implementation``, and the endpoint->net map.
 
-    Net ``i`` mirrors its source port's signals under the prefix
-    ``net_<i>_<source>``.  The map is keyed by ``str(PortRef)`` of both
-    ends; an endpoint on several connections maps to the last one.
+    Net ``i`` takes its source port's signals under the prefix
+    ``net_<i>_<source>``.  The map is keyed by the ``(instance, port)`` pair
+    of both ends (``instance`` is ``None`` for the implementation's own
+    ports); an endpoint on several connections maps to the last one.
     """
     nets: list[ConnectionNet] = []
-    endpoint_net: dict[str, ConnectionNet] = {}
+    endpoint_net: EndpointNets = {}
     for index, connection in enumerate(implementation.connections):
-        source = str(connection.source)
-        prefix = f"net_{index}_{vhdl_identifier(source).lower()}"
-        source_port = project.resolve_port(implementation, connection.source)
+        source = connection.source
+        # Sanitising turns the "." of "instance.port" into "_": joining with
+        # "_" gives the same identifier, and clean names skip the regex.
+        name = source.port if source.instance is None else f"{source.instance}_{source.port}"
         net = ConnectionNet(
-            [
-                VhdlPortSignal(
-                    f"{prefix}_{signal.origin}",
-                    signal.width,
-                    signal.mode,
-                    signal.origin,
-                    signal.tydi_port,
-                )
-                for signal in signals_of(source_port)
-            ]
+            f"net_{index}_{vhdl_identifier(name).lower()}",
+            signals_of(project.resolve_port(implementation, source)),
         )
         nets.append(net)
-        endpoint_net[source] = net
-        endpoint_net[str(connection.sink)] = net
+        endpoint_net[source.instance, source.port] = net
+        endpoint_net[connection.sink.instance, connection.sink.port] = net
     return nets, endpoint_net
 
 

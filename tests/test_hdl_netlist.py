@@ -1,12 +1,17 @@
 """The HDL emitters' netlists, checked against the IR rather than trusted.
 
-Two properties of the ``vhdl`` and ``verilog`` backends:
+Three properties of the ``vhdl`` and ``verilog`` backends:
 
 * **Linear emission.** Emitting a structural implementation resolves each
   connection's source port once and expands each port's physical signals
   once, so the number of ``Project.resolve_port`` and ``expand_stream``
   calls grows with the design, not with instances x connections.  Call
   counts are deterministic, so this holds on any machine.
+* **Each connection wired once.** Over a whole compile to both HDLs the
+  frontend and the emitters resolve each connection end a fixed number of
+  times, build no ``PortRef`` to key a map, and copy no port signals into
+  the nets: ``resolve_port``, ``PortRef`` and ``VhdlPortSignal`` counts
+  per connection stay under fixed bounds.
 * **Cross-backend connectivity.** Reading the nets back out of the VHDL
   port maps and the Verilog instantiations (plus each structural body's
   self-port assignments) yields exactly the IR connection graph: every
@@ -24,17 +29,17 @@ import re
 import pytest
 
 from repro.backends import get_backend
-from repro.ir.model import Project
+from repro.ir.model import PortRef, Project
 from repro.lang.compile import compile_sources
 from repro.queries import ALL_QUERIES
 from repro.testing import build_random_design
 from repro.vhdl import signals
-from repro.vhdl.signals import vhdl_identifier
+from repro.vhdl.signals import VhdlPortSignal, vhdl_identifier
 
 # -- designs -------------------------------------------------------------------
 
 
-def _fleet(width: int, files: int = 16) -> Project:
+def _fleet_sources(width: int, files: int = 16) -> list[tuple[str, str]]:
     """``files - 1`` chains of ``width`` instances plus a top wiring them in series."""
     sources = []
     for index in range(files - 1):
@@ -60,7 +65,11 @@ impl wide{index}_i of wide{index}_s {{
     top += [f"    w{index}.result => w{index + 1}.feed," for index in range(last)]
     top += [f"    w{last}.result => result,", "}", "top top_i;"]
     sources.append(("\n".join(top) + "\n", "top.td"))
-    return compile_sources(sources).project
+    return sources
+
+
+def _fleet(width: int, files: int = 16) -> Project:
+    return compile_sources(_fleet_sources(width, files)).project
 
 
 def _fuzzed(seed: int) -> Project:
@@ -98,6 +107,44 @@ def test_emission_work_grows_linearly_with_the_fleet(monkeypatch, backend):
         assert small[name] > 0, name
         growth = large[name] / small[name]
         assert growth <= 2.1, f"{backend}: {name} grew {growth:.2f}x ({small[name]} -> {large[name]})"
+
+
+# -- wiring work per connection ------------------------------------------------
+
+#: Upper bounds per connection for one compile of the fleet to both HDLs:
+#: ``resolve_port`` runs twice in IR validation, twice in the DRC and once
+#: per HDL net map; evaluate builds the two ``PortRef``s of a connection
+#: and sugaring one per source endpoint; ``VhdlPortSignal``s are only the
+#: ports' own signals, expanded once per emitter.  Before each connection
+#: was wired once, the counts were 9, 9 and 9.5.
+WIRING_BOUNDS = {"resolve_port": 6, "PortRef": 3, "VhdlPortSignal": 2}
+
+
+def test_each_connection_is_wired_once(monkeypatch):
+    sources = _fleet_sources(40)
+    counts = dict.fromkeys(WIRING_BOUNDS, 0)
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Project, "resolve_port", counting("resolve_port", Project.resolve_port))
+        patch.setattr(PortRef, "__init__", counting("PortRef", PortRef.__init__))
+        patch.setattr(
+            VhdlPortSignal, "__init__", counting("VhdlPortSignal", VhdlPortSignal.__init__)
+        )
+        result = compile_sources(sources, targets=("vhdl", "verilog"))
+    connections = result.project.statistics()["connections"]
+    assert connections == 15 * 41 + 16
+    assert set(result.outputs) >= {"vhdl", "verilog"}
+    for name, bound in WIRING_BOUNDS.items():
+        assert 0 < counts[name] <= bound * connections, (
+            f"{name}: {counts[name] / connections:.2f} per connection (bound {bound})"
+        )
 
 
 # -- reading the netlists back -------------------------------------------------

@@ -98,8 +98,6 @@ class TestImplementation:
     def test_instance_lookup(self):
         impl = simple_project().implementation("top_i")
         assert impl.instance("u").implementation == "inner_i"
-        assert impl.has_instance("u")
-        assert not impl.has_instance("v")
 
 
 class TestProject:
@@ -110,6 +108,28 @@ class TestProject:
         inner_port = project.resolve_port(top, PortRef("x", "u"))
         assert self_port.name == "i"
         assert inner_port.name == "x"
+
+    @pytest.mark.parametrize(
+        "ref, text",
+        [
+            (PortRef("z"), "streamlet 'top_s' has no port 'z'"),
+            (PortRef("x", "v"), "implementation 'top_i' has no instance 'v'"),
+            (PortRef("z", "u"), "streamlet 'inner_s' has no port 'z'"),
+        ],
+    )
+    def test_resolve_port_error_texts(self, ref, text):
+        project = simple_project()
+        with pytest.raises(TydiBackendError) as excinfo:
+            project.resolve_port(project.implementation("top_i"), ref)
+        assert str(excinfo.value) == text
+
+    def test_resolve_port_error_text_for_a_missing_implementation(self):
+        project = simple_project()
+        top = project.implementation("top_i")
+        top.instances[0].implementation = "ghost_i"
+        with pytest.raises(TydiBackendError) as excinfo:
+            project.resolve_port(top, PortRef("x", "u"))
+        assert str(excinfo.value) == "project has no implementation 'ghost_i'"
 
     def test_validate_passes(self):
         simple_project().validate()

@@ -350,6 +350,103 @@ class TestGenerativeSyntax:
         with pytest.raises(TydiTypeError):
             compile_ok(source)
 
+    def test_plain_reference_in_nested_loops_takes_the_innermost_suffix(self):
+        # ``outer`` is declared per outer iteration and ``inner`` per inner
+        # one: inside the inner loop a plain ``outer`` misses ``outer_a_b``
+        # and resolves to ``outer_a``, a plain ``inner`` to ``inner_a_b``.
+        source = BASIC_TYPES + """
+        streamlet unit_s { input: byte_stream in, output: byte_stream out, }
+        external impl unit_i of unit_s;
+        streamlet top_s { i: byte_stream in [2], o: byte_stream out [4], }
+        impl top_i of top_s {
+            for a in 0->2 {
+                instance outer(unit_i),
+                i[a] => outer.input,
+                for b in 0->2 {
+                    instance inner(unit_i),
+                    outer.output => inner.input,
+                    inner.output => o[a * 2 + b],
+                }
+            }
+        }
+        top top_i;
+        """
+        result = compile_ok(source, sugaring=False, run_drc=False)
+        top = result.project.implementation("top_i")
+        assert [str(connection) for connection in top.connections] == [
+            "i_0 => outer_0.input",
+            "outer_0.output => inner_0_0.input",
+            "inner_0_0.output => o_0",
+            "outer_0.output => inner_0_1.input",
+            "inner_0_1.output => o_1",
+            "i_1 => outer_1.input",
+            "outer_1.output => inner_1_0.input",
+            "inner_1_0.output => o_2",
+            "outer_1.output => inner_1_1.input",
+            "inner_1_1.output => o_3",
+        ]
+
+
+class TestConnectionEndErrors:
+    """The exact error of each connection end that does not resolve."""
+
+    PREFIX = BASIC_TYPES.lstrip() + """streamlet unit_s { input: byte_stream in, output: byte_stream out, }
+external impl unit_i of unit_s;
+streamlet top_s { i: byte_stream in, o: byte_stream out, }
+impl top_i of top_s {
+    instance u(unit_i),
+    instance row(unit_i) [2],
+"""
+
+    @pytest.mark.parametrize(
+        "body, error, text",
+        [
+            (
+                "    i => ghost.input,",
+                TydiNameError,
+                "<string>:8:10: implementation 'top_i' has no instance 'ghost'",
+            ),
+            (
+                "    for k in 0->1 { i => ghost.input, }",
+                TydiNameError,
+                "<string>:8:26: implementation 'top_i' has no instance 'ghost'",
+            ),
+            (
+                "    i => u.input,\n    u.output => result,",
+                TydiNameError,
+                "<string>:9:17: implementation 'top_i' has no port 'result' on its streamlet 'top_s'",
+            ),
+            (
+                "    i => u.data,",
+                TydiNameError,
+                "<string>:8:10: instance 'u' (unit_i) has no port 'data'",
+            ),
+            (
+                '    i => row["one"].input,',
+                TydiEvaluationError,
+                "<string>:8:10: index of 'row' must be an integer, got string",
+            ),
+            (
+                "    i => u.input[true],",
+                TydiEvaluationError,
+                "<string>:8:10: index of 'input' must be an integer, got bool",
+            ),
+        ],
+        ids=[
+            "missing-instance",
+            "missing-instance-in-loop",
+            "missing-self-port",
+            "missing-instance-port",
+            "non-integer-instance-index",
+            "non-integer-port-index",
+        ],
+    )
+    def test_error_text(self, body, error, text):
+        with pytest.raises(error) as excinfo:
+            compile_ok(self.PREFIX + body + "\n}\ntop top_i;\n")
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == text
+
 
 class TestPaperParallelizeExample:
     def test_parallelize_with_adder(self):

@@ -455,6 +455,28 @@ def test_pool_stats_aggregate_worker_workspaces():
         assert set(report["designs"]) == {f"design_{i}" for i in range(4)}
 
 
+def test_stats_of_stopped_workers_share_one_deadline():
+    with WorkerPool(2) as pool:
+        assert all(entry["workspace"] for entry in pool.stats(timeout=30)["per_worker"])
+        pids = [worker.proc.pid for worker in pool.workers]
+        for pid in pids:
+            os.kill(pid, signal.SIGSTOP)
+        try:
+            started = time.monotonic()
+            stats = pool.stats(timeout=0.5)
+            elapsed = time.monotonic() - started
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGCONT)
+        # One 0.5 s deadline for both workers, not 0.5 s each.
+        assert elapsed < 0.9, elapsed
+        assert [entry["workspace"] for entry in stats["per_worker"]] == [None, None]
+
+        # Resumed, the pool answers normally.
+        assert pool.submit("open_design", {"design": "alpha", "files": _files(2)}).result(30)[0]
+        assert all(entry["workspace"] for entry in pool.stats(timeout=30)["per_worker"])
+
+
 def test_pool_mode_rejects_explicit_workspace():
     from repro.workspace import Workspace
 
