@@ -139,6 +139,13 @@ class Streamlet:
             raise TydiBackendError(f"streamlet {self.name!r} has no port {name!r}")
         return port
 
+    def get_port(self, name: str) -> Optional[Port]:
+        """The port named ``name``, or None if there is none."""
+        return self._ports_by_name().get(name)
+
+    def has_port(self, name: str) -> bool:
+        return name in self._ports_by_name()
+
     def inputs(self) -> list[Port]:
         return [p for p in self.ports if p.direction is PortDirection.IN]
 
@@ -236,6 +243,13 @@ class Implementation:
             raise TydiBackendError(f"implementation {self.name!r} has no instance {name!r}")
         return inst
 
+    def get_instance(self, name: str) -> Optional[Instance]:
+        """The instance named ``name``, or None if there is none."""
+        return self._instances_by_name().get(name)
+
+    def has_instance(self, name: str) -> bool:
+        return name in self._instances_by_name()
+
     def add_connection(self, connection: Connection) -> Connection:
         self.connections.append(connection)
         return connection
@@ -298,13 +312,13 @@ class Project:
     def resolve_port(self, implementation: Implementation, ref: PortRef) -> Port:
         """Resolve a port reference within ``implementation`` to its Port.
 
-        Called per connection end by every pass, so it reads the indexes
-        directly, raising the errors of the accessors it bypasses.
+        Called per connection end by every pass, so it looks each name up
+        once, raising the errors of the accessors it bypasses.
         """
         if ref.instance is None:
             streamlet = self.streamlets[implementation.streamlet]
         else:
-            inst = implementation._instances_by_name().get(ref.instance)
+            inst = implementation.get_instance(ref.instance)
             if inst is None:
                 raise TydiBackendError(
                     f"implementation {implementation.name!r} has no instance {ref.instance!r}"
@@ -313,7 +327,7 @@ class Project:
             if inner_impl is None:
                 raise TydiBackendError(f"project has no implementation {inst.implementation!r}")
             streamlet = self.streamlets[inner_impl.streamlet]
-        port = streamlet._ports_by_name().get(ref.port)
+        port = streamlet.get_port(ref.port)
         if port is None:
             raise TydiBackendError(f"streamlet {streamlet.name!r} has no port {ref.port!r}")
         return port

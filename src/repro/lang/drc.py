@@ -177,8 +177,8 @@ def _check_implementation(
                     rule="port-usage",
                     implementation=implementation.name,
                     message=(
-                        f"source endpoint {_endpoint_text(instance_name, port_name)} is never "
-                        "used (enable sugaring to auto-void it)"
+                        f"source endpoint {PortRef(port_name, instance_name)} is never used "
+                        "(enable sugaring to auto-void it)"
                     ),
                 )
             )
@@ -188,7 +188,7 @@ def _check_implementation(
                     rule="port-usage",
                     implementation=implementation.name,
                     message=(
-                        f"source endpoint {_endpoint_text(instance_name, port_name)} drives "
+                        f"source endpoint {PortRef(port_name, instance_name)} drives "
                         f"{count} sinks (enable sugaring to auto-insert a duplicator)"
                     ),
                 )
@@ -199,7 +199,7 @@ def _check_implementation(
                 DRCViolation(
                     rule="port-usage",
                     implementation=implementation.name,
-                    message=f"sink endpoint {_endpoint_text(instance_name, port_name)} is never driven",
+                    message=f"sink endpoint {PortRef(port_name, instance_name)} is never driven",
                 )
             )
         elif count > 1:
@@ -208,16 +208,11 @@ def _check_implementation(
                     rule="port-usage",
                     implementation=implementation.name,
                     message=(
-                        f"sink endpoint {_endpoint_text(instance_name, port_name)} is driven "
+                        f"sink endpoint {PortRef(port_name, instance_name)} is driven "
                         f"{count} times"
                     ),
                 )
             )
-
-
-def _endpoint_text(instance_name: str | None, port_name: str) -> str:
-    """An endpoint as its PortRef prints: ``port`` or ``instance.port``."""
-    return port_name if instance_name is None else f"{instance_name}.{port_name}"
 
 
 def _check_connection(

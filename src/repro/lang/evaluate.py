@@ -589,7 +589,7 @@ class Evaluator:
         """The IR reference of one connection end, and the port it names."""
         if ref.owner is None:
             port_name = _indexed(ref.port, ref.port_index, scope, ref.span)
-            port = streamlet._ports_by_name().get(port_name)
+            port = streamlet.get_port(port_name)
             if port is None:
                 raise TydiNameError(
                     f"implementation {implementation.name!r} has no port {port_name!r} "
@@ -599,8 +599,7 @@ class Evaluator:
             return PortRef(port=port_name), port
 
         instance_name = _indexed(ref.owner, ref.owner_index, scope, ref.span)
-        instances = implementation._instances_by_name()
-        instance = instances.get(instance_name)
+        instance = implementation.get_instance(instance_name)
         if instance is None and loop_suffix and ref.owner_index is None:
             # Inside (possibly nested) for loops, a plain reference to an
             # instance declared in an enclosing iteration resolves to its
@@ -609,7 +608,7 @@ class Evaluator:
             parts = loop_suffix.split("_")[1:]  # leading "" from the first "_"
             for depth in range(len(parts), 0, -1):
                 candidate = instance_name + "_" + "_".join(parts[:depth])
-                instance = instances.get(candidate)
+                instance = implementation.get_instance(candidate)
                 if instance is not None:
                     instance_name = candidate
                     break
@@ -621,7 +620,7 @@ class Evaluator:
         inner_impl = self.project.implementation(instance.implementation)
         inner_streamlet = self.project.streamlet(inner_impl.streamlet)
         port_name = _indexed(ref.port, ref.port_index, scope, ref.span)
-        port = inner_streamlet._ports_by_name().get(port_name)
+        port = inner_streamlet.get_port(port_name)
         if port is None:
             raise TydiNameError(
                 f"instance {instance_name!r} ({inner_impl.name}) has no port {port_name!r}",

@@ -71,6 +71,11 @@ class TestStreamlet:
         with pytest.raises(TydiBackendError):
             streamlet.port("missing")
 
+    def test_get_port_returns_none_on_a_miss(self):
+        streamlet = Streamlet("s", [Port("a", byte_stream(), PortDirection.IN)])
+        assert streamlet.get_port("a") is streamlet.port("a")
+        assert streamlet.get_port("missing") is None
+
     def test_inputs_outputs_split(self):
         streamlet = simple_project().streamlet("inner_s")
         assert [p.name for p in streamlet.inputs()] == ["x"]
@@ -98,6 +103,13 @@ class TestImplementation:
     def test_instance_lookup(self):
         impl = simple_project().implementation("top_i")
         assert impl.instance("u").implementation == "inner_i"
+        assert impl.has_instance("u")
+        assert not impl.has_instance("v")
+
+    def test_get_instance_returns_none_on_a_miss(self):
+        impl = simple_project().implementation("top_i")
+        assert impl.get_instance("u") is impl.instance("u")
+        assert impl.get_instance("v") is None
 
 
 class TestProject:
